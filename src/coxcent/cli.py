@@ -13,17 +13,23 @@ import sys
 from pathlib import Path
 
 from .coxtype import CoxeterType
+from .group import CoxeterGroup
+from .involutions import enumerate_involution_classes
 from .rootsys import CapabilityError
-from .structure import RecognitionError, ViolationError, run_property_suite
+from .structure import (
+    CHECK_NAMES,
+    RecognitionError,
+    ViolationError,
+    run_property_suite,
+)
 from .tables import (
     SCHEMA_VERSION,
+    FixtureError,
     analyze,
     class_csv,
     class_json,
-    compare_rows,
-    computed_rows,
     diff_report,
-    expected_rows,
+    verify_type,
 )
 
 EXIT_OK = 0
@@ -50,8 +56,23 @@ ALL_SMALL = (
 )
 
 
+class UsageError(Exception):
+    """A malformed command line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would exit with status 2, which
+    this command reserves for internal check violations."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _parse_type(args) -> CoxeterType:
+    """The type named on the command line; E8 only with --large."""
     t = args.type
+    if t == "E8" and not args.large:
+        raise CapabilityError("E8 is gated behind --large (expect minutes, not seconds)")
     try:
         if t in FIXED_TYPES:
             return CoxeterType.irreducible(*FIXED_TYPES[t])
@@ -72,11 +93,7 @@ def _parse_type(args) -> CoxeterType:
     return ctype
 
 
-def _write(out_dir: str | None, name: str, text: str, fmt: str, to_stdout: bool):
-    if out_dir is None:
-        if to_stdout:
-            sys.stdout.write(text)
-        return
+def _write(out_dir: str, name: str, text: str) -> None:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     (path / name).write_text(text, encoding="utf-8")
@@ -84,32 +101,16 @@ def _write(out_dir: str | None, name: str, text: str, fmt: str, to_stdout: bool)
 
 def cmd_analyze(args) -> int:
     ctype = _parse_type(args)
-    if ctype == CoxeterType.irreducible("E", 8) and not args.large:
-        print(
-            "E8 is gated behind --large (expect minutes, not seconds)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     analysis = analyze(ctype, max_rank=args.max_rank)
     name = str(ctype).replace("(", "_").replace(")", "")
     csv_text = class_csv(analysis)
     json_text = class_json(analysis)
     if args.out:
-        _write(args.out, f"{name}.csv", csv_text, "csv", False)
-        _write(args.out, f"{name}.json", json_text, "json", False)
+        _write(args.out, f"{name}.csv", csv_text)
+        _write(args.out, f"{name}.json", json_text)
     else:
         sys.stdout.write(json_text if args.format == "json" else csv_text)
     return EXIT_OK
-
-
-def _verify_one(ctype: CoxeterType, args) -> tuple[int, dict]:
-    expect = expected_rows(ctype, args.fixtures)
-    analysis = analyze(ctype, max_rank=args.max_rank)
-    got = computed_rows(analysis.group, analysis.profiles)
-    diffs = compare_rows(expect, got)
-    report = diff_report(ctype, diffs)
-    report["rows_compared"] = len(expect)
-    return (EXIT_OK if not diffs else EXIT_MISMATCH), report
 
 
 def cmd_verify(args) -> int:
@@ -118,24 +119,18 @@ def cmd_verify(args) -> int:
         if args.large:
             targets.append(CoxeterType.irreducible("E", 8))
     else:
-        ctype = _parse_type(args)
-        if ctype == CoxeterType.irreducible("E", 8) and not args.large:
-            print(
-                "E8 is gated behind --large (expect minutes, not seconds)",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        targets = [ctype]
+        targets = [_parse_type(args)]
     reports = []
     status = EXIT_OK
     for ctype in targets:
-        code, report = _verify_one(ctype, args)
+        expect, diffs = verify_type(ctype, args.fixtures, args.max_rank)
+        report = diff_report(ctype, diffs)
+        report["rows_compared"] = len(expect)
         reports.append(report)
-        rows = report["rows_compared"]
-        if code == EXIT_OK:
-            print(f"{ctype}: ok ({rows} rows compared)")
+        if not diffs:
+            print(f"{ctype}: ok ({len(expect)} rows compared)")
         else:
-            status = max(status, code)
+            status = EXIT_MISMATCH
             print(f"{ctype}: MISMATCH")
             for d in report["diffs"]:
                 print(
@@ -144,23 +139,18 @@ def cmd_verify(args) -> int:
                 )
     if args.out:
         doc = {"schema_version": SCHEMA_VERSION, "reports": reports}
-        _write(args.out, "verify.json", json.dumps(doc, indent=2, sort_keys=True) + "\n", "json", False)
+        _write(args.out, "verify.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return status
 
 
 def cmd_theorems(args) -> int:
     ctype = _parse_type(args)
-    if ctype == CoxeterType.irreducible("E", 8) and not args.large:
-        print("E8 is gated behind --large", file=sys.stderr)
-        return EXIT_USAGE
-    analysis = analyze(ctype, max_rank=args.max_rank)
-    results = run_property_suite(analysis.group, analysis.classes)
+    group = CoxeterGroup(ctype, max_rank=args.max_rank)
+    profiles = []
+    results = run_property_suite(group, enumerate_involution_classes(group), profiles)
     if args.check:
-        wanted = args.check
-        if wanted == "gamma":
-            results = [r for r in results if r.name in ("1.2",)]
-        else:
-            results = [r for r in results if r.name == wanted]
+        wanted = "1.2" if args.check == "gamma" else args.check
+        results = [r for r in results if r.name == wanted]
     gamma_rows = [
         {
             "degree": p.cls.degree,
@@ -168,7 +158,7 @@ def cmd_theorems(args) -> int:
             "gamma_structure": str(p.gamma_structure),
             "gamma_order": p.gamma_order,
         }
-        for p in analysis.profiles
+        for p in profiles
     ]
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -187,14 +177,14 @@ def cmd_theorems(args) -> int:
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        _write(args.out, f"theorems_{ctype}.json", text, "json", False)
+        _write(args.out, f"theorems_{ctype}.json", text)
     else:
         sys.stdout.write(text)
     return EXIT_OK if doc["violations"] == 0 else EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coxcent",
         description=(
             "Exact involution-centralizer tables for finite Coxeter groups"
@@ -240,22 +230,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_th = sub.add_parser("theorems", help="run the structural check suite")
     common(p_th)
-    p_th.add_argument("--check", help="restrict to one named check (e.g. 2.3)")
+    p_th.add_argument(
+        "--check",
+        choices=[*CHECK_NAMES, "gamma"],
+        help="restrict to one named check (e.g. 2.3); gamma reports check 1.2",
+    )
     p_th.set_defaults(func=cmd_theorems)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "type", None) is None and not getattr(args, "all", False):
-        parser.error_exit = True
-        print("a --type is required (or --all for verify)", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        args = build_parser().parse_args(argv)
+        if args.type is None and not getattr(args, "all", False):
+            raise UsageError("a --type is required (or --all for verify)")
         return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except FixtureError as exc:
+        print(f"fixture error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -40,8 +40,6 @@ from .perms import (
     Perm,
     compose,
     conjugate,
-    identity,
-    inverse,
     is_identity,
     pack,
     pack_width,
@@ -209,40 +207,32 @@ def lines_with_negatives(group: CoxeterGroup, lines) -> frozenset[int]:
 
 
 def centralizer(
-    group: CoxeterGroup,
-    u: Perm,
-    class_size: int | None = None,
-    extra_seeds=(),
+    group: CoxeterGroup, u: Perm, class_size: int, seeds: list[Perm] | None = None
 ) -> SubgroupHandle:
     """The centralizer of an involution, as a subgroup handle.
 
-    With a known class size the expected order |G| / |class| is used as the
-    stopping target: the subgroup generated by the centralizing reflections,
-    the degree-<=2 centralizing involutions and any `extra_seeds` reaches it
-    in every case covered here, and a full Schreier scan of the conjugation
-    orbit backs it up if it ever does not.
+    The expected order |G| / |class| is used as the stopping target: the
+    subgroup generated by `seeds`, the degree-<=2 centralizing involutions
+    (computed here unless the caller has them), reaches it in every case
+    covered here, and a full Schreier scan of the conjugation orbit backs it
+    up if it ever does not.
     """
-    if class_size is not None:
-        if group.order % class_size:
-            raise ViolationError("class size does not divide the group order")
-        target = group.order // class_size
-        seeds = [
-            g
-            for g in group.centralizer_involutions_deg_le_2(u)
-            if not is_identity(g)
-        ]
-        seeds.extend(extra_seeds)
-        handle = SubgroupHandle(group.n_points, [])
-        bsgs = handle.bsgs()
-        kept = []
-        for g in seeds:
-            if bsgs.order() == target:
-                break
-            if bsgs.add_generator(g):
-                kept.append(g)
+    if group.order % class_size:
+        raise ViolationError("class size does not divide the group order")
+    target = group.order // class_size
+    if seeds is None:
+        seeds = group.centralizer_involutions_deg_le_2(u)
+    handle = SubgroupHandle(group.n_points, [])
+    bsgs = handle.bsgs()
+    kept = []
+    for g in seeds:
         if bsgs.order() == target:
-            handle.gens = kept
-            return handle
+            break
+        if bsgs.add_generator(g):
+            kept.append(g)
+    if bsgs.order() == target:
+        handle.gens = kept
+        return handle
     width = pack_width(group.n_points)
     _, stab = orbit_stabilizer(
         group.n_points,
@@ -250,18 +240,11 @@ def centralizer(
         pack(u, width),
         make_conjugation_action(width),
         group_order=group.order,
-        seed_stab_gens=[
-            g for g in group.centralizer_involutions_deg_le_2(u) if not is_identity(g)
-        ],
+        seed_stab_gens=seeds,
     )
-    if class_size is not None and stab.order() != group.order // class_size:
+    if stab.order() != target:
         raise ViolationError("centralizer order disagrees with the class size")
     return stab
-
-
-def g_plus_minus(group: CoxeterGroup, u: Perm):
-    """Line sets of the parabolic parts: (fixed lines, negated lines)."""
-    return group.fixed_lines(u), group.negated_lines(u)
 
 
 # -- projections to the two eigenspaces ----------------------------------------------
@@ -531,29 +514,24 @@ class CentralizerProfile:
 
 @dataclass
 class ClassData:
-    """Shared per-class computations, built once and reused by the checks."""
+    """Per-class computations behind a profile, built once per class and
+    read by the checks; the class itself and its quotient structure are on
+    the profile."""
 
     group: CoxeterGroup
-    cls: InvolutionClass
-    centralizer: SubgroupHandle
     plus_lines: list[int]
     minus_lines: list[int]
-    plus_handle: SubgroupHandle
     minus_handle: SubgroupHandle
-    g1_handle: SubgroupHandle
     deg2_involutions: list[Perm]
     quotient: QuotientGroup | None
-    gamma_label: StructureLabel
     profile: CentralizerProfile
 
 
 def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
     u = cls.rep
-    involutions = [
-        g for g in group.centralizer_involutions_deg_le_2(u) if not is_identity(g)
-    ]
-    g_u = centralizer(group, u, class_size=cls.size)
-    plus_lines, minus_lines = g_plus_minus(group, u)
+    involutions = group.centralizer_involutions_deg_le_2(u)
+    g_u = centralizer(group, u, cls.size, involutions)
+    plus_lines, minus_lines = group.fixed_lines(u), group.negated_lines(u)
     plus_handle = SubgroupHandle.from_gens(
         group.n_points, [group.reflection_perm(l) for l in plus_lines]
     )
@@ -609,16 +587,11 @@ def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
     )
     return ClassData(
         group=group,
-        cls=cls,
-        centralizer=g_u,
         plus_lines=plus_lines,
         minus_lines=minus_lines,
-        plus_handle=plus_handle,
         minus_handle=minus_handle,
-        g1_handle=g1_handle,
         deg2_involutions=involutions,
         quotient=quotient,
-        gamma_label=gamma_label,
         profile=profile,
     )
 
@@ -652,19 +625,8 @@ def _mirror_profile(
 def profiles_for_group(
     group: CoxeterGroup, classes: list[InvolutionClass]
 ) -> list[CentralizerProfile]:
-    """One CentralizerProfile per class; classes of degree above n/2 in
-    groups containing -1 reuse the mirror class profile with the two sides
-    swapped (their orders are cross-checked against the class sizes)."""
-    by_rep: dict[InvolutionClass, CentralizerProfile] = {}
-    out = []
-    for cls in classes:
-        if cls.mirror_of is not None and cls.mirror_of in by_rep:
-            profile = _mirror_profile(group, cls, by_rep[cls.mirror_of])
-        else:
-            profile = _compute_class_data(group, cls).profile
-        by_rep[cls] = profile
-        out.append(profile)
-    return out
+    """One CentralizerProfile per class, in class order."""
+    return _class_pipeline(group, classes)
 
 
 # -- checks ------------------------------------------------------------------------
@@ -703,7 +665,7 @@ def check_theorem_1_1(data: ClassData) -> CheckResult:
 
 
 def _subject(data: ClassData) -> str:
-    cls = data.cls
+    cls = data.profile.cls
     label = f"/{cls.label}" if cls.label else ""
     return f"{data.group.ctype} deg {cls.degree}{label}"
 
@@ -749,7 +711,7 @@ def check_cube_generation(data: ClassData) -> CheckResult:
     name = "2.1c"
     subject = _subject(data)
     group = data.group
-    u = data.cls.rep
+    u = data.profile.cls.rep
     uncovered = set(data.minus_lines)
     while uncovered:
         line = min(uncovered)
@@ -809,8 +771,8 @@ def check_parabolic_chain(data: ClassData) -> CheckResult:
     name = "3.2"
     subject = _subject(data)
     group = data.group
-    u = data.cls.rep
-    if data.cls.degree == 0:
+    u = data.profile.cls.rep
+    if data.profile.cls.degree == 0:
         return CheckResult(name, subject, "pass", "degenerate")
     cube = first_cube(group, u)
     current = set(range(group.n_points))
@@ -879,7 +841,7 @@ def check_complement(data: ClassData, budget: int = 1_000_000) -> CheckResult:
     if data.quotient is None:
         return CheckResult(name, subject, "pass", "trivial quotient")
     q = data.quotient
-    label = data.gamma_label
+    label = data.profile.gamma_structure
     jmap: dict[Perm, list[Perm]] = {}
     for j in data.deg2_involutions:
         img = q.image(j)
@@ -1021,13 +983,20 @@ def check_gamma_structure(data: ClassData) -> CheckResult:
     only."""
     name = "1.2"
     subject = _subject(data)
-    label = data.gamma_label
+    label = data.profile.gamma_structure
     family = data.group.ctype.components[0][0]
     if label.kind == "sym":
         return CheckResult(name, subject, "pass", str(label))
     if label.kind == "sym_x_c2" and family == "D":
         return CheckResult(name, subject, "pass", str(label))
     return CheckResult(name, subject, "fail", f"structure {label}")
+
+
+# every name a CheckResult of run_property_suite can carry
+CHECK_NAMES = (
+    "1.1", "1.2", "2.1b", "2.1c", "2.3", "2.4", "2.5",
+    "2.7", "2.8", "2.9", "3.2", "3.3", "mirror",
+)
 
 
 def class_property_suite(data: ClassData) -> list[CheckResult]:
@@ -1078,30 +1047,57 @@ def _parabolic_root_closure(group: CoxeterGroup, seed_lines) -> set[int]:
 def run_property_suite(
     group: CoxeterGroup,
     classes: list[InvolutionClass],
-    *,
-    skip_mirrored: bool = True,
+    profiles: list[CentralizerProfile] | None = None,
 ) -> list[CheckResult]:
-    """Run every per-class check plus the per-group diagram check.
-
-    Mirrored classes (degree > n/2 with -1 present) contribute order
-    cross-checks only, mirroring the computation that produced them.
-    """
+    """Run the per-group diagram check, then every per-class check in class
+    order.  When `profiles` is a list, each class's profile is appended to
+    it, so the profiles and the checks share one build of each class."""
     results: list[CheckResult] = []
     if group.ctype.is_crystallographic() and not group.is_dihedral:
         results.extend(check_extended_diagram(group))
-    for cls in classes:
-        if cls.mirror_of is not None and skip_mirrored:
-            expected = group.order // cls.size
-            mirrored_ok = expected * cls.mirror_of.size == group.order
-            results.append(
-                CheckResult(
-                    "mirror",
-                    f"{group.ctype} deg {cls.degree}/{cls.label}",
-                    "pass" if mirrored_ok else "fail",
-                    "orders consistent with the mirror class",
-                )
-            )
-            continue
-        data = _compute_class_data(group, cls)
-        results.extend(class_property_suite(data))
+    built = _class_pipeline(group, classes, results)
+    if profiles is not None:
+        profiles.extend(built)
     return results
+
+
+def _class_pipeline(
+    group: CoxeterGroup,
+    classes: list[InvolutionClass],
+    results: list[CheckResult] | None = None,
+) -> list[CentralizerProfile]:
+    """The one per-class loop: one profile per class, in class order.
+
+    A class's ClassData is built once, and dropped before the next class,
+    so at most one is alive at a time.  Classes of degree above n/2 in
+    groups containing -1 reuse the profile of their mirror class, which
+    comes earlier, with the two sides swapped (their orders are
+    cross-checked against the class sizes).  When `results` is a list, the
+    checks of each class are appended to it: the full suite for a built
+    class, the order cross-check for a mirrored one.
+    """
+    by_rep: dict[InvolutionClass, CentralizerProfile] = {}
+    out = []
+    for cls in classes:
+        source = by_rep.get(cls.mirror_of)
+        if source is not None:
+            profile = _mirror_profile(group, cls, source)
+            if results is not None:
+                mirrored_ok = profile.order * cls.mirror_of.size == group.order
+                results.append(
+                    CheckResult(
+                        "mirror",
+                        f"{group.ctype} deg {cls.degree}/{cls.label}",
+                        "pass" if mirrored_ok else "fail",
+                        "orders consistent with the mirror class",
+                    )
+                )
+        else:
+            data = _compute_class_data(group, cls)
+            profile = data.profile
+            if results is not None:
+                results.extend(class_property_suite(data))
+            del data  # free it before the next class's data is built
+        by_rep[cls] = profile
+        out.append(profile)
+    return out

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .classicmodels import PredictedProfile, predicted_rows
+from .classicmodels import predicted_rows
 from .coxtype import CoxeterType, factored
 from .group import CoxeterGroup
 from .involutions import InvolutionClass, enumerate_involution_classes, first_cube
@@ -65,6 +65,10 @@ class TableRow:
         )
 
 
+class FixtureError(ValueError):
+    """A reference table file that is not valid JSON or lacks a table."""
+
+
 def load_fixture(path=None) -> dict:
     if path is None:
         text = (
@@ -75,7 +79,10 @@ def load_fixture(path=None) -> dict:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise FixtureError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _fixture_rows(table: dict) -> list[TableRow]:
@@ -113,38 +120,35 @@ def _dihedral_rows(m: int) -> list[TableRow]:
 
 
 def _model_rows(family: str, rank: int) -> list[TableRow]:
-    rows: dict[tuple, list[PredictedProfile]] = {}
-    for p in predicted_rows(family, rank):
-        key = (
-            p.degree,
-            p.class_size,
-            factored(p.order),
-            str(p.minus_type),
-            str(p.tilde_minus_type),
-            str(p.plus_type),
-            str(p.tilde_plus_type),
-            p.gamma_printed,
-        )
-        rows.setdefault(key, []).append(p)
-    out = []
-    for key, ps in rows.items():
-        degree, size, order, gm, tgm, gp, tgp, gamma = key
-        out.append(
-            TableRow(
-                degree=degree,
-                labels=tuple(sorted(p.label for p in ps)),
-                classes=len(ps),
-                class_size=size,
-                order=order,
-                g_minus=gm,
-                tilde_g_minus=tgm,
-                g_plus=gp,
-                tilde_g_plus=tgp,
-                gamma=gamma,
-            )
-        )
-    out.sort(key=lambda r: (r.degree, r.labels))
-    return out
+    return _bucket_rows(
+        (p.label, p.degree, p.class_size, p, p.gamma_printed)
+        for p in predicted_rows(family, rank)
+    )
+
+
+def _type_columns(p) -> tuple[str, ...]:
+    """The order and the four type columns of a profile, as printed."""
+    return (
+        factored(p.order),
+        str(p.minus_type),
+        str(p.tilde_minus_type),
+        str(p.plus_type),
+        str(p.tilde_plus_type),
+    )
+
+
+def _bucket_rows(entries) -> list[TableRow]:
+    """Merge (label, degree, class size, profile, gamma) entries into
+    printed rows: classes of one degree with identical columns share a row."""
+    buckets: dict[tuple, list[str]] = {}
+    for label, degree, size, p, gamma in entries:
+        key = (degree, size, *_type_columns(p), gamma)
+        buckets.setdefault(key, []).append(label)
+    rows = [
+        TableRow(key[0], tuple(sorted(labels)), len(labels), *key[1:])
+        for key, labels in buckets.items()
+    ]
+    return sorted(rows, key=TableRow.key)
 
 
 def expected_rows(ctype: CoxeterType, fixture_path=None) -> list[TableRow]:
@@ -156,10 +160,11 @@ def expected_rows(ctype: CoxeterType, fixture_path=None) -> list[TableRow]:
         m = 6 if family == "G" else n
         return _dihedral_rows(m)
     fixture = load_fixture(fixture_path)
-    name = str(ctype)
-    if name not in fixture["tables"]:
-        raise KeyError(f"no reference table for type {name}")
-    return _fixture_rows(fixture["tables"][name])
+    try:
+        return _fixture_rows(fixture["tables"][str(ctype)])
+    except (KeyError, TypeError) as exc:
+        source = fixture_path or "the embedded tables"
+        raise FixtureError(f"{source} has no valid table for {ctype}") from exc
 
 
 def printed_gamma(group: CoxeterGroup, profile: CentralizerProfile) -> str:
@@ -182,38 +187,10 @@ def computed_rows(
     profiles: list[CentralizerProfile],
 ) -> list[TableRow]:
     """Merge per-class profiles into printed-row granularity."""
-    buckets: dict[tuple, list[CentralizerProfile]] = {}
-    for p in profiles:
-        key = (
-            p.cls.degree,
-            p.cls.size,
-            factored(p.order),
-            str(p.minus_type),
-            str(p.tilde_minus_type),
-            str(p.plus_type),
-            str(p.tilde_plus_type),
-            printed_gamma(group, p),
-        )
-        buckets.setdefault(key, []).append(p)
-    out = []
-    for key, ps in buckets.items():
-        degree, size, order, gm, tgm, gp, tgp, gamma = key
-        out.append(
-            TableRow(
-                degree=degree,
-                labels=tuple(sorted(p.cls.label for p in ps)),
-                classes=len(ps),
-                class_size=size,
-                order=order,
-                g_minus=gm,
-                tilde_g_minus=tgm,
-                g_plus=gp,
-                tilde_g_plus=tgp,
-                gamma=gamma,
-            )
-        )
-    out.sort(key=lambda r: (r.degree, r.labels))
-    return out
+    return _bucket_rows(
+        (p.cls.label, p.cls.degree, p.cls.size, p, printed_gamma(group, p))
+        for p in profiles
+    )
 
 
 @dataclass
@@ -281,11 +258,7 @@ def class_csv(analysis: Analysis) -> str:
                 name,
                 p.cls.degree,
                 p.cls.label,
-                factored(p.order),
-                str(p.minus_type),
-                str(p.tilde_minus_type),
-                str(p.plus_type),
-                str(p.tilde_plus_type),
+                *_type_columns(p),
                 printed_gamma(analysis.group, p),
             ]
         )
@@ -327,8 +300,11 @@ def class_json(analysis: Analysis) -> str:
 def verify_type(
     ctype: CoxeterType, fixture_path=None, max_rank: int = 12
 ) -> tuple[list[TableRow], list[RowDiff]]:
-    analysis = analyze(ctype, max_rank=max_rank)
+    """The reference rows of a type and their differences from the
+    computed rows.  The reference is read first, so a bad fixture fails
+    before any computation."""
     expect = expected_rows(ctype, fixture_path)
+    analysis = analyze(ctype, max_rank=max_rank)
     got = computed_rows(analysis.group, analysis.profiles)
     return expect, compare_rows(expect, got)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from coxcent import cli
 
 
@@ -110,7 +112,7 @@ def test_theorems_violation_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(
         climod,
         "run_property_suite",
-        lambda group, classes: [CheckResult("2.3", "stub", "fail", "forced")],
+        lambda group, classes, profiles=None: [CheckResult("2.3", "stub", "fail", "forced")],
     )
     assert run(["theorems", "--type", "A", "--rank", "2"]) == 2
     doc = json.loads(capsys.readouterr().out)
@@ -120,6 +122,86 @@ def test_theorems_violation_exit_code(monkeypatch, capsys):
 def test_missing_fixture_file_is_usage_error(capsys):
     assert run(["verify", "--type", "H3", "--fixtures", "/nonexistent/f.json"]) == 3
     assert "io error" in capsys.readouterr().err
+
+
+def test_malformed_fixture_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"tables": ')
+    assert run(["verify", "--type", "H3", "--fixtures", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("fixture error:") and "not valid JSON" in err
+    assert err.count("\n") == 1
+
+
+def test_fixture_without_the_table_is_usage_error(tmp_path, capsys):
+    from coxcent.tables import load_fixture
+
+    fixture = load_fixture()
+    del fixture["tables"]["H3"]
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(fixture))
+    assert run(["verify", "--type", "H3", "--fixtures", str(partial)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("fixture error:") and "H3" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--type", "Z"],
+        ["analyze", "--type", "B", "--rank", "x"],
+        ["frobnicate"],
+        [],
+        ["verify", "--type", "H3", "--bogus"],
+    ],
+)
+def test_argparse_errors_exit_3(argv, capsys):
+    # returned, not raised as SystemExit; status 2 means a check violation
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["theorems", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_theorems_unknown_check_is_usage_error(capsys):
+    assert run(["theorems", "--type", "A", "--rank", "2", "--check", "9.9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    for name in ("1.1", "1.2", "2.1b", "2.1c", "2.3", "2.4", "2.5", "2.7", "2.8",
+                 "2.9", "3.2", "3.3", "mirror", "gamma"):
+        assert f"'{name}'" in captured.err
+
+
+def test_theorems_builds_each_class_once(monkeypatch, capsys):
+    from coxcent import structure
+    from coxcent.coxtype import CoxeterType
+    from coxcent.group import CoxeterGroup
+    from coxcent.involutions import enumerate_involution_classes
+
+    classes = enumerate_involution_classes(CoxeterGroup(CoxeterType([("B", 4)])))
+    own = [c for c in classes if c.mirror_of is None]
+    assert 0 < len(own) < len(classes)  # B4 contains -1: some classes mirror
+    built = []
+    original = structure._compute_class_data
+
+    def counting(group, cls):
+        built.append((cls.degree, cls.label))
+        return original(group, cls)
+
+    monkeypatch.setattr(structure, "_compute_class_data", counting)
+    assert run(["theorems", "--type", "B", "--rank", "4"]) == 0
+    assert sorted(built) == sorted((c.degree, c.label) for c in own)
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["gamma"]) == len(classes)
 
 
 def test_analyze_e8_gated(capsys):

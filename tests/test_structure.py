@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from coxcent.permengine import set_stabilizer_order
 from coxcent.perms import compose
 from coxcent.structure import (
+    CHECK_NAMES,
+    ViolationError,
     _compute_class_data,
     centralizer,
     check_extended_diagram,
@@ -31,12 +35,15 @@ def test_centralizer_orders_match_class_sizes(cache):
             assert c.contains(cls.rep)
 
 
-def test_centralizer_without_class_size(cache):
+def test_centralizer_schreier_fallback(cache):
+    # With no seeds the seeded path cannot reach |G| / |class|, so the
+    # Schreier scan of the conjugation orbit has to find the centralizer.
     group = cache.group("A", 3)
-    line = group.lines[0]
-    u = group.reflection_perm(line)
-    c = centralizer(group, u)
-    assert c.order() == 4  # <s> x A1 on the two remaining letters
+    u = group.reflection_perm(group.lines[0])
+    assert centralizer(group, u, class_size=6, seeds=[]).order() == 4  # <s> x A1
+    # a class size that contradicts the scanned centralizer is a violation
+    with pytest.raises(ViolationError):
+        centralizer(group, u, class_size=3)
 
 
 def test_reflection_subgroup_type_trivial_and_whole(cache):
@@ -165,6 +172,40 @@ def test_extended_diagram_check(cache):
         group = cache.group(family, n)
         results = check_extended_diagram(group)
         assert all(r.status == "pass" for r in results)
+
+
+def test_check_names_cover_the_suite(cache):
+    # B4 contains -1, so its suite has mirrored classes too
+    results = run_property_suite(cache.group("B", 4), cache.classes("B", 4))
+    assert {r.name for r in results} == set(CHECK_NAMES)
+
+
+def test_suite_profiles_match_profiles_for_group(cache):
+    group = cache.group("D", 5)
+    profiles = []
+    run_property_suite(group, cache.classes("D", 5), profiles)
+    assert profiles == cache.profiles("D", 5)
+
+
+def test_class_pipeline_streams(monkeypatch, cache):
+    # Each class's data must be freed before the next class's is built, so
+    # peak memory does not grow with the number of classes.
+    from coxcent import structure
+
+    built = []
+    original = structure._compute_class_data
+
+    def tracking(group, cls):
+        assert all(ref() is None for ref in built), "earlier class data still alive"
+        data = original(group, cls)
+        built.append(weakref.ref(data))
+        return data
+
+    monkeypatch.setattr(structure, "_compute_class_data", tracking)
+    group = cache.group("B", 4)
+    run_property_suite(group, cache.classes("B", 4), [])
+    structure.profiles_for_group(group, cache.classes("B", 4))
+    assert len(built) == 2 * sum(1 for c in cache.classes("B", 4) if c.mirror_of is None)
 
 
 def test_property_suite_clean_on_samples(cache):
