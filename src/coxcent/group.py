@@ -95,9 +95,10 @@ class CoxeterGroup:
         """
         neg = self.neg
         lines = self.lines
-        out = [self.reflection_perm(l) for l in self.stable_lines(u)]
+        stable_lines = self.stable_lines(u)
+        out = [self.reflection_perm(l) for l in stable_lines]
         n_lines = len(lines)
-        stable = set(self.stable_lines(u))
+        stable = set(stable_lines)
         for a_pos in range(n_lines):
             la = lines[a_pos]
             ua = u[la]

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 
 from . import linalg
 from .coxtype import CoxeterType
@@ -30,6 +31,9 @@ class CapabilityError(ValueError):
 
 
 DEFAULT_MAX_RANK = 12
+# I2(m) for m up to this bound: `analyze` takes about 10 s at m = 1024, and
+# its time grows faster than m^2 beyond (m = 4096 did not finish in 150 s).
+MAX_DIHEDRAL_M = 1024
 
 # Dynkin data, 0-based Bourbaki numbering: (edges with exact inner product
 # of the two simple roots, squared lengths of the simple roots).
@@ -172,9 +176,25 @@ class RootSystem:
         w = self.roots[j]
         return sum(gi[k] * w[k] for k in range(self.rank))
 
+    @cached_property
+    def form(self) -> tuple:
+        """An invariant form in the field of the root coordinates: 2 * gram,
+        which is integral, as ints for the crystallographic types (squared
+        lengths 4 and 2, bonds -2 and -1); gram itself over Q(sqrt5) for H."""
+        if not self.crystallographic:
+            return self.gram
+        return tuple(tuple(int(2 * x) for x in row) for row in self.gram)
+
+    @cached_property
+    def _form_rows(self) -> tuple:
+        # row i: the pairings of root i with the simple roots under `form`
+        form = self.form
+        return tuple(
+            tuple(sum(map(mul, v, col)) for col in zip(*form)) for v in self.roots
+        )
+
     def orthogonal(self, i: int, j: int) -> bool:
-        p = self.product(i, j)
-        return p == 0 or (isinstance(p, Scalar) and p.is_zero())
+        return not sum(map(mul, self._form_rows[i], self.roots[j]))
 
     def norm(self, i: int):
         if self._norms[i] is None:
@@ -221,9 +241,13 @@ class RootSystem:
         )
 
     def degree_of(self, perm: Perm) -> int:
-        """dim of the (-1)-eigenspace of an involution, as rank(M - I)."""
-        m = self.matrix_of_perm(perm)
-        return linalg.rank(linalg.mat_sub(m, linalg.identity(self.rank)))
+        """dim of the (-1)-eigenspace of an involution: its eigenvalues are
+        +-1, so the degree is (rank - trace) / 2.  Column k of its matrix in
+        the simple-root basis is the image of simple root k."""
+        trace = sum(self.roots[perm[s]][k] for k, s in enumerate(self.simple))
+        if isinstance(trace, Scalar):  # Q(sqrt5): an involution's trace is an integer
+            trace = int(trace.a)
+        return (self.rank - trace) // 2
 
     # -- lattice / mod-2 machinery -----------------------------------------
 
@@ -332,6 +356,10 @@ def build_system(ctype: CoxeterType, max_rank: int = DEFAULT_MAX_RANK):
         raise CapabilityError(f"type {ctype} is not irreducible")
     family, n = ctype.components[0]
     if family == "I":
+        if n > MAX_DIHEDRAL_M:
+            raise CapabilityError(
+                f"m = {n} of I2(m) exceeds the supported bound {MAX_DIHEDRAL_M}"
+            )
         return DihedralModel(n)
     if family == "G":
         return DihedralModel(6)

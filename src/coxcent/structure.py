@@ -17,7 +17,8 @@ no identity asserted here rides on the statement it is checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from .coxtype import CoxeterType
 from .group import CoxeterGroup
@@ -46,7 +47,6 @@ from .perms import (
     perm_order,
 )
 from .rootsys import extended_diagram_Y
-from .scalars import Scalar
 
 
 class RecognitionError(RuntimeError):
@@ -259,48 +259,48 @@ class TildeResult:
     dim: int
 
 
-def _canonical_direction(vec):
-    """Scale a nonzero vector to a canonical representative of its ray."""
-    if any(isinstance(x, Scalar) for x in vec):
-        vec = tuple(Scalar.of(x) for x in vec)
-        lead = next(x for x in vec if not x.is_zero())
-        if lead.sign() < 0:
-            lead = -lead
-        scale = lead.inverse()
-        return tuple(scale * x for x in vec)
-    # rational coordinates: make the vector primitive integral
-    from math import gcd, lcm
+def _primitive(vec: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a nonzero integer vector."""
+    g = gcd(*vec)
+    if not g:
+        raise ValueError("zero vector has no direction")
+    return tuple(x // g for x in vec) if g != 1 else vec
 
-    fracs = [Fraction(x) for x in vec]
-    denom = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+
+def _canonical_direction(vec):
+    """The representative of the ray of a nonzero Scalar vector whose first
+    nonzero coordinate is +-1."""
+    lead = next((x for x in vec if x), None)
+    if lead is None:
+        raise ValueError("zero vector has no direction")
+    if lead.sign() < 0:
+        lead = -lead
+    scale = lead.inverse()
+    return tuple(scale * x for x in vec)
 
 
 def _is_positive_direction(vec) -> bool:
     for x in vec:
-        if isinstance(x, Scalar):
-            s = x.sign()
-            if s:
-                return s > 0
-        elif x:
+        if x:
             return x > 0
     raise ValueError("zero vector has no direction")
 
 
 class _VectorReflectionGroup:
-    """A reflection group on an explicitly closed set of exact vectors."""
+    """A reflection group on an explicitly closed set of exact vectors.
+
+    The field of `gram` picks the arithmetic.  An integral form (twice the
+    Gram matrix of a crystallographic type) keeps every vector as a
+    primitive integer tuple; a form over Q(sqrt5) keeps Scalar vectors with
+    a leading coordinate of +-1.  Either way each ray has exactly one
+    representative, so vectors are looked up by value.
+    """
 
     def __init__(self, gram, normals):
         self.gram = gram
-        self.rank = len(gram)
+        self._canonical = (
+            _primitive if isinstance(gram[0][0], int) else _canonical_direction
+        )
         vectors: dict[tuple, int] = {}
         order: list[tuple] = []
 
@@ -314,7 +314,7 @@ class _VectorReflectionGroup:
 
         gen_lines: list[tuple] = []
         for raw in normals:
-            v = _canonical_direction(raw)
+            v = self._canonical(raw)
             if not _is_positive_direction(v):
                 v = tuple(-x for x in v)
             if v not in vectors:
@@ -337,22 +337,21 @@ class _VectorReflectionGroup:
         self.gen_lines = gen_lines
 
     def _gram_dot(self, v):
+        """(the pairings of v with the basis vectors, v.v)."""
         cached = self._gdots.get(v)
         if cached is None:
-            cached = tuple(
-                sum(v[j] * self.gram[j][k] for j in range(self.rank))
-                for k in range(self.rank)
-            )
+            gv = tuple(sum(map(mul, v, col)) for col in zip(*self.gram))
+            cached = (gv, sum(map(mul, gv, v)))
             self._gdots[v] = cached
         return cached
 
     def reflect(self, x, v):
-        gv = self._gram_dot(v)
-        num = sum(g * xi for g, xi in zip(gv, x))
-        den = sum(g * vi for g, vi in zip(gv, v))
-        c = 2 * num / den if not isinstance(num, Scalar) else (num + num) / den
-        y = tuple(xi - c * vi for xi, vi in zip(x, v))
-        return _restore_canonical(y)
+        """The representative of the ray of x reflected in v.  Since
+        v.v > 0, (v.v) x - 2 (x.v) v lies on that ray, so no division comes
+        before the canonical scaling."""
+        gv, vv = self._gram_dot(v)
+        c = 2 * sum(map(mul, gv, x))
+        return self._canonical(tuple(vv * xi - c * vi for xi, vi in zip(x, v)))
 
     def reflection_perm(self, v) -> Perm:
         return tuple(
@@ -361,17 +360,6 @@ class _VectorReflectionGroup:
 
     def positive_lines(self) -> list[tuple]:
         return [v for v in self.order_list if _is_positive_direction(v)]
-
-
-def _restore_canonical(vec):
-    # Reflections of canonical vectors stay exact but may lose primitivity
-    # in the rational case; re-canonicalize preserving orientation.
-    if all(
-        (x.is_zero() if isinstance(x, Scalar) else x == 0) for x in vec
-    ):
-        raise ValueError("reflection produced a zero vector")
-    canon = _canonical_direction(vec)
-    return canon if _is_positive_direction(vec) == _is_positive_direction(canon) else tuple(-x for x in canon)
 
 
 def tilde_side(
@@ -421,7 +409,7 @@ def tilde_side(
         return TildeResult(
             CoxeterType.trivial(), 1, expected_order, expected_order == 1, dim
         )
-    vgroup = _VectorReflectionGroup(rs.gram, normals)
+    vgroup = _VectorReflectionGroup(rs.form, normals)
     positives = vgroup.positive_lines()
     perms = {v: vgroup.reflection_perm(v) for v in positives}
     handle = SubgroupHandle.from_gens(
@@ -597,16 +585,13 @@ def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
 
 
 def _mirror_profile(
-    group: CoxeterGroup, cls: InvolutionClass, source: CentralizerProfile
+    cls: InvolutionClass, source: CentralizerProfile
 ) -> CentralizerProfile:
-    if group.order % cls.size:
-        raise ViolationError("class size does not divide the group order")
-    order = group.order // cls.size
-    if order != source.order:
-        raise ViolationError("centralizers of u and -u differ in order")
+    """The profile of -u from that of u: -1 is central, so the two share
+    their centralizer, with the eigenspace sides swapped."""
     return CentralizerProfile(
         cls=cls,
-        order=order,
+        order=source.order,
         minus_type=source.plus_type,
         tilde_minus_type=source.tilde_plus_type,
         plus_type=source.minus_type,
@@ -1081,17 +1066,20 @@ def _class_pipeline(
     for cls in classes:
         source = by_rep.get(cls.mirror_of)
         if source is not None:
-            profile = _mirror_profile(group, cls, source)
+            profile = _mirror_profile(cls, source)
+            # the shared centralizer must have the order the class size gives
+            consistent = cls.size * source.order == group.order
             if results is not None:
-                mirrored_ok = profile.order * cls.mirror_of.size == group.order
                 results.append(
                     CheckResult(
                         "mirror",
                         f"{group.ctype} deg {cls.degree}/{cls.label}",
-                        "pass" if mirrored_ok else "fail",
+                        "pass" if consistent else "fail",
                         "orders consistent with the mirror class",
                     )
                 )
+            elif not consistent:
+                raise ViolationError("centralizers of u and -u differ in order")
         else:
             data = _compute_class_data(group, cls)
             profile = data.profile

@@ -58,6 +58,15 @@ def test_usage_errors():
     assert run(["analyze"]) == 3  # no type at all
 
 
+def test_dihedral_m_over_bound_is_capability_error(capsys):
+    from coxcent.rootsys import MAX_DIHEDRAL_M
+
+    assert run(["analyze", "--type", "I2", "--m", str(MAX_DIHEDRAL_M + 1)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("capability error:") and captured.err.count("\n") == 1
+
+
 def test_verify_all_wiring(monkeypatch, capsys):
     monkeypatch.setattr(cli, "ALL_SMALL", [("A", 2), ("I", 5)])
     assert run(["verify", "--all", "--skip-large"]) == 0
@@ -117,6 +126,33 @@ def test_theorems_violation_exit_code(monkeypatch, capsys):
     assert run(["theorems", "--type", "A", "--rank", "2"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["violations"] == 1
+
+
+def test_mirror_check_failure(monkeypatch, tmp_path, capsys):
+    # a mirrored class whose size contradicts its source's centralizer order:
+    # `theorems` reports a failed "mirror" row in a written report, while
+    # `analyze`, which has no report to carry it, stops with a violation
+    import dataclasses
+
+    from coxcent import involutions, tables
+
+    def tampered(group):
+        classes = involutions.enumerate_involution_classes(group)
+        k = next(k for k, c in enumerate(classes) if c.mirror_of is not None)
+        classes[k] = dataclasses.replace(classes[k], size=2 * classes[k].size)
+        return classes
+
+    monkeypatch.setattr(cli, "enumerate_involution_classes", tampered)
+    monkeypatch.setattr(tables, "enumerate_involution_classes", tampered)
+    assert run(["theorems", "--type", "B", "--rank", "3", "--out", str(tmp_path)]) == 2
+    doc = json.loads((tmp_path / "theorems_B3.json").read_text())
+    mirror = [c["status"] for c in doc["checks"] if c["name"] == "mirror"]
+    assert mirror.count("fail") == 1 and "pass" in mirror
+    assert doc["violations"] == 1
+    capsys.readouterr()
+    assert run(["analyze", "--type", "B", "--rank", "3", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "B3.csv").exists()
+    assert "centralizers of u and -u differ" in capsys.readouterr().err
 
 
 def test_missing_fixture_file_is_usage_error(capsys):

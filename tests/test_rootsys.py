@@ -6,12 +6,14 @@ import json
 
 import pytest
 
+from coxcent.cli import ALL_SMALL
 from coxcent.coxtype import CoxeterType
 from coxcent.group import CoxeterGroup
 from coxcent.linalg import identity, mat_sub, rank
 from coxcent.permengine import SubgroupHandle
 from coxcent.perms import compose, is_identity, perm_order
 from coxcent.rootsys import (
+    MAX_DIHEDRAL_M,
     CapabilityError,
     DihedralModel,
     build_system,
@@ -96,6 +98,29 @@ def test_degree_examples():
     assert group.degree(group.neg) == 4
 
 
+@pytest.mark.parametrize("family,n", [t for t in ALL_SMALL if t[0] != "I"])
+def test_degree_from_trace_matches_rank(cache, family, n):
+    # degree_of reads (rank - trace) / 2 off the images of the simple roots;
+    # the reference is the exact rank of M - I
+    rs = cache.group(family, n).root_system
+    for cls in cache.classes(family, n):
+        m = rs.matrix_of_perm(cls.rep)
+        assert rs.degree_of(cls.rep) == rank(mat_sub(m, identity(rs.rank))) == cls.degree
+
+
+@pytest.mark.parametrize("family,n", [("B", 4), ("F", 4), ("E", 6), ("H", 3)])
+def test_orthogonal_matches_gram_product(family, n):
+    rs = _rs(family, n)
+    if rs.crystallographic:
+        assert all(isinstance(x, int) for row in rs.form for x in row)
+    assert rs.form == tuple(
+        tuple((2 if rs.crystallographic else 1) * x for x in row) for row in rs.gram
+    )
+    for i in range(rs.n_roots):
+        for j in range(rs.n_roots):
+            assert rs.orthogonal(i, j) == (rs.product(i, j) == 0)
+
+
 def test_eigenspace_dimensions_sum():
     # dim ker(u - 1) + dim ker(u + 1) = dim V for involutions
     from coxcent.linalg import kernel_basis, mat_neg
@@ -152,6 +177,9 @@ def test_rank_bound_capability_error():
     with pytest.raises(CapabilityError):
         build_system(CoxeterType.irreducible("B", 13))
     build_system(CoxeterType.irreducible("B", 13), max_rank=13)
+    with pytest.raises(CapabilityError):
+        build_system(CoxeterType.irreducible("I", MAX_DIHEDRAL_M + 1))
+    assert build_system(CoxeterType.irreducible("I", MAX_DIHEDRAL_M)).m == MAX_DIHEDRAL_M
 
 
 # -- mod 2 lattice machinery ---------------------------------------------------

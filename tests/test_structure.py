@@ -6,8 +6,10 @@ import weakref
 
 import pytest
 
+from coxcent import structure
 from coxcent.permengine import set_stabilizer_order
 from coxcent.perms import compose
+from coxcent.scalars import Scalar
 from coxcent.structure import (
     CHECK_NAMES,
     ViolationError,
@@ -18,6 +20,7 @@ from coxcent.structure import (
     lines_with_negatives,
     reflection_subgroup_type,
     run_property_suite,
+    tilde_side,
 )
 
 
@@ -94,6 +97,38 @@ def test_tilde_orders_are_reflection_subgroup_orders(cache):
             assert p.tilde_minus_order == p.order // p.plus_order
             assert p.tilde_plus_order == p.order // p.minus_order
             assert p.tilde_minus_order == p.tilde_minus_type.order() or p.tilde_minus_type.is_trivial()
+
+
+@pytest.mark.parametrize("family,n", [("B", 4), ("D", 5), ("F", 4), ("E", 6)])
+def test_tilde_integer_path_matches_scalar_path(monkeypatch, cache, family, n):
+    # the same form and normals lifted to Scalar take the Q(sqrt5) path,
+    # the reference for the primitive-integer closure
+    group = cache.group(family, n)
+    real = structure._VectorReflectionGroup
+
+    def projections(lift):
+        fields = set()
+
+        def build(gram, normals):
+            if lift:
+                gram = tuple(tuple(Scalar.of(x) for x in row) for row in gram)
+                normals = [tuple(Scalar.of(x) for x in v) for v in normals]
+            vgroup = real(gram, normals)
+            fields.update(type(x) for v in vgroup.order_list for x in v)
+            return vgroup
+
+        monkeypatch.setattr(structure, "_VectorReflectionGroup", build)
+        out = []
+        for cls in cache.classes(family, n):
+            for side in "+-":
+                t = tilde_side(group, cls.rep, side, 1)
+                out.append((t.ctype, t.order))
+        return out, fields
+
+    integral, int_fields = projections(lift=False)
+    lifted, scalar_fields = projections(lift=True)
+    assert int_fields == {int} and scalar_fields == {Scalar}
+    assert integral == lifted
 
 
 def test_a_family_tilde_types(cache):
