@@ -5,8 +5,15 @@ d+1 are exactly the conjugacy classes of u * s_alpha where u runs over
 degree-d class representatives and alpha over roots fixed by u.  This is
 complete because every involution of degree d+1 is a product of d+1
 reflections in pairwise orthogonal roots, hence a degree-d involution
-times a reflection whose root it fixes.  Deduplication stores the full
-class orbits (packed), behind a cheap line-count prefilter.
+times a reflection whose root it fixes.
+
+Deduplication keys an involution u by its negated-root set Phi_u^- (the
+sorted indices of the roots u negates).  The level BFS makes every
+representative a product of reflections in pairwise orthogonal roots it
+negates, so Phi_u^- spans V_u^-, where u is -1 (and +1 on the orthogonal
+complement): the key determines u.  As g^-1 u g negates g(Phi_u^-), the
+class of u is in bijection with the W-orbit of its key, tuples of 2 deg(u)
+entries (R. W. Richardson, Bull. Austral. Math. Soc. 26, 1982).
 
 When -1 lies in the group, classes of degree above n/2 mirror the classes
 of the complementary degree through u -> -u.
@@ -18,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .group import CoxeterGroup
 from .permengine import conjugacy_class_set
-from .perms import Perm, compose, is_identity, is_involution, pack, pack_width
+from .perms import Perm, compose, is_identity, is_involution
 from .rootsys import signed_permutation
 
 
@@ -171,25 +178,13 @@ def label_class(group: CoxeterGroup, u: Perm, deg: int) -> str:
 # -- enumeration -------------------------------------------------------------------
 
 
-def _line_counts(group: CoxeterGroup, u: Perm) -> tuple[int, int]:
-    neg = group.neg
-    fixed = 0
-    negated = 0
-    for l in group.lines:
-        v = u[l]
-        if v == l:
-            fixed += 1
-        elif v == neg[l]:
-            negated += 1
-    return fixed, negated
-
-
 def enumerate_involution_classes(group: CoxeterGroup) -> list[InvolutionClass]:
     """All conjugacy classes of involutions, identity included, sorted by
     (degree, label)."""
     n = group.ctype.rank()
     gens = group.handle.gens
-    width = pack_width(group.n_points)
+    neg = group.neg
+    points = range(group.n_points)
     minus_one = group.minus_one
     top_level = n // 2 if minus_one is not None else n
 
@@ -198,7 +193,7 @@ def enumerate_involution_classes(group: CoxeterGroup) -> list[InvolutionClass]:
     ]
     current = [classes[0]]
     for d in range(top_level):
-        stored: list[tuple[tuple[int, int], set]] = []
+        seen: set[tuple[int, ...]] = set()
         fresh: list[InvolutionClass] = []
         for cls in current:
             u = cls.rep
@@ -206,13 +201,12 @@ def enumerate_involution_classes(group: CoxeterGroup) -> list[InvolutionClass]:
                 if u[line] != line:
                     continue
                 w = compose(u, group.reflection_perm(line))
-                key = _line_counts(group, w)
-                packed = pack(w, width)
-                if any(packed in elems for k, elems in stored if k == key):
+                key = tuple(r for r in points if w[r] == neg[r])
+                if key in seen:
                     continue
-                orbit = conjugacy_class_set(group.n_points, gens, w)
+                orbit = conjugacy_class_set(gens, key)
+                seen |= orbit
                 new_cls = InvolutionClass(rep=w, degree=d + 1, size=len(orbit))
-                stored.append((key, orbit))
                 fresh.append(new_cls)
                 classes.append(new_cls)
         current = fresh

@@ -1,37 +1,30 @@
 """Permutations as image tuples, composed left to right.
 
 ``p`` maps ``i`` to ``p[i]``; ``compose(p, q)`` applies ``p`` first, then
-``q``.  Tuples keep elements hashable; packing to bytes gives a compact,
-hash-stable key for the large conjugacy-orbit sets.
+``q``.  Tuples keep elements hashable; packing to bytes keeps the
+transversals of large orbits compact.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import lru_cache
 
 Perm = tuple[int, ...]
 
 
+@lru_cache(maxsize=None)
 def identity(n: int) -> Perm:
     return tuple(range(n))
 
 
 def is_identity(p: Perm) -> bool:
-    return all(i == x for i, x in enumerate(p))
+    # a tuple comparison stops at the first moved point, without leaving C
+    return p == identity(len(p))
 
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Apply p, then q."""
     return tuple(map(q.__getitem__, p))
-
-
-def compose_many(perms: Iterable[Perm]) -> Perm:
-    result = None
-    for p in perms:
-        result = p if result is None else compose(result, p)
-    if result is None:
-        raise ValueError("empty composition")
-    return result
 
 
 def inverse(p: Perm) -> Perm:

@@ -22,7 +22,7 @@ from operator import mul
 from . import linalg
 from .coxtype import CoxeterType
 from .linalg import Matrix
-from .perms import Perm
+from .perms import Perm, conjugate
 from .scalars import GOLDEN, Scalar
 
 
@@ -132,7 +132,6 @@ class RootSystem:
         )
         self.highest = self.positive[-1]
         self._norms = [None] * self.n_roots
-        self._refl_perms: dict[int, Perm] = {}
         self._gram_rows: dict[int, tuple] = {}
 
     def _apply_simple(self, i: int, v: tuple) -> tuple:
@@ -207,23 +206,31 @@ class RootSystem:
 
     # -- reflections ------------------------------------------------------
 
+    @cached_property
+    def _reflection_perms(self) -> tuple[Perm, ...]:
+        """The permutation of root indices of every root's reflection.
+
+        Only the simple reflections are computed on coordinates.  Every other
+        root is beta = s_j(gamma) for a root gamma reached before it in a
+        BFS from the simple roots, and s_beta = s_j s_gamma s_j.
+        """
+        index = self.index
+        perms: list[Perm | None] = [None] * self.n_roots
+        for j, s in enumerate(self.simple):
+            perms[s] = tuple(index[self._apply_simple(j, v)] for v in self.roots)
+        simple_perms = [perms[s] for s in self.simple]
+        queue = list(self.simple)
+        for gamma in queue:
+            for s_j in simple_perms:
+                beta = s_j[gamma]
+                if perms[beta] is None:
+                    perms[beta] = conjugate(perms[gamma], s_j)
+                    queue.append(beta)
+        return tuple(perms)
+
     def reflection_perm(self, line: int) -> Perm:
         """Permutation of root indices induced by the reflection in root `line`."""
-        perm = self._refl_perms.get(line)
-        if perm is not None:
-            return perm
-        galpha = self.gram_row(line)
-        nn = self.norm(line)
-        alpha = self.roots[line]
-        images = []
-        for v in self.roots:
-            c = 2 * sum(g * x for g, x in zip(galpha, v)) / nn
-            images.append(
-                self.index[tuple(x - c * a for x, a in zip(v, alpha))]
-            )
-        perm = tuple(images)
-        self._refl_perms[line] = perm
-        return perm
+        return self._reflection_perms[line]
 
     def reflection(self, line: int) -> GroupElement:
         return GroupElement(self.reflection_perm(line), self)
@@ -261,9 +268,6 @@ class RootSystem:
 
     def in_2R(self, v: tuple[int, ...]) -> bool:
         return all(x % 2 == 0 for x in v)
-
-    def in_2P(self, v: tuple[int, ...]) -> bool:
-        return all(x % 2 == 0 for x in self.weight_coords(v))
 
     def mod2_vector(self, root_index: int, mode: str) -> tuple[int, ...]:
         v = self.roots[root_index]

@@ -33,9 +33,9 @@ from .permengine import (
     SubgroupHandle,
     fingerprint,
     make_conjugation_action,
+    normalizer_of_reflection_subgroup,
     orbit_stabilizer,
     quotient_action,
-    set_stabilizer_order,
 )
 from .perms import (
     Perm,
@@ -216,6 +216,11 @@ def centralizer(
     (computed here unless the caller has them), reaches it in every case
     covered here, and a full Schreier scan of the conjugation orbit backs it
     up if it ever does not.
+
+    The class size is the orbit size of u's negated-root set, which can only
+    fall short of the class (C(u) fixes that set).  Kept seeds must commute
+    with u, so a short size leaves the seeded path below its target, and the
+    fallback, which acts on u itself, raises ViolationError.
     """
     if group.order % class_size:
         raise ViolationError("class size does not divide the group order")
@@ -229,6 +234,8 @@ def centralizer(
         if bsgs.order() == target:
             break
         if bsgs.add_generator(g):
+            if compose(g, u) != compose(u, g):
+                raise ViolationError("a centralizer seed does not commute with u")
             kept.append(g)
     if bsgs.order() == target:
         handle.gens = kept
@@ -711,23 +718,32 @@ def check_cube_generation(data: ClassData) -> CheckResult:
 
 
 def check_normalizer(data: ClassData) -> CheckResult:
-    """Check 2.3: the normalizer of the minus part equals the centralizer,
-    computed as the stabilizer of its root set."""
+    """Check 2.3: the normalizer of the minus part equals the centralizer.
+
+    The normalizer, the stabilizer of the minus part's root set, is built
+    with no centralizer seeds.  Its generators must commute with u: its
+    order alone equals the centralizer's by construction, as both come from
+    the orbit of that root set.
+    """
     name = "2.3"
     subject = _subject(data)
     group = data.group
+    u = data.profile.cls.rep
     rootset = lines_with_negatives(group, data.minus_lines)
-    n_order = (
-        group.order
-        if not rootset
-        else set_stabilizer_order(group.handle, rootset)
+    normalizer = (
+        normalizer_of_reflection_subgroup(group.handle, rootset, group.neg)
+        if rootset
+        else group.handle
     )
-    expected = data.profile.order if rootset else group.order
-    if n_order == expected:
+    n_order = normalizer.order()
+    inside = all(compose(g, u) == compose(u, g) for g in normalizer.gens)
+    expected = data.profile.order
+    if n_order == expected and inside:
         return CheckResult(name, subject, "pass")
-    return CheckResult(
-        name, subject, "fail", f"normalizer order {n_order}, centralizer {expected}"
-    )
+    detail = f"normalizer order {n_order}, centralizer {expected}"
+    if not inside:
+        detail += "; a normalizer generator does not commute with u"
+    return CheckResult(name, subject, "fail", detail)
 
 
 def check_tilde_reflection_generated(data: ClassData) -> list[CheckResult]:

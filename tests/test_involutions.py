@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from coxcent.classicmodels import predicted_rows
 from coxcent.coxtype import CoxeterType
 from coxcent.group import CoxeterGroup
 from coxcent.involutions import (
@@ -18,6 +19,34 @@ from coxcent.perms import compose, is_involution
 
 def census(cache, family, n):
     return [(c.degree, c.label, c.size) for c in cache.classes(family, n)]
+
+
+def negated_root_set(group, u):
+    return tuple(r for r in range(group.n_points) if u[r] == group.neg[r])
+
+
+@pytest.mark.parametrize(
+    "family,n", [("A", 5), ("B", 4), ("D", 5), ("F", 4), ("H", 3)]
+)
+def test_negated_root_sets_identify_involutions(cache, family, n):
+    # the enumeration counts a class by the orbit of its negated-root set,
+    # which is only right if u -> Phi_u^- is injective on involutions
+    group = cache.group(family, n)
+    involutions = [g for g in group.handle.elements() if is_involution(g)]
+    keys = {negated_root_set(group, u) for u in involutions}
+    assert len(keys) == len(involutions)
+    assert sum(c.size for c in cache.classes(family, n)) == len(involutions)
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("D", n) for n in range(4, 9)],
+)
+def test_census_matches_the_closed_form(cache, family, n):
+    expected = [(p.degree, p.label, p.class_size) for p in predicted_rows(family, n)]
+    assert sorted(census(cache, family, n)) == sorted(expected)
 
 
 def test_h3_census(cache):

@@ -34,6 +34,11 @@ def test_conjugate_matches_definition(p, g):
 
 
 @given(perms)
+def test_is_identity(p):
+    assert is_identity(p) == (p == tuple(range(8)))
+
+
+@given(perms)
 def test_order_annihilates(p):
     n = perm_order(p)
     q = identity(8)
@@ -66,3 +71,11 @@ def test_pack_width():
 def test_involution_detection():
     assert is_involution((1, 0, 3, 2))
     assert not is_involution((1, 2, 0))
+
+
+def test_is_identity_of_any_length():
+    for n in (0, 1, 2, 240):
+        assert is_identity(identity(n))
+        assert is_identity(tuple(range(n)))
+    assert not is_identity((1, 0))
+    assert not is_identity(tuple(range(239)) + (240, 239))

@@ -56,6 +56,30 @@ def test_roots_closed_under_negation_and_reflections():
         assert sorted(p) == list(range(rs.n_roots))
 
 
+def _field_reflection_perm(rs, line):
+    # s_alpha(v) = v - 2 (v, alpha) / (alpha, alpha) alpha on the coordinates
+    galpha = rs.gram_row(line)
+    nn = rs.norm(line)
+    alpha = rs.roots[line]
+    images = []
+    for v in rs.roots:
+        c = 2 * sum(g * x for g, x in zip(galpha, v)) / nn
+        images.append(rs.index[tuple(x - c * a for x, a in zip(v, alpha))])
+    return tuple(images)
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [("A", 4), ("B", 4), ("D", 5), ("F", 4), ("E", 6), ("H", 3), ("H", 4)],
+)
+def test_reflection_perms_match_the_field_formula(family, n):
+    # reflection_perm conjugates simple reflections; the oracle computes
+    # every root's reflection in Fraction or Q(sqrt5) arithmetic
+    rs = _rs(family, n)
+    for i in range(rs.n_roots):
+        assert rs.reflection_perm(i) == _field_reflection_perm(rs, i), i
+
+
 def test_positive_system_is_nonnegative_and_sum_closed():
     rs = _rs("D", 4)
     pos = set(rs.positive)

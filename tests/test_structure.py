@@ -8,7 +8,7 @@ import pytest
 
 from coxcent import structure
 from coxcent.permengine import set_stabilizer_order
-from coxcent.perms import compose
+from coxcent.perms import compose, conjugate
 from coxcent.scalars import Scalar
 from coxcent.structure import (
     CHECK_NAMES,
@@ -16,6 +16,7 @@ from coxcent.structure import (
     _compute_class_data,
     centralizer,
     check_extended_diagram,
+    check_normalizer,
     check_theorem_1_1,
     lines_with_negatives,
     reflection_subgroup_type,
@@ -47,6 +48,20 @@ def test_centralizer_schreier_fallback(cache):
     # a class size that contradicts the scanned centralizer is a violation
     with pytest.raises(ViolationError):
         centralizer(group, u, class_size=3)
+
+
+def test_centralizer_rejects_a_noncommuting_seed(cache):
+    # a seed outside C(u) could reach the order the class size implies, so
+    # every kept seed must commute with u
+    group = cache.group("A", 3)
+    u = group.reflection_perm(group.lines[0])
+    stranger = next(
+        s
+        for s in map(group.reflection_perm, group.lines)
+        if compose(s, u) != compose(u, s)
+    )
+    with pytest.raises(ViolationError):
+        centralizer(group, u, class_size=6, seeds=[stranger])
 
 
 def test_reflection_subgroup_type_trivial_and_whole(cache):
@@ -155,6 +170,30 @@ def test_normalizer_examples(cache):
     assert set_stabilizer_order(e6.handle, rootset) == 192
 
 
+def test_normalizer_check_needs_the_minus_part_of_u(cache):
+    # check 2.3 on a degree-2 class of B4 passes; with one of its two
+    # negated lines dropped, the stabilizer of the remaining root pair is no
+    # longer inside the centralizer of u
+    group = cache.group("B", 4)
+    cls = next(c for c in cache.classes("B", 4) if c.degree == 2)
+    data = _compute_class_data(group, cls)
+    assert check_normalizer(data).status == "pass"
+    minus_lines = data.minus_lines
+    data.minus_lines = minus_lines[:1]
+    assert check_normalizer(data).status == "fail"
+    # the minus part of a conjugate has a normalizer of the same order, so
+    # only the membership test can tell it from that of u
+    u = cls.rep
+    v = next(
+        w
+        for w in (conjugate(u, s) for s in group.handle.gens)
+        if group.negated_lines(w) != minus_lines
+    )
+    data.minus_lines = group.negated_lines(v)
+    result = check_normalizer(data)
+    assert result.status == "fail" and "does not commute" in result.detail
+
+
 def test_normalizer_of_whole_group_is_group(cache):
     group = cache.group("B", 3)
     assert (
@@ -192,12 +231,11 @@ def test_h4_explicit_quotient_witness(cache):
     assert data.quotient is not None and data.quotient.size == 2
     # the witness certifies Theorem 1.1 for u directly: its image generates
     from coxcent.permengine import conjugacy_class_set
-    from coxcent.perms import pack, pack_width
 
-    width = pack_width(group.n_points)
-    assert pack(u, width) in conjugacy_class_set(
-        group.n_points, group.handle.gens, cls.rep
-    )
+    def key(w):
+        return tuple(r for r in range(group.n_points) if w[r] == group.neg[r])
+
+    assert key(u) in conjugacy_class_set(group.handle.gens, key(cls.rep))
     result = check_theorem_1_1(data)
     assert result.status == "pass"
 
