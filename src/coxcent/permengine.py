@@ -230,7 +230,7 @@ def act_on_point(g: Perm, x: int) -> int:
 
 
 def act_on_index_set(g: Perm, xs: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(map(g.__getitem__, xs)))
+    return tuple(sorted(g[x] for x in xs))
 
 
 def make_conjugation_action(width: int):
@@ -314,28 +314,19 @@ def orbit_stabilizer(
 
 
 def conjugacy_class_set(gens, key: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The orbit of a sorted tuple of points under `act_on_index_set`
-    (inlined, which saves a fifth of the time).  For an involution's
-    negated-root set: the negated-root sets of its class, one per element."""
+    """The orbit of a sorted tuple of points under `act_on_index_set`.  For
+    an involution's negated-root set: the negated-root sets of its class,
+    one per element."""
     seen = {key}
     queue = [key]
     while queue:
         x = queue.pop()
         for g in gens:
-            y = tuple(sorted(map(g.__getitem__, x)))
+            y = act_on_index_set(g, x)
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
     return seen
-
-
-def set_stabilizer_order(group: SubgroupHandle, point_set) -> int:
-    """|stabilizer| of a set of points, by the orbit-stabilizer identity."""
-    orbit = conjugacy_class_set(group.gens, tuple(sorted(point_set)))
-    n = group.order()
-    if n % len(orbit):
-        raise MembershipError("set orbit does not divide the group order")
-    return n // len(orbit)
 
 
 def normalizer_of_reflection_subgroup(

@@ -31,9 +31,9 @@ from .permengine import (
     QuotientGroup,
     StructureLabel,
     SubgroupHandle,
+    conjugacy_class_set,
     fingerprint,
     make_conjugation_action,
-    normalizer_of_reflection_subgroup,
     orbit_stabilizer,
     quotient_action,
 )
@@ -720,29 +720,36 @@ def check_cube_generation(data: ClassData) -> CheckResult:
 def check_normalizer(data: ClassData) -> CheckResult:
     """Check 2.3: the normalizer of the minus part equals the centralizer.
 
-    The normalizer, the stabilizer of the minus part's root set, is built
-    with no centralizer seeds.  Its generators must commute with u: its
-    order alone equals the centralizer's by construction, as both come from
-    the orbit of that root set.
+    The normalizer is the stabilizer of the minus part's root set, so its
+    order is |G| over the size of that set's orbit.  It lies in C(u) when u
+    negates every root of the set and is the product of the reflections in
+    pairwise orthogonal lines of it: then the set spans V_u^-, and whatever
+    keeps V_u^- keeps its orthogonal complement and commutes with u.  The
+    lines are chosen greedily; for u's own minus part any maximal choice
+    is such a product, as -1 on its span lies in its reflection group.  The
+    order alone would not do: the census takes the centralizer's order
+    from the same orbit.
     """
     name = "2.3"
     subject = _subject(data)
     group = data.group
     u = data.profile.cls.rep
     rootset = lines_with_negatives(group, data.minus_lines)
-    normalizer = (
-        normalizer_of_reflection_subgroup(group.handle, rootset, group.neg)
-        if rootset
-        else group.handle
-    )
-    n_order = normalizer.order()
-    inside = all(compose(g, u) == compose(u, g) for g in normalizer.gens)
+    orbit = conjugacy_class_set(group.handle.gens, tuple(sorted(rootset)))
+    n_order = group.order // len(orbit)
+    w = u
+    chosen: list[int] = []
+    for line in data.minus_lines:
+        if all(group.orthogonal(line, c) for c in chosen):
+            chosen.append(line)
+            w = compose(w, group.reflection_perm(line))
+    inside = is_identity(w) and all(u[r] == group.neg[r] for r in rootset)
     expected = data.profile.order
     if n_order == expected and inside:
         return CheckResult(name, subject, "pass")
     detail = f"normalizer order {n_order}, centralizer {expected}"
     if not inside:
-        detail += "; a normalizer generator does not commute with u"
+        detail += "; the minus part does not determine u"
     return CheckResult(name, subject, "fail", detail)
 
 

@@ -13,11 +13,11 @@ from coxcent.permengine import (
     MembershipError,
     SubgroupHandle,
     fingerprint,
+    normalizer_of_reflection_subgroup,
     orbit_stabilizer,
     act_on_point,
     point_orbit,
     quotient_action,
-    set_stabilizer_order,
 )
 from coxcent.perms import compose, identity
 
@@ -107,7 +107,9 @@ def test_orbit_stabilizer_on_every_root(family, n):
 
 def test_set_stabilizer_of_everything_is_group():
     group, _ = coxeter_gens("B", 3)
-    assert set_stabilizer_order(group.handle, range(group.n_points)) == group.order
+    whole = range(group.n_points)
+    normalizer = normalizer_of_reflection_subgroup(group.handle, whole, group.neg)
+    assert normalizer.order() == group.order
 
 
 def test_quotient_of_group_by_itself_is_trivial():

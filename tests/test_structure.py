@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import weakref
+from dataclasses import replace
 
 import pytest
 
 from coxcent import structure
-from coxcent.permengine import set_stabilizer_order
+from coxcent.permengine import conjugacy_class_set, normalizer_of_reflection_subgroup
 from coxcent.perms import compose, conjugate
 from coxcent.scalars import Scalar
 from coxcent.structure import (
@@ -162,12 +163,12 @@ def test_normalizer_examples(cache):
     h3 = cache.group("H", 3)
     cls1 = next(c for c in cache.classes("H", 3) if c.degree == 1)
     rootset = lines_with_negatives(h3, h3.negated_lines(cls1.rep))
-    assert set_stabilizer_order(h3.handle, rootset) == 8
+    assert normalizer_of_reflection_subgroup(h3.handle, rootset, h3.neg).order() == 8
 
     e6 = cache.group("E", 6)
     cls2 = next(c for c in cache.classes("E", 6) if c.degree == 2)
     rootset = lines_with_negatives(e6, e6.negated_lines(cls2.rep))
-    assert set_stabilizer_order(e6.handle, rootset) == 192
+    assert normalizer_of_reflection_subgroup(e6.handle, rootset, e6.neg).order() == 192
 
 
 def test_normalizer_check_needs_the_minus_part_of_u(cache):
@@ -181,9 +182,31 @@ def test_normalizer_check_needs_the_minus_part_of_u(cache):
     minus_lines = data.minus_lines
     data.minus_lines = minus_lines[:1]
     assert check_normalizer(data).status == "fail"
-    # the minus part of a conjugate has a normalizer of the same order, so
-    # only the membership test can tell it from that of u
+    # nor with the centralizer order set to that stabilizer's: one
+    # reflection is not u
+    profile = data.profile
+    pair = tuple(sorted(lines_with_negatives(group, minus_lines[:1])))
+    pair_order = group.order // len(conjugacy_class_set(group.handle.gens, pair))
+    data.profile = replace(profile, order=pair_order)
+    result = check_normalizer(data)
+    assert result.status == "fail" and "does not determine u" in result.detail
+    # nor with a line that u does not negate put after its own, which leaves
+    # the product alone
     u = cls.rep
+    extra = next(
+        l
+        for l in group.lines
+        if u[l] != group.neg[l] and not group.orthogonal(l, minus_lines[0])
+    )
+    data.minus_lines = minus_lines + [extra]
+    roots = tuple(sorted(lines_with_negatives(group, data.minus_lines)))
+    order = group.order // len(conjugacy_class_set(group.handle.gens, roots))
+    data.profile = replace(profile, order=order)
+    result = check_normalizer(data)
+    assert result.status == "fail" and "does not determine u" in result.detail
+    data.profile = profile
+    # the minus part of a conjugate has a normalizer of the same order, so
+    # only the test that the minus part determines u can tell it from u's
     v = next(
         w
         for w in (conjugate(u, s) for s in group.handle.gens)
@@ -191,14 +214,14 @@ def test_normalizer_check_needs_the_minus_part_of_u(cache):
     )
     data.minus_lines = group.negated_lines(v)
     result = check_normalizer(data)
-    assert result.status == "fail" and "does not commute" in result.detail
+    assert result.status == "fail" and "does not determine u" in result.detail
 
 
 def test_normalizer_of_whole_group_is_group(cache):
     group = cache.group("B", 3)
-    assert (
-        set_stabilizer_order(group.handle, range(group.n_points)) == group.order
-    )
+    whole = range(group.n_points)
+    normalizer = normalizer_of_reflection_subgroup(group.handle, whole, group.neg)
+    assert normalizer.order() == group.order
 
 
 def test_plus_normalizer_asymmetry_in_a2(cache):
@@ -208,7 +231,8 @@ def test_plus_normalizer_asymmetry_in_a2(cache):
     group = cache.group("A", 2)
     u = group.reflection_perm(group.lines[0])
     assert group.fixed_lines(u) == []
-    assert set_stabilizer_order(group.handle, ()) == group.order == 6
+    assert conjugacy_class_set(group.handle.gens, ()) == {()}
+    assert group.order == 6
     assert centralizer(group, u, class_size=3).order() == 2
 
 
@@ -229,12 +253,11 @@ def test_h4_explicit_quotient_witness(cache):
     # transport g into the stored class representative's centralizer:
     # u and the representative are conjugate
     assert data.quotient is not None and data.quotient.size == 2
-    # the witness certifies Theorem 1.1 for u directly: its image generates
-    from coxcent.permengine import conjugacy_class_set
 
     def key(w):
         return tuple(r for r in range(group.n_points) if w[r] == group.neg[r])
 
+    # the witness certifies Theorem 1.1 for u directly: its image generates
     assert key(u) in conjugacy_class_set(group.handle.gens, key(cls.rep))
     result = check_theorem_1_1(data)
     assert result.status == "pass"
