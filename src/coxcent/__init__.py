@@ -14,7 +14,7 @@ from .involutions import (
     enumerate_involution_classes,
     first_cube,
 )
-from .permengine import BSGS, SubgroupHandle, fingerprint, quotient_action
+from .permengine import SubgroupHandle, fingerprint
 from .rootsys import (
     CapabilityError,
     DihedralModel,
@@ -39,7 +39,6 @@ from .tables import analyze, compare_rows, computed_rows, expected_rows, verify_
 __version__ = "0.1.0"
 
 __all__ = [
-    "BSGS",
     "CapabilityError",
     "CentralizerProfile",
     "CoxeterGroup",
@@ -65,7 +64,6 @@ __all__ = [
     "fingerprint",
     "first_cube",
     "profiles_for_group",
-    "quotient_action",
     "reflection_subgroup_type",
     "run_property_suite",
     "tilde_side",

@@ -2,7 +2,8 @@
 
 A deterministic Schreier-Sims implementation provides exact orders and
 membership tests; on top of it sit generic orbit/stabilizer computation,
-coset quotients and a structure fingerprint for the small quotient groups.
+coset quotients by reflection subgroups and a structure fingerprint for
+the small quotient groups.
 Nothing here is randomized: base points, orbit orders and transversals are
 fixed functions of the input, which is what makes every downstream table
 byte-reproducible.
@@ -40,7 +41,7 @@ class BSGS:
     stays valid across incremental updates.
     """
 
-    def __init__(self, n_points: int, gens=(), base=None):
+    def __init__(self, n_points: int, gens=()):
         self.n = n_points
         self._id = identity(n_points)
         self.base: list[int] = []
@@ -49,9 +50,6 @@ class BSGS:
         self.trans: list[dict[int, Perm]] = []
         self.tinv: list[dict[int, Perm]] = []
         self._checked: list[set[tuple[int, int]]] = []
-        if base is not None:
-            for b in base:
-                self._new_level(b)
         for g in gens:
             self.add_generator(g)
 
@@ -200,11 +198,6 @@ class SubgroupHandle:
 
     def elements(self, limit: int | None = 100_000) -> list[Perm]:
         return self.bsgs().elements(limit)
-
-    def is_normalized_by(self, others) -> bool:
-        return all(
-            self.contains(conjugate(x, s)) for x in self.gens for s in others
-        )
 
 
 # -- orbits and stabilizers ----------------------------------------------------
@@ -356,28 +349,35 @@ def normalizer_of_reflection_subgroup(
 
 
 class QuotientGroup:
-    """The action of g on the right cosets of a normal subgroup n.
+    """The action of a group on the right cosets of a normal reflection
+    subgroup W1, realized through W1's root system.
 
-    For normal n this is a faithful concrete realization of g/n; `image`
-    is the quotient map onto permutations of coset indices.
+    `reflections` maps every root of a positive system Phi1+ of W1's root
+    system Phi1 to its reflection.  W1 acts simply transitively on the
+    positive systems of Phi1 (R. B. Howlett, J. London Math. Soc. 21,
+    1980), so each coset W1 x holds exactly one y with y(Phi1+) = Phi1+.
+    Descent reaches it: while a simple root a of Phi1+ has y(a) outside
+    Phi1+, replace y by s_a y (s_a first, then y), which sends one root
+    fewer of Phi1+ out of Phi1+.  These representatives form the
+    stabilizer of Phi1+, a complement of W1.  `image` is the quotient map
+    onto permutations of coset indices.
     """
 
-    def __init__(self, group: SubgroupHandle, normal: SubgroupHandle, max_index=10_000):
-        if not normal.is_normalized_by(group.gens):
+    def __init__(self, group: SubgroupHandle, reflections: dict[int, Perm], max_index=10_000):
+        positive = frozenset(reflections)
+        roots = positive | {s[a] for a, s in reflections.items()}
+        # g normalizes W1 when it maps Phi1 onto itself: g^-1 s_a g = s_(g(a))
+        if any(g[r] not in roots for g in group.gens for r in roots):
             raise ValueError("subgroup is not normal")
-        g_order = group.order()
-        n_order = normal.order()
-        if g_order % n_order:
-            raise MembershipError("orders are inconsistent")
-        index = g_order // n_order
-        if index > max_index:
-            raise MembershipError(f"index {index} too large for a coset action")
-        # A chain whose base is every point in natural order makes the
-        # lexicographically least coset representative computable greedily.
-        self._chain = BSGS(normal.n_points, normal.gens, base=range(normal.n_points))
-        ident = identity(normal.n_points)
-        reps = [self._canonical(ident)]
-        lookup = {reps[0]: 0}
+        self.positive = positive
+        self._simple = [
+            (a, s)
+            for a, s in reflections.items()
+            if all(s[b] in positive for b in positive if b != a)
+        ]
+        ident = identity(group.n_points)
+        reps = [ident]
+        lookup = {ident: 0}
         i = 0
         while i < len(reps):
             rep = reps[i]
@@ -385,26 +385,28 @@ class QuotientGroup:
             for s in group.gens:
                 c = self._canonical(compose(rep, s))
                 if c not in lookup:
+                    if len(reps) == max_index:
+                        raise MembershipError(
+                            f"more than {max_index} cosets for a coset action"
+                        )
                     lookup[c] = len(reps)
                     reps.append(c)
-        if len(reps) != index:
-            raise MembershipError("coset enumeration disagrees with the index")
         self.reps = reps
         self.lookup = lookup
-        self.size = index
+        self.size = len(reps)
         self.gens = [self.image(s) for s in group.gens]
         self.handle = SubgroupHandle.from_gens(self.size, self.gens)
 
-    def _canonical(self, x: Perm) -> Perm:
-        """Lexicographically least element of the right coset N x."""
-        chain = self._chain
-        for lvl in range(len(chain.base)):
-            orbit = chain.orbit_order[lvl]
-            if len(orbit) == 1:
-                continue
-            best = min(orbit, key=x.__getitem__)
-            x = compose(chain.trans[lvl][best], x)
-        return x
+    def _canonical(self, y: Perm) -> Perm:
+        """The element of the coset W1 y that maps Phi1+ onto itself."""
+        positive = self.positive
+        while True:
+            for a, s in self._simple:
+                if y[a] not in positive:
+                    y = compose(s, y)
+                    break
+            else:
+                return y
 
     def image(self, p: Perm) -> Perm:
         """The permutation induced on cosets by right multiplication."""
@@ -412,12 +414,9 @@ class QuotientGroup:
             self.lookup[self._canonical(compose(rep, p))] for rep in self.reps
         )
 
-    def elements(self) -> list[Perm]:
-        return self.handle.elements(limit=self.size + 1)
 
-
-def quotient_action(group: SubgroupHandle, normal: SubgroupHandle, max_index=10_000):
-    return QuotientGroup(group, normal, max_index)
+def quotient_action(group: SubgroupHandle, reflections: dict[int, Perm], max_index=10_000):
+    return QuotientGroup(group, reflections, max_index)
 
 
 # -- structure fingerprinting ----------------------------------------------------

@@ -188,8 +188,8 @@ def test_criterion_6_theorem_suite(cache):
             if r.status == "not_determined"
         )
     assert failures == []
-    # the bounded complement search must resolve every small quotient; in
-    # practice it resolved everything in scope
+    # no check may leave a class undetermined; check 2.4 reads its
+    # complement off the positive system instead of searching for one
     assert undetermined == []
     print(
         f"criterion 6: {total} checks on {len(SUITE_TYPES)} types, zero "

@@ -78,15 +78,12 @@ def test_gamma_wrapper(cache):
     from coxcent.structure import centralizer
 
     g_u = centralizer(group, cls.rep, class_size=cls.size)
-    g1 = SubgroupHandle.from_gens(
-        group.n_points,
-        [group.reflection_perm(l) for l in group.stable_lines(cls.rep)],
-    )
+    g1 = {l: group.reflection_perm(l) for l in group.stable_lines(cls.rep)}
     q, label, order = gamma(g_u, g1)
     assert order == 2 and str(label) == "Sym2"
     assert q is not None and q.size == 2
     # trivial quotient path
-    q0, label0, order0 = gamma(g1, g1)
+    q0, label0, order0 = gamma(SubgroupHandle.from_gens(group.n_points, g1.values()), g1)
     assert q0 is None and order0 == 1 and str(label0) == "Sym1"
 
 

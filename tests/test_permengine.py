@@ -114,7 +114,9 @@ def test_set_stabilizer_of_everything_is_group():
 
 def test_quotient_of_group_by_itself_is_trivial():
     group, _ = coxeter_gens("A", 3)
-    q = quotient_action(group.handle, group.handle)
+    q = quotient_action(
+        group.handle, {l: group.reflection_perm(l) for l in group.lines}
+    )
     assert q.size == 1
 
 
@@ -125,10 +127,8 @@ def test_quotient_sym3_from_b3():
     assert minus_one is not None
     # (A1)^3: reflections in the three pairwise orthogonal short roots
     shorts = [l for l in group.lines if not group.geometry.is_long(l)]
-    normal = SubgroupHandle.from_gens(
-        group.n_points, [group.reflection_perm(l) for l in shorts]
-    )
-    assert normal.order() == 8
+    normal = {l: group.reflection_perm(l) for l in shorts}
+    assert SubgroupHandle.from_gens(group.n_points, normal.values()).order() == 8
     q = quotient_action(group.handle, normal)
     assert q.size == 6
     assert str(fingerprint(q.handle)) == "Sym3"
@@ -139,18 +139,15 @@ def test_quotient_sym3_from_b3():
 
 def test_quotient_respects_index_bound():
     group, _ = coxeter_gens("B", 3)
-    trivial = SubgroupHandle.from_gens(group.n_points, [])
     with pytest.raises(MembershipError):
-        quotient_action(group.handle, trivial, max_index=10)
+        quotient_action(group.handle, {}, max_index=10)
 
 
 def test_quotient_requires_normal():
     group, _ = coxeter_gens("A", 3)
-    sub = SubgroupHandle.from_gens(
-        group.n_points, [group.reflection_perm(group.lines[0])]
-    )
+    line = group.lines[0]
     with pytest.raises(ValueError):
-        quotient_action(group.handle, sub)
+        quotient_action(group.handle, {line: group.reflection_perm(line)})
 
 
 def _sym_handle(r):

@@ -6,6 +6,8 @@ import weakref
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxcent import structure
 from coxcent.permengine import conjugacy_class_set, normalizer_of_reflection_subgroup
@@ -16,8 +18,10 @@ from coxcent.structure import (
     ViolationError,
     _compute_class_data,
     centralizer,
+    check_complement,
     check_extended_diagram,
     check_normalizer,
+    check_order_identities,
     check_theorem_1_1,
     lines_with_negatives,
     reflection_subgroup_type,
@@ -336,6 +340,80 @@ def test_d7_exhibits_elementary_abelian_quotient(cache):
     p = next(q for q in profiles if q.cls.label == "2,1,2")
     assert str(p.gamma_structure) == "C2xC2"
     assert p.gamma_order == 4
+
+
+@pytest.mark.parametrize("family, n, label", [("D", 7, "2,1,2"), ("B", 4, "0,0,2")])
+def test_complement_check_fails_without_an_involution_class(cache, family, n, label):
+    # Dropping the involutions of one N-class, N the stabilizer of the
+    # positive system, leaves the rest generating a proper subgroup of N.
+    group = cache.group(family, n)
+    cls = next(c for c in cache.classes(family, n) if c.label == label)
+    data = _compute_class_data(group, cls)
+    q = data.quotient
+    assert q.size > 1 and check_complement(data).status == "pass"
+    positive = q.positive
+    fixers = [
+        j for j in data.deg2_involutions if all(j[a] in positive for a in positive)
+    ]
+    for j in fixers:
+        n_class = {conjugate(j, y) for y in q.reps}
+        kept = [x for x in data.deg2_involutions if x not in n_class]
+        result = check_complement(replace(data, deg2_involutions=kept))
+        assert result.status == "fail", (label, result.detail)
+
+
+def test_quotient_by_a_root_set_missing_a_line_is_caught(monkeypatch, cache):
+    # Without one line of Phi1 the coset action must either be refused by
+    # its normality guard or give a coset count that check 2.1b rejects.
+    real = structure.quotient_action
+    outcomes = set()
+    for family, n in [("B", 4), ("D", 5), ("F", 4), ("H", 3), ("I", 8)]:
+        group = cache.group(family, n)
+        for cls in cache.classes(family, n):
+            if cls.mirror_of is not None:
+                continue
+            for drop in group.fixed_lines(cls.rep) + group.negated_lines(cls.rep):
+
+                def mutated(handle, reflections, drop=drop):
+                    kept = {l: s for l, s in reflections.items() if l != drop}
+                    return real(handle, kept)
+
+                monkeypatch.setattr(structure, "quotient_action", mutated)
+                try:
+                    data = _compute_class_data(group, cls)
+                except ValueError as exc:
+                    assert str(exc) == "subgroup is not normal"
+                    outcomes.add("guard")
+                    continue
+                result = check_order_identities(data)[0]
+                assert result.name == "2.1b" and result.status == "fail"
+                outcomes.add("2.1b")
+    assert outcomes == {"guard", "2.1b"}
+
+
+PROPERTY_TYPES = [("B", 4), ("D", 5), ("D", 7), ("F", 4), ("H", 3), ("I", 8)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_profile_is_invariant_under_conjugating_the_representative(cache, data):
+    # A conjugate representative has other fixed and negated lines, so the
+    # quotient descends to a different positive system Phi1+.
+    family, n = data.draw(st.sampled_from(PROPERTY_TYPES))
+    group = cache.group(family, n)
+    built = [
+        (c, p)
+        for c, p in zip(cache.classes(family, n), cache.profiles(family, n))
+        if not p.mirrored
+    ]
+    cls, profile = data.draw(st.sampled_from(built))
+    gens = group.handle.gens
+    word = data.draw(st.lists(st.sampled_from(gens), max_size=16))
+    g = group.identity
+    for s in word:
+        g = compose(g, s)
+    moved = replace(cls, rep=conjugate(cls.rep, g))
+    assert replace(_compute_class_data(group, moved).profile, cls=cls) == profile
 
 
 def test_e6_chain(cache):
