@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .coxtype import CoxeterType
-from .permengine import SubgroupHandle
+from .permengine import LineAction, SubgroupHandle
 from .perms import Perm, compose
 from .rootsys import DihedralModel, RootSystem, build_system
 
@@ -43,6 +43,12 @@ class CoxeterGroup:
     @cached_property
     def order(self) -> int:
         return self.handle.order()
+
+    @cached_property
+    def line_action(self) -> LineAction:
+        """The generators' action on line positions, built on first use: a
+        group's construction and order do not pay for it."""
+        return LineAction(self.handle.gens, self.lines, self.neg)
 
     @cached_property
     def identity(self) -> Perm:

@@ -7,13 +7,16 @@ complete because every involution of degree d+1 is a product of d+1
 reflections in pairwise orthogonal roots, hence a degree-d involution
 times a reflection whose root it fixes.
 
-Deduplication keys an involution u by its negated-root set Phi_u^- (the
-sorted indices of the roots u negates).  The level BFS makes every
-representative a product of reflections in pairwise orthogonal roots it
-negates, so Phi_u^- spans V_u^-, where u is -1 (and +1 on the orthogonal
-complement): the key determines u.  As g^-1 u g negates g(Phi_u^-), the
-class of u is in bijection with the W-orbit of its key, tuples of 2 deg(u)
-entries (R. W. Richardson, Bull. Austral. Math. Soc. 26, 1982).
+Deduplication keys an involution u by its negated-root set Phi_u^-, held
+as the lines it contains: the sorted positions of those |Phi_u^-|/2 lines
+in `group.lines`, as a byte string (two bytes a position beyond 256
+lines).  The level BFS makes every representative a product of
+reflections in pairwise orthogonal roots it negates, so Phi_u^- spans
+V_u^-, where u is -1 (and +1 on the orthogonal complement): the key
+determines u.  As g^-1 u g negates g(Phi_u^-), the class of u is in
+bijection with the W-orbit of its key (R. W. Richardson, Bull. Austral.
+Math. Soc. 26, 1982), which `conjugacy_class_set` computes with one
+`bytes.translate` table per simple reflection.
 
 When -1 lies in the group, classes of degree above n/2 mirror the classes
 of the complementary degree through u -> -u.
@@ -182,9 +185,7 @@ def enumerate_involution_classes(group: CoxeterGroup) -> list[InvolutionClass]:
     """All conjugacy classes of involutions, identity included, sorted by
     (degree, label)."""
     n = group.ctype.rank()
-    gens = group.handle.gens
-    neg = group.neg
-    points = range(group.n_points)
+    action = group.line_action
     minus_one = group.minus_one
     top_level = n // 2 if minus_one is not None else n
 
@@ -193,7 +194,7 @@ def enumerate_involution_classes(group: CoxeterGroup) -> list[InvolutionClass]:
     ]
     current = [classes[0]]
     for d in range(top_level):
-        seen: set[tuple[int, ...]] = set()
+        seen: set[bytes] = set()
         fresh: list[InvolutionClass] = []
         for cls in current:
             u = cls.rep
@@ -201,10 +202,10 @@ def enumerate_involution_classes(group: CoxeterGroup) -> list[InvolutionClass]:
                 if u[line] != line:
                     continue
                 w = compose(u, group.reflection_perm(line))
-                key = tuple(r for r in points if w[r] == neg[r])
+                key = action.key(group.negated_lines(w))
                 if key in seen:
                     continue
-                orbit = conjugacy_class_set(gens, key)
+                orbit = conjugacy_class_set(action, key)
                 seen |= orbit
                 new_cls = InvolutionClass(rep=w, degree=d + 1, size=len(orbit))
                 fresh.append(new_cls)

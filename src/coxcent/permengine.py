@@ -222,10 +222,6 @@ def act_on_point(g: Perm, x: int) -> int:
     return g[x]
 
 
-def act_on_index_set(g: Perm, xs: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(g[x] for x in xs))
-
-
 def make_conjugation_action(width: int):
     def act(g: Perm, x: bytes) -> bytes:
         return pack(conjugate(unpack(x, width), g), width)
@@ -306,16 +302,52 @@ def orbit_stabilizer(
     return order, handle
 
 
-def conjugacy_class_set(gens, key: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The orbit of a sorted tuple of points under `act_on_index_set`.  For
-    an involution's negated-root set: the negated-root sets of its class,
-    one per element."""
+class LineAction:
+    """A group's action on the reflection lines, for orbits of line sets.
+
+    A set of lines is keyed by the sorted positions of its lines in
+    `lines`, packed as `perms.pack` packs a permutation: one byte per
+    position, or two when there are more than 256 lines.  Each generator becomes a table
+    from a position to the position of its image line; at width 1 it is a
+    `bytes.translate` table, so mapping a key runs in C.
+    """
+
+    def __init__(self, gens, lines, neg, width: int | None = None):
+        position = {}
+        for p, line in enumerate(lines):
+            position[line] = position[neg[line]] = p
+        self.position = position
+        self.width = width if width is not None else (1 if len(lines) <= 256 else 2)
+        images = [[position[g[line]] for line in lines] for g in gens]
+        if self.width == 1:
+            self.tables = [bytes(im) + bytes(256 - len(im)) for im in images]
+        else:
+            self.tables = [tuple(im) for im in images]
+
+    def key(self, roots) -> bytes:
+        """The key of the lines through the given roots."""
+        return pack(sorted({self.position[r] for r in roots}), self.width)
+
+
+def conjugacy_class_set(action: LineAction, key: bytes) -> set[bytes]:
+    """The orbit of a line-set key.  For the lines an involution negates:
+    the keys of its conjugacy class, one per element."""
     seen = {key}
     queue = [key]
+    tables = action.tables
+    if action.width == 1:
+        while queue:
+            x = queue.pop()
+            for t in tables:
+                y = bytes(sorted(x.translate(t)))
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        return seen
     while queue:
-        x = queue.pop()
-        for g in gens:
-            y = act_on_index_set(g, x)
+        positions = unpack(queue.pop(), 2)
+        for t in tables:
+            y = pack(sorted(map(t.__getitem__, positions)), 2)
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
@@ -338,7 +370,7 @@ def normalizer_of_reflection_subgroup(
         group.n_points,
         group.gens,
         seed,
-        act_on_index_set,
+        lambda g, xs: tuple(sorted(g[x] for x in xs)),
         group_order=group.order(),
         seed_stab_gens=seed_stab_gens,
     )

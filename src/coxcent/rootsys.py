@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import mul
 
-from . import linalg
 from .coxtype import CoxeterType
 from .linalg import Matrix
 from .perms import Perm, conjugate
@@ -389,40 +388,41 @@ def extended_diagram_Y(rs: RootSystem) -> frozenset[int]:
 # -- signed-permutation view for the B/D families ----------------------------
 
 
-def _standard_basis_matrix(family: str, n: int) -> Matrix:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for c in range(n - 1):
-        rows[c][c] = Fraction(1)
-        rows[c + 1][c] = Fraction(-1)
-    rows[n - 1][n - 1] = Fraction(1)
+def _e_coordinates(family: str, v: tuple[int, ...]) -> tuple[int, ...]:
+    """A B_n/D_n root in the orthonormal basis e_0..e_{n-1}, from its
+    simple-root coordinates: alpha_c = e_c - e_{c+1} for c < n-1, and
+    alpha_{n-1} = e_{n-1} in B_n, e_{n-2} + e_{n-1} in D_n."""
+    e = [v[0]] + [v[r] - v[r - 1] for r in range(1, len(v))]
     if family == "D":
-        rows[n - 2][n - 1] = Fraction(1)
-    return linalg.matrix(rows)
-
-
-@lru_cache(maxsize=None)
-def _basis_change(family: str, n: int):
-    s = _standard_basis_matrix(family, n)
-    return s, linalg.mat_inv(s)
+        e[-2] += v[-1]
+    return tuple(e)
 
 
 def signed_permutation(rs: RootSystem, perm: Perm):
     """Express a B/D group element as a signed permutation of coordinates.
 
-    Returns (sigma, signs) with e_j mapped to signs[j] * e_sigma[j].
+    Returns (sigma, signs) with e_j mapped to signs[j] * e_sigma[j], read
+    off root images: 2 e_j = (e_j - e_k) + (e_j + e_k) for any k != j, and
+    both are roots of B_n and D_n.
     """
     family = rs.ctype.components[0][0]
     if family not in ("B", "D"):
         raise CapabilityError("signed-permutation form is a B/D feature")
-    s, s_inv = _basis_change(family, rs.rank)
-    m = linalg.mat_mul(linalg.mat_mul(s, rs.matrix_of_perm(perm)), s_inv)
+    coords = [_e_coordinates(family, v) for v in rs.roots]
+    index = {c: i for i, c in enumerate(coords)}
+    n = rs.rank
     sigma = []
     signs = []
-    for j in range(rs.rank):
-        entries = [(i, m[i][j]) for i in range(rs.rank) if not m[i][j].is_zero()]
-        if len(entries) != 1 or entries[0][1].a not in (1, -1):
+    for j in range(n):
+        k = j + 1 if j + 1 < n else j - 1
+        diff = tuple((r == j) - (r == k) for r in range(n))
+        total = tuple((r == j) + (r == k) for r in range(n))
+        image = [
+            x + y for x, y in zip(coords[perm[index[diff]]], coords[perm[index[total]]])
+        ]
+        moved = [(i, x) for i, x in enumerate(image) if x]
+        if len(moved) != 1 or moved[0][1] not in (2, -2):
             raise ValueError("element is not a signed permutation")
-        i, val = entries[0]
-        sigma.append(i)
-        signs.append(1 if val.a == 1 else -1)
+        sigma.append(moved[0][0])
+        signs.append(moved[0][1] // 2)
     return tuple(sigma), tuple(signs)

@@ -189,8 +189,8 @@ def test_normalizer_check_needs_the_minus_part_of_u(cache):
     # nor with the centralizer order set to that stabilizer's: one
     # reflection is not u
     profile = data.profile
-    pair = tuple(sorted(lines_with_negatives(group, minus_lines[:1])))
-    pair_order = group.order // len(conjugacy_class_set(group.handle.gens, pair))
+    pair = group.line_action.key(minus_lines[:1])
+    pair_order = group.order // len(conjugacy_class_set(group.line_action, pair))
     data.profile = replace(profile, order=pair_order)
     result = check_normalizer(data)
     assert result.status == "fail" and "does not determine u" in result.detail
@@ -203,8 +203,8 @@ def test_normalizer_check_needs_the_minus_part_of_u(cache):
         if u[l] != group.neg[l] and not group.orthogonal(l, minus_lines[0])
     )
     data.minus_lines = minus_lines + [extra]
-    roots = tuple(sorted(lines_with_negatives(group, data.minus_lines)))
-    order = group.order // len(conjugacy_class_set(group.handle.gens, roots))
+    roots = group.line_action.key(data.minus_lines)
+    order = group.order // len(conjugacy_class_set(group.line_action, roots))
     data.profile = replace(profile, order=order)
     result = check_normalizer(data)
     assert result.status == "fail" and "does not determine u" in result.detail
@@ -235,7 +235,7 @@ def test_plus_normalizer_asymmetry_in_a2(cache):
     group = cache.group("A", 2)
     u = group.reflection_perm(group.lines[0])
     assert group.fixed_lines(u) == []
-    assert conjugacy_class_set(group.handle.gens, ()) == {()}
+    assert conjugacy_class_set(group.line_action, b"") == {b""}
     assert group.order == 6
     assert centralizer(group, u, class_size=3).order() == 2
 
@@ -259,10 +259,10 @@ def test_h4_explicit_quotient_witness(cache):
     assert data.quotient is not None and data.quotient.size == 2
 
     def key(w):
-        return tuple(r for r in range(group.n_points) if w[r] == group.neg[r])
+        return group.line_action.key(group.negated_lines(w))
 
     # the witness certifies Theorem 1.1 for u directly: its image generates
-    assert key(u) in conjugacy_class_set(group.handle.gens, key(cls.rep))
+    assert key(u) in conjugacy_class_set(group.line_action, key(cls.rep))
     result = check_theorem_1_1(data)
     assert result.status == "pass"
 
