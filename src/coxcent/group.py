@@ -62,9 +62,23 @@ class CoxeterGroup:
 
     @cached_property
     def minus_one(self) -> Perm | None:
-        """The -1 element when it lies in the group, else None."""
-        neg = self.neg
-        return neg if self.handle.contains(neg) else None
+        """The -1 element when it lies in the group, else None.
+
+        -1 lies in the group exactly when it is the longest element w0, the
+        one element sending every positive root to a negative root.  Descent
+        reaches w0 from the identity: while a simple root a has y(a)
+        positive, y <- s_a y (s_a first, then y) is one longer than y.
+        """
+        positive = self._line_set
+        simple = [(a, self.reflection_perm(a)) for a in self.geometry.simple]
+        y = self.identity
+        while True:
+            for a, s in simple:
+                if y[a] in positive:
+                    y = compose(s, y)
+                    break
+            else:
+                return self.neg if y == self.neg else None
 
     def line_of(self, root_index: int) -> int:
         """The positive-root label of the reflection line through a root."""
@@ -97,27 +111,25 @@ class CoxeterGroup:
 
         Degree 1: reflections in u-stable lines.  Degree 2: products of two
         orthogonal reflections whose line pair is preserved by u, either
-        linewise or swapped.
+        linewise (two stable lines) or swapped (a line and the line of its
+        image).  Pairs come in the order of their positions in `lines`,
+        which ascend.
         """
         neg = self.neg
-        lines = self.lines
         stable_lines = self.stable_lines(u)
         out = [self.reflection_perm(l) for l in stable_lines]
-        n_lines = len(lines)
-        stable = set(stable_lines)
-        for a_pos in range(n_lines):
-            la = lines[a_pos]
+        n_stable = 0
+        for la in self.lines:
             ua = u[la]
-            for b_pos in range(a_pos + 1, n_lines):
-                lb = lines[b_pos]
-                if not self.orthogonal(la, lb):
-                    continue
-                if la in stable:
-                    if lb not in stable:
-                        continue
-                elif ua != lb and ua != neg[lb]:
-                    continue
-                out.append(
-                    compose(self.reflection_perm(la), self.reflection_perm(lb))
-                )
+            if ua == la or ua == neg[la]:
+                n_stable += 1
+                partners = stable_lines[n_stable:]
+            else:
+                lb = self.line_of(ua)
+                partners = (lb,) if lb > la else ()
+            for lb in partners:
+                if self.orthogonal(la, lb):
+                    out.append(
+                        compose(self.reflection_perm(la), self.reflection_perm(lb))
+                    )
         return out

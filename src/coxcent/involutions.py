@@ -122,18 +122,13 @@ def first_cube(group: CoxeterGroup, u: Perm) -> tuple[int, ...]:
 # -- labels ---------------------------------------------------------------------
 
 
-def signed_invariants(group: CoxeterGroup, u: Perm) -> tuple[int, int, int]:
-    """(a, a', b): negated coordinates, fixed coordinates, swapped pairs."""
-    sigma, signs = signed_permutation(group.root_system, u)
+def signed_invariants(sigma: Perm, signs: tuple[int, ...]) -> tuple[int, int, int]:
+    """(a, a', b) of a signed permutation (`rootsys.signed_permutation`):
+    negated coordinates, fixed coordinates, swapped pairs."""
     a = sum(1 for i, s in enumerate(sigma) if s == i and signs[i] == -1)
     a_fixed = sum(1 for i, s in enumerate(sigma) if s == i and signs[i] == 1)
     b = sum(1 for i, s in enumerate(sigma) if s > i)
     return a, a_fixed, b
-
-
-def _minus_swap_parity(group: CoxeterGroup, u: Perm) -> int:
-    sigma, signs = signed_permutation(group.root_system, u)
-    return sum(1 for i, s in enumerate(sigma) if s > i and signs[i] == -1) % 2
 
 
 def label_class(group: CoxeterGroup, u: Perm, deg: int) -> str:
@@ -142,12 +137,16 @@ def label_class(group: CoxeterGroup, u: Perm, deg: int) -> str:
         n_letters = group.ctype.rank() + 1
         return f"a={n_letters - 2 * deg}"
     if family in ("B", "D"):
-        a, a_fixed, b = signed_invariants(group, u)
+        sigma, signs = signed_permutation(group.root_system, u)
+        a, a_fixed, b = signed_invariants(sigma, signs)
         base = f"{a},{a_fixed},{b}"
         if family == "D" and a == 0 and a_fixed == 0:
             # The two split classes: "+" goes to the class of the product of
             # canonical plus-swaps, whose minus-swap parity is even.
-            return base + ("+" if _minus_swap_parity(group, u) == 0 else "-")
+            minus_swaps = sum(
+                1 for i, s in enumerate(sigma) if s > i and signs[i] == -1
+            )
+            return base + ("+" if minus_swaps % 2 == 0 else "-")
         return base
     if family == "F":
         if deg == 1:

@@ -103,13 +103,21 @@ class BSGS:
             result *= len(orbit)
         return result
 
-    def add_generator(self, g: Perm) -> bool:
-        """Sift g into the chain; returns True if the group grew."""
+    def add_generator(self, g: Perm, bound: int | None = None) -> bool:
+        """Sift g into the chain; returns True if the group grew.
+
+        `bound` must be an upper bound for the order of the group the
+        generators generate.  Verification stops as soon as `order()`
+        reaches it: the product of the basic-orbit lengths is a lower bound
+        for that order, so the two meet only when every basic orbit is
+        complete, and the chain is then a genuine base and strong
+        generating set.
+        """
         residue, lvl = self.sift(g)
         if is_identity(residue):
             return False
         self._insert(residue, lvl)
-        self._verify_from(lvl if lvl < len(self.base) else len(self.base) - 1)
+        self._verify_from(lvl if lvl < len(self.base) else len(self.base) - 1, bound)
         return True
 
     def _insert(self, residue: Perm, lvl: int):
@@ -121,9 +129,9 @@ class BSGS:
             self.level_gens[k].append(residue)
             self._extend_level(k)
 
-    def _verify_from(self, start: int):
+    def _verify_from(self, start: int, bound: int | None):
         lvl = start
-        while lvl >= 0:
+        while lvl >= 0 and (bound is None or self.order() != bound):
             deeper = self._check_level(lvl)
             lvl = deeper if deeper is not None else lvl - 1
 
@@ -201,25 +209,6 @@ class SubgroupHandle:
 
 
 # -- orbits and stabilizers ----------------------------------------------------
-
-
-def point_orbit(gens, seed: int) -> list[int]:
-    seen = {seed}
-    order = [seed]
-    i = 0
-    while i < len(order):
-        p = order[i]
-        i += 1
-        for g in gens:
-            y = g[p]
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-    return order
-
-
-def act_on_point(g: Perm, x: int) -> int:
-    return g[x]
 
 
 def make_conjugation_action(width: int):
@@ -352,29 +341,6 @@ def conjugacy_class_set(action: LineAction, key: bytes) -> set[bytes]:
                 seen.add(y)
                 queue.append(y)
     return seen
-
-
-def normalizer_of_reflection_subgroup(
-    group: SubgroupHandle, rootset, neg, seed_stab_gens=()
-) -> SubgroupHandle:
-    """Normalizer in `group` of the reflection subgroup with the given roots.
-
-    The root set must be closed under negation and under its own
-    reflections; the normalizer is then exactly the set stabilizer.
-    """
-    closed = frozenset(rootset)
-    if any(neg[r] not in closed for r in closed):
-        raise ValueError("root set is not closed under negation")
-    seed = tuple(sorted(closed))
-    _, stab = orbit_stabilizer(
-        group.n_points,
-        group.gens,
-        seed,
-        lambda g, xs: tuple(sorted(g[x] for x in xs)),
-        group_order=group.order(),
-        seed_stab_gens=seed_stab_gens,
-    )
-    return stab
 
 
 # -- quotients -----------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from .coxtype import CoxeterType
 from .linalg import Matrix
@@ -183,16 +182,11 @@ class RootSystem:
             return self.gram
         return tuple(tuple(int(2 * x) for x in row) for row in self.gram)
 
-    @cached_property
-    def _form_rows(self) -> tuple:
-        # row i: the pairings of root i with the simple roots under `form`
-        form = self.form
-        return tuple(
-            tuple(sum(map(mul, v, col)) for col in zip(*form)) for v in self.roots
-        )
-
     def orthogonal(self, i: int, j: int) -> bool:
-        return not sum(map(mul, self._form_rows[i], self.roots[j]))
+        # s_i(beta) = beta - 2 (beta, alpha_i) / (alpha_i, alpha_i) alpha_i,
+        # so the reflection in root i fixes root j exactly when they are
+        # orthogonal: one lookup in place of a dot product over the field
+        return self._reflection_perms[i][j] == j
 
     def norm(self, i: int):
         if self._norms[i] is None:

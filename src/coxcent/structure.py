@@ -17,6 +17,15 @@ the projection orders from stabilizer chains (of the centralizer, and of
 the reflection groups on the closed normal-vector sets); |G_u^+| and
 |G_u^-| from the Coxeter types recognized on their root sets; |Gamma| as
 a count of cosets, with |G1| = |G_u| / |Gamma|.
+
+The centralizer's chain stops verifying once its order reaches the
+target |G| / (class size).  The target bounds the chain from both sides:
+the kept seeds lie in C(u), of order |G| / |class| <= the target (the
+class size is an orbit that can only fall short of the class), and a
+partial chain's order, the product of its basic-orbit lengths, is at most
+the order its generators generate.  So the two meet only on a complete
+chain.  The projection chains and checks 1.1 and 2.4 verify in full,
+since there the order is what is checked.
 """
 
 from __future__ import annotations
@@ -226,6 +235,10 @@ def centralizer(
     fall short of the class (C(u) fixes that set).  Kept seeds must commute
     with u, so a short size leaves the seeded path below its target, and the
     fallback, which acts on u itself, raises ViolationError.
+
+    The target also stops each seed's chain verification early: it is at
+    least the order the kept seeds generate, and the chain's order at most
+    that, so the two meet only on a complete chain of C(u).
     """
     if group.order % class_size:
         raise ViolationError("class size does not divide the group order")
@@ -238,7 +251,7 @@ def centralizer(
     for g in seeds:
         if bsgs.order() == target:
             break
-        if bsgs.add_generator(g):
+        if bsgs.add_generator(g, bound=target):
             if compose(g, u) != compose(u, g):
                 raise ViolationError("a centralizer seed does not commute with u")
             kept.append(g)
@@ -334,6 +347,8 @@ class _VectorReflectionGroup:
             add(v)
             add(tuple(-x for x in v))
         self._gdots: dict[tuple, tuple] = {}
+        # images[k][i]: the index of vector i reflected in gen_lines[k]
+        images: list[list[int]] = [[] for _ in gen_lines]
         i = 0
         while i < len(order):
             if len(order) > 1000:
@@ -341,12 +356,25 @@ class _VectorReflectionGroup:
                 raise RecognitionError("normal-vector closure does not terminate")
             w = order[i]
             i += 1
-            for v in gen_lines:
-                y = self.reflect(w, v)
-                add(y)
+            for v, image in zip(gen_lines, images):
+                image.append(add(self.reflect(w, v)))
         self.vectors = vectors
         self.order_list = order
         self.gen_lines = gen_lines
+        # Every vector is g(x) for a generator g and a vector x reached
+        # before it from the generators' own vectors, and s_g(x) = g s_x g.
+        gens = [tuple(image) for image in images]
+        perms: list[Perm | None] = [None] * len(order)
+        for v, g in zip(gen_lines, gens):
+            perms[vectors[v]] = perms[vectors[tuple(-x for x in v)]] = g
+        queue = [k for k, p in enumerate(perms) if p is not None]
+        for x in queue:
+            for g in gens:
+                y = g[x]
+                if perms[y] is None:
+                    perms[y] = conjugate(perms[x], g)
+                    queue.append(y)
+        self._perms = perms
 
     def _gram_dot(self, v):
         """(the pairings of v with the basis vectors, v.v)."""
@@ -366,9 +394,7 @@ class _VectorReflectionGroup:
         return self._canonical(tuple(vv * xi - c * vi for xi, vi in zip(x, v)))
 
     def reflection_perm(self, v) -> Perm:
-        return tuple(
-            self.vectors[self.reflect(w, v)] for w in self.order_list
-        )
+        return self._perms[self.vectors[v]]
 
     def positive_lines(self) -> list[tuple]:
         return [v for v in self.order_list if _is_positive_direction(v)]

@@ -6,13 +6,11 @@ import pytest
 
 from coxcent.coxtype import CoxeterType
 from coxcent.group import CoxeterGroup
-from coxcent.permengine import (
-    SubgroupHandle,
-    normalizer_of_reflection_subgroup,
-)
+from coxcent.permengine import SubgroupHandle
 from coxcent.perms import compose, is_identity
 from coxcent.rootsys import GroupElement
 from coxcent.structure import gamma, lines_with_negatives
+from oracles import normalizer_of_reflection_subgroup
 
 
 def test_reflection_returns_group_element(cache):
@@ -120,6 +118,22 @@ def test_minus_one_membership(cache):
     assert cache.group("B", 3).minus_one is not None
     assert cache.group("H", 3).minus_one is not None
     assert cache.group("E", 7).minus_one is not None
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [("A", n) for n in range(1, 12)]
+    + [("B", n) for n in range(2, 11)]
+    + [("D", n) for n in range(4, 11)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("H", 3), ("H", 4)]
+    + [("I", m) for m in (3, 4, 5, 8, 12, 1024)],
+)
+def test_minus_one_by_descent_matches_membership(family, n):
+    # minus_one descends to the longest element; the oracle sifts -1
+    # through the stabilizer chain of the whole group
+    group = CoxeterGroup(CoxeterType.irreducible(family, n))
+    expected = group.neg if group.handle.contains(group.neg) else None
+    assert group.minus_one == expected
 
 
 def test_e8_degree4_classes_closed_under_negation():

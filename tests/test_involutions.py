@@ -15,6 +15,7 @@ from coxcent.involutions import (
     signed_invariants,
 )
 from coxcent.perms import compose, is_involution
+from coxcent.rootsys import signed_permutation
 
 
 def census(cache, family, n):
@@ -139,7 +140,7 @@ def test_d4_split_classes(cache):
     # the witness product of the two canonical plus-swaps lies in the "+" class
     group = cache.group("D", 4)
     plus = next(c for c in split if c.label.endswith("+"))
-    a, a_fixed, b = signed_invariants(group, plus.rep)
+    a, a_fixed, b = signed_invariants(*signed_permutation(group.root_system, plus.rep))
     assert (a, a_fixed, b) == (0, 0, 2)
 
 

@@ -10,16 +10,15 @@ import pytest
 from coxcent.coxtype import CoxeterType
 from coxcent.group import CoxeterGroup
 from coxcent.permengine import (
+    BSGS,
     MembershipError,
     SubgroupHandle,
     fingerprint,
-    normalizer_of_reflection_subgroup,
     orbit_stabilizer,
-    act_on_point,
-    point_orbit,
     quotient_action,
 )
 from coxcent.perms import compose, identity
+from oracles import act_on_point, normalizer_of_reflection_subgroup, point_orbit
 
 
 def brute_closure(n, gens):
@@ -53,6 +52,16 @@ def test_bsgs_order_matches_brute_closure(family, n, order):
     # that is no group element does not.
     for e in list(sorted(elements))[:20]:
         assert group.handle.contains(e)
+
+
+def test_bound_above_the_order_leaves_the_chain_exact():
+    # a bound the chain never reaches stops nothing: verification runs in full
+    group, gens = coxeter_gens("B", 4)
+    chain = BSGS(group.n_points)
+    for g in gens:
+        chain.add_generator(g, bound=2 * 384)
+    assert chain.order() == 384 == group.handle.order()
+    assert len(set(chain.elements(limit=400))) == 384
 
 
 def test_f4_exhaustive_order():

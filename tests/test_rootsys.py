@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from operator import mul
 
 import pytest
 
@@ -143,6 +144,32 @@ def test_orthogonal_matches_gram_product(family, n):
     for i in range(rs.n_roots):
         for j in range(rs.n_roots):
             assert rs.orthogonal(i, j) == (rs.product(i, j) == 0)
+
+
+def _form_rows(rs):
+    # row i: the pairings of root i with the simple roots under `form`
+    form = rs.form
+    return tuple(
+        tuple(sum(map(mul, v, col)) for col in zip(*form)) for v in rs.roots
+    )
+
+
+@pytest.mark.parametrize("family,n", ALL_SMALL)
+def test_orthogonal_matches_the_form_rows(family, n):
+    # orthogonal reads a fixed point of a reflection permutation; the oracle
+    # is the dot product against cached rows of the invariant form
+    rs = _rs(family, n)
+    if isinstance(rs, DihedralModel):
+        for i in range(rs.n_roots):
+            p = rs.reflection_perm(i)
+            for j in range(rs.n_roots):
+                assert rs.orthogonal(i, j) == (p[j] == j), (i, j)
+        return
+    rows = _form_rows(rs)
+    for i in range(rs.n_roots):
+        for j in range(rs.n_roots):
+            expected = not sum(map(mul, rows[i], rs.roots[j]))
+            assert rs.orthogonal(i, j) == expected, (i, j)
 
 
 def test_eigenspace_dimensions_sum():

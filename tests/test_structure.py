@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxcent import structure
-from coxcent.permengine import conjugacy_class_set, normalizer_of_reflection_subgroup
+from coxcent.permengine import BSGS, conjugacy_class_set
 from coxcent.perms import compose, conjugate
 from coxcent.scalars import Scalar
 from coxcent.structure import (
@@ -28,6 +28,7 @@ from coxcent.structure import (
     run_property_suite,
     tilde_side,
 )
+from oracles import normalizer_of_reflection_subgroup
 
 
 def test_centralizer_of_identity_is_group(cache):
@@ -67,6 +68,66 @@ def test_centralizer_rejects_a_noncommuting_seed(cache):
     )
     with pytest.raises(ViolationError):
         centralizer(group, u, class_size=6, seeds=[stranger])
+
+
+@pytest.mark.parametrize("family,n", [("B", 5), ("E", 6), ("F", 4), ("H", 3)])
+def test_early_stopped_centralizer_chain_is_complete(cache, family, n):
+    # the centralizer's chain stops verifying once its order reaches
+    # |G| / |class|; the oracle is a fresh, fully verified chain on the kept
+    # seeds, and membership in C(u) is commuting with u
+    group = cache.group(family, n)
+    limit = 4000
+    sifted = {"stopped": 0, "full": 0}
+    for cls in cache.classes(family, n):
+        if cls.mirror_of is not None:
+            continue
+        u = cls.rep
+        handle = centralizer(group, u, cls.size)
+        chain = handle.bsgs()
+        fresh = BSGS(group.n_points, handle.gens)
+        assert chain.order() == fresh.order() == group.order // cls.size
+        sifted["stopped"] += sum(map(len, chain._checked))
+        sifted["full"] += sum(map(len, fresh._checked))
+        probes = list(group.handle.gens)
+        probes += [compose(g, h) for g in group.handle.gens for h in handle.gens]
+        if fresh.order() <= limit:
+            elements = fresh.elements(limit=limit)
+            assert sorted(chain.elements(limit=limit)) == sorted(elements)
+            probes += elements
+        for x in probes:
+            assert chain.contains(x) == fresh.contains(x) == (compose(x, u) == compose(u, x))
+    # the stop leaves Schreier generators unsifted
+    assert sifted["stopped"] < sifted["full"]
+
+
+@pytest.mark.parametrize("family,n", [("B", 5), ("E", 6), ("F", 4), ("H", 3)])
+def test_projection_reflections_match_the_arithmetic(monkeypatch, cache, family, n):
+    # reflection_perm conjugates the generators' permutations recorded by
+    # the closure; the oracle reflects every vector in the form's field
+    group = cache.group(family, n)
+    real = structure._VectorReflectionGroup
+    built = []
+
+    def build(gram, normals):
+        vgroup = real(gram, normals)
+        built.append(vgroup)
+        return vgroup
+
+    monkeypatch.setattr(structure, "_VectorReflectionGroup", build)
+    for cls in cache.classes(family, n):
+        if cls.mirror_of is None:
+            for side in "+-":
+                tilde_side(group, cls.rep, side, 1)
+    # the projections' normals are closed already; from the simple roots
+    # alone the closure is the root system, reached by conjugation
+    rs = group.root_system
+    whole = build(rs.form, [rs.roots[s] for s in rs.simple])
+    assert len(whole.order_list) == rs.n_roots
+    for vgroup in built:
+        vectors = vgroup.order_list
+        for v in vectors:
+            expected = tuple(vgroup.vectors[vgroup.reflect(w, v)] for w in vectors)
+            assert vgroup.reflection_perm(v) == expected
 
 
 def test_reflection_subgroup_type_trivial_and_whole(cache):
