@@ -14,8 +14,8 @@ class CoxeterGroup:
     """An irreducible finite Coxeter group acting on its root indices.
 
     Reflections are labeled by positive-root indices ("lines"); the whole
-    group is generated by the simple reflections and carries a stabilizer
-    chain for exact orders and membership.
+    group is generated by the simple reflections, and its order is read off
+    its Coxeter type.
     """
 
     def __init__(self, ctype: CoxeterType, max_rank: int = 12):
@@ -42,7 +42,7 @@ class CoxeterGroup:
 
     @cached_property
     def order(self) -> int:
-        return self.handle.order()
+        return self.ctype.order()
 
     @cached_property
     def line_action(self) -> LineAction:

@@ -173,15 +173,6 @@ class RootSystem:
         w = self.roots[j]
         return sum(gi[k] * w[k] for k in range(self.rank))
 
-    @cached_property
-    def form(self) -> tuple:
-        """An invariant form in the field of the root coordinates: 2 * gram,
-        which is integral, as ints for the crystallographic types (squared
-        lengths 4 and 2, bonds -2 and -1); gram itself over Q(sqrt5) for H."""
-        if not self.crystallographic:
-            return self.gram
-        return tuple(tuple(int(2 * x) for x in row) for row in self.gram)
-
     def orthogonal(self, i: int, j: int) -> bool:
         # s_i(beta) = beta - 2 (beta, alpha_i) / (alpha_i, alpha_i) alpha_i,
         # so the reflection in root i fixes root j exactly when they are

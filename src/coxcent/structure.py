@@ -5,8 +5,9 @@ For an involution u the centralizer G_u splits along V = V+ (+) V-:
 * the parts G_u^{+,-} are the parabolics generated by reflections whose
   roots are fixed, respectively negated, by u;
 * the projections of G_u to GL(V+)/GL(V-) are computed as reflection
-  groups on explicitly closed sets of normal vectors, which also verifies
-  that the projections are reflection groups;
+  groups on the normals of G_u's degree-<=2 involutions, each reflection's
+  permutation of the normals read off the involution's permutation of the
+  roots, which also verifies that the projections are reflection groups;
 * the quotient of G_u by its reflection part G1 = G_u^+ x G_u^- is
   realized as a concrete coset action, each coset represented by its
   element that keeps the positive roots of G1, and fingerprinted.
@@ -14,7 +15,7 @@ For an involution u the centralizer G_u splits along V = V+ (+) V-:
 The orders in the cross-checks come from three separate sources, so no
 identity asserted here rides on the statement it is checking: |G_u| and
 the projection orders from stabilizer chains (of the centralizer, and of
-the reflection groups on the closed normal-vector sets); |G_u^+| and
+the reflection groups on the normal-vector sets); |G_u^+| and
 |G_u^-| from the Coxeter types recognized on their root sets; |Gamma| as
 a count of cosets, with |G1| = |G_u| / |Gamma|.
 
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
 
 from .coxtype import CoxeterType
 from .group import CoxeterGroup
@@ -311,93 +311,62 @@ def _is_positive_direction(vec) -> bool:
     raise ValueError("zero vector has no direction")
 
 
-class _VectorReflectionGroup:
-    """A reflection group on an explicitly closed set of exact vectors.
+def _projection_entries(group: CoxeterGroup, u: Perm, side: str):
+    """(r, raw normal) for every root r with a degree-<=2 involution j of
+    G_u that acts on V_u^side as a reflection: r itself when u(r) = -r
+    (side "-") or u(r) = r (side "+"), with j = s_r; r -+ u(r) when u swaps
+    r with an orthogonal root u(r) != +-r, with j = s_r s_u(r)."""
+    roots, neg = group.root_system.roots, group.neg
+    sign = 1 if side == "+" else -1
+    for r in range(group.n_points):
+        ur = u[r]
+        if ur == (r if side == "+" else neg[r]):
+            yield r, roots[r]
+        elif ur != r and ur != neg[r] and group.orthogonal(r, ur):
+            yield r, tuple(a + sign * b for a, b in zip(roots[r], roots[ur]))
 
-    The field of `gram` picks the arithmetic.  An integral form (twice the
-    Gram matrix of a crystallographic type) keeps every vector as a
-    primitive integer tuple; a form over Q(sqrt5) keeps Scalar vectors with
-    a leading coordinate of +-1.  Either way each ray has exactly one
-    representative, so vectors are looked up by value.
+
+def _projection_reflections(
+    group: CoxeterGroup, u: Perm, side: str
+) -> tuple[list[tuple], dict[int, Perm]]:
+    """The normals of the projection's reflections, one per direction, and
+    the permutation of their indices of each positive-direction normal.
+
+    Each j commutes with u and is linear, so it maps the entries onto
+    themselves and an entry's normal to the normal of its image: the
+    reflection in normal i sends normal k to the normal of j_i(rep_k),
+    where j_i is the j of i's first entry and rep_k is k's first entry.
     """
-
-    def __init__(self, gram, normals):
-        self.gram = gram
-        self._canonical = (
-            _primitive if isinstance(gram[0][0], int) else _canonical_direction
-        )
-        vectors: dict[tuple, int] = {}
-        order: list[tuple] = []
-
-        def add(v) -> int:
-            idx = vectors.get(v)
-            if idx is None:
-                idx = len(order)
-                vectors[v] = idx
-                order.append(v)
-            return idx
-
-        gen_lines: list[tuple] = []
-        for raw in normals:
-            v = self._canonical(raw)
-            if not _is_positive_direction(v):
-                v = tuple(-x for x in v)
-            if v not in vectors:
-                gen_lines.append(v)
-            add(v)
-            add(tuple(-x for x in v))
-        self._gdots: dict[tuple, tuple] = {}
-        # images[k][i]: the index of vector i reflected in gen_lines[k]
-        images: list[list[int]] = [[] for _ in gen_lines]
-        i = 0
-        while i < len(order):
-            if len(order) > 1000:
-                # largest legitimate closure is the 480 root vectors of E8
-                raise RecognitionError("normal-vector closure does not terminate")
-            w = order[i]
-            i += 1
-            for v, image in zip(gen_lines, images):
-                image.append(add(self.reflect(w, v)))
-        self.vectors = vectors
-        self.order_list = order
-        self.gen_lines = gen_lines
-        # Every vector is g(x) for a generator g and a vector x reached
-        # before it from the generators' own vectors, and s_g(x) = g s_x g.
-        gens = [tuple(image) for image in images]
-        perms: list[Perm | None] = [None] * len(order)
-        for v, g in zip(gen_lines, gens):
-            perms[vectors[v]] = perms[vectors[tuple(-x for x in v)]] = g
-        queue = [k for k, p in enumerate(perms) if p is not None]
-        for x in queue:
-            for g in gens:
-                y = g[x]
-                if perms[y] is None:
-                    perms[y] = conjugate(perms[x], g)
-                    queue.append(y)
-        self._perms = perms
-
-    def _gram_dot(self, v):
-        """(the pairings of v with the basis vectors, v.v)."""
-        cached = self._gdots.get(v)
-        if cached is None:
-            gv = tuple(sum(map(mul, v, col)) for col in zip(*self.gram))
-            cached = (gv, sum(map(mul, gv, v)))
-            self._gdots[v] = cached
-        return cached
-
-    def reflect(self, x, v):
-        """The representative of the ray of x reflected in v.  Since
-        v.v > 0, (v.v) x - 2 (x.v) v lies on that ray, so no division comes
-        before the canonical scaling."""
-        gv, vv = self._gram_dot(v)
-        c = 2 * sum(map(mul, gv, x))
-        return self._canonical(tuple(vv * xi - c * vi for xi, vi in zip(x, v)))
-
-    def reflection_perm(self, v) -> Perm:
-        return self._perms[self.vectors[v]]
-
-    def positive_lines(self) -> list[tuple]:
-        return [v for v in self.order_list if _is_positive_direction(v)]
+    canonical = (
+        _primitive if group.root_system.crystallographic else _canonical_direction
+    )
+    index: dict[tuple, int] = {}
+    vectors: list[tuple] = []
+    reps: list[int] = []
+    root_vec: dict[int, int] = {}
+    for r, raw in _projection_entries(group, u, side):
+        v = canonical(raw)
+        k = index.get(v)
+        if k is None:
+            k = index[v] = len(vectors)
+            vectors.append(v)
+            reps.append(r)
+        root_vec[r] = k
+    neg = group.neg
+    perms = {}
+    for k, (v, r) in enumerate(zip(vectors, reps)):
+        if not _is_positive_direction(v):
+            continue
+        j = group.reflection_perm(r)
+        if u[r] != r and u[r] != neg[r]:
+            j = compose(j, group.reflection_perm(u[r]))
+        try:
+            perms[k] = tuple(root_vec[j[x]] for x in reps)
+        except KeyError:
+            raise RecognitionError(
+                f"a reflection of the {side} projection leaves its normals"
+            ) from None
+    return vectors, perms
 
 
 def tilde_side(
@@ -405,73 +374,42 @@ def tilde_side(
 ) -> TildeResult:
     """The projection of G_u to GL(V_u^side) as a recognized reflection group.
 
-    The generating normals come from the degree-<=2 involutions of G_u:
-    roots on the matching side, and sums/differences root +- u(root) for the
-    orthogonally swapped line pairs.  The projection equals the reflection
-    subgroup these normals generate precisely when its order matches
-    |G_u| / |G_u^opp|, which is what `reflection_generated` records.
+    Its reflections come from the degree-<=2 involutions of G_u (see
+    `_projection_entries`), and their permutations of the normals are read
+    off those involutions' permutations of the roots, with no arithmetic
+    in the field.  The projection equals the reflection subgroup these
+    normals generate precisely when its order matches |G_u| / |G_u^opp|,
+    which is what `reflection_generated` records.
     """
     if group.is_dihedral:
         return _dihedral_tilde(group, u, side, expected_order)
-    rs = group.root_system
+    rank = group.root_system.rank
     deg = group.degree(u)
-    dim = deg if side == "-" else rs.rank - deg
+    dim = deg if side == "-" else rank - deg
     if dim == 0:
         return TildeResult(CoxeterType.trivial(), 1, expected_order, expected_order == 1, 0)
-    if dim == rs.rank:
+    if dim == rank:
         ctype = reflection_subgroup_type(group, range(group.n_points))
         order = group.order
         return TildeResult(ctype, order, expected_order, order == expected_order, dim)
 
-    neg = group.neg
-    normals = []
-    for l in group.lines:
-        v = u[l]
-        if side == "+":
-            if v == neg[l]:
-                continue
-            if v != l and not group.orthogonal(l, group.line_of(v)):
-                continue
-            normals.append(
-                tuple(a + b for a, b in zip(rs.roots[l], rs.roots[v]))
-            )
-        else:
-            if v == l:
-                continue
-            if v != neg[l] and not group.orthogonal(l, group.line_of(v)):
-                continue
-            normals.append(
-                tuple(a - b for a, b in zip(rs.roots[l], rs.roots[v]))
-            )
-    if not normals:
+    vectors, perms = _projection_reflections(group, u, side)
+    if not vectors:
         return TildeResult(
             CoxeterType.trivial(), 1, expected_order, expected_order == 1, dim
         )
-    vgroup = _VectorReflectionGroup(rs.form, normals)
-    positives = vgroup.positive_lines()
-    perms = {v: vgroup.reflection_perm(v) for v in positives}
-    handle = SubgroupHandle.from_gens(
-        len(vgroup.order_list), [perms[v] for v in vgroup.gen_lines]
-    )
-    order = handle.order()
-
-    pos_index = {vgroup.vectors[v] for v in positives}
-    simples = []
-    for v in positives:
-        pv = perms[v]
-        iv = vgroup.vectors[v]
-        if all(
-            pv[vgroup.vectors[w]] in pos_index
-            for w in positives
-            if vgroup.vectors[w] != iv
-        ):
-            simples.append(v)
+    order = SubgroupHandle.from_gens(len(vectors), list(perms.values())).order()
+    simples = [
+        k
+        for k, p in perms.items()
+        if all(p[x] in perms for x in perms if x != k)
+    ]
 
     def bond(a, b):
         return perm_order(compose(perms[a], perms[b]))
 
     ctype = classify_coxeter_graph(simples, bond)
-    if ctype.root_count() != len(vgroup.order_list) or ctype.order() != order:
+    if ctype.root_count() != len(vectors) or ctype.order() != order:
         raise RecognitionError(
             f"projection classified as {ctype} but orders disagree"
         )

@@ -1,12 +1,22 @@
-"""Orbit and normalizer oracles for the tests: a point orbit by plain BFS,
-the action of a permutation on a point, and the normalizer of a reflection
-subgroup as the stabilizer of its root set (`orbit_stabilizer` on sorted
-root tuples)."""
+"""Oracles for the tests: a point orbit by plain BFS, the action of a
+permutation on a point, the normalizer of a reflection subgroup as the
+stabilizer of its root set (`orbit_stabilizer` on sorted root tuples), and
+the projections of a centralizer as reflection groups on normal vectors
+closed by reflecting them over the field."""
 
 from __future__ import annotations
 
+from operator import mul
+
 from coxcent.permengine import SubgroupHandle, orbit_stabilizer
-from coxcent.perms import Perm
+from coxcent.perms import Perm, compose, conjugate, perm_order
+from coxcent.structure import (
+    RecognitionError,
+    _canonical_direction,
+    _is_positive_direction,
+    _primitive,
+    classify_coxeter_graph,
+)
 
 
 def point_orbit(gens, seed: int) -> list[int]:
@@ -49,3 +59,151 @@ def normalizer_of_reflection_subgroup(
         seed_stab_gens=seed_stab_gens,
     )
     return stab
+
+
+# -- projections by closing normal vectors over the field --------------------------
+
+
+def invariant_form(rs) -> tuple:
+    """An invariant form in the field of the root coordinates: 2 * gram,
+    which is integral, as ints for the crystallographic types (squared
+    lengths 4 and 2, bonds -2 and -1); gram itself over Q(sqrt5) for H."""
+    if not rs.crystallographic:
+        return rs.gram
+    return tuple(tuple(int(2 * x) for x in row) for row in rs.gram)
+
+
+class _VectorReflectionGroup:
+    """A reflection group on an explicitly closed set of exact vectors.
+
+    The field of `gram` picks the arithmetic.  An integral form (twice the
+    Gram matrix of a crystallographic type) keeps every vector as a
+    primitive integer tuple; a form over Q(sqrt5) keeps Scalar vectors with
+    a leading coordinate of +-1.  Either way each ray has exactly one
+    representative, so vectors are looked up by value.
+    """
+
+    def __init__(self, gram, normals):
+        self.gram = gram
+        self._canonical = (
+            _primitive if isinstance(gram[0][0], int) else _canonical_direction
+        )
+        vectors: dict[tuple, int] = {}
+        order: list[tuple] = []
+
+        def add(v) -> int:
+            idx = vectors.get(v)
+            if idx is None:
+                idx = len(order)
+                vectors[v] = idx
+                order.append(v)
+            return idx
+
+        gen_lines: list[tuple] = []
+        for raw in normals:
+            v = self._canonical(raw)
+            if not _is_positive_direction(v):
+                v = tuple(-x for x in v)
+            if v not in vectors:
+                gen_lines.append(v)
+            add(v)
+            add(tuple(-x for x in v))
+        self._gdots: dict[tuple, tuple] = {}
+        # images[k][i]: the index of vector i reflected in gen_lines[k]
+        images: list[list[int]] = [[] for _ in gen_lines]
+        i = 0
+        while i < len(order):
+            if len(order) > 1000:
+                # largest legitimate closure is the 480 root vectors of E8
+                raise RecognitionError("normal-vector closure does not terminate")
+            w = order[i]
+            i += 1
+            for v, image in zip(gen_lines, images):
+                image.append(add(self.reflect(w, v)))
+        self.vectors = vectors
+        self.order_list = order
+        self.gen_lines = gen_lines
+        # Every vector is g(x) for a generator g and a vector x reached
+        # before it from the generators' own vectors, and s_g(x) = g s_x g.
+        gens = [tuple(image) for image in images]
+        perms: list[Perm | None] = [None] * len(order)
+        for v, g in zip(gen_lines, gens):
+            perms[vectors[v]] = perms[vectors[tuple(-x for x in v)]] = g
+        queue = [k for k, p in enumerate(perms) if p is not None]
+        for x in queue:
+            for g in gens:
+                y = g[x]
+                if perms[y] is None:
+                    perms[y] = conjugate(perms[x], g)
+                    queue.append(y)
+        self._perms = perms
+
+    def _gram_dot(self, v):
+        """(the pairings of v with the basis vectors, v.v)."""
+        cached = self._gdots.get(v)
+        if cached is None:
+            gv = tuple(sum(map(mul, v, col)) for col in zip(*self.gram))
+            cached = (gv, sum(map(mul, gv, v)))
+            self._gdots[v] = cached
+        return cached
+
+    def reflect(self, x, v):
+        """The representative of the ray of x reflected in v.  Since
+        v.v > 0, (v.v) x - 2 (x.v) v lies on that ray, so no division comes
+        before the canonical scaling."""
+        gv, vv = self._gram_dot(v)
+        c = 2 * sum(map(mul, gv, x))
+        return self._canonical(tuple(vv * xi - c * vi for xi, vi in zip(x, v)))
+
+    def reflection_perm(self, v) -> Perm:
+        return self._perms[self.vectors[v]]
+
+    def positive_lines(self) -> list[tuple]:
+        return [v for v in self.order_list if _is_positive_direction(v)]
+
+
+def projection_normals(group, u: Perm, side: str) -> list[tuple]:
+    """The generating normals of the projection of G_u to V_u^side: roots
+    on that side, and root +- u(root) for the orthogonally swapped lines."""
+    rs = group.root_system
+    neg = group.neg
+    normals = []
+    for l in group.lines:
+        v = u[l]
+        if side == "+":
+            if v == neg[l]:
+                continue
+            if v != l and not group.orthogonal(l, group.line_of(v)):
+                continue
+            normals.append(tuple(a + b for a, b in zip(rs.roots[l], rs.roots[v])))
+        else:
+            if v == l:
+                continue
+            if v != neg[l] and not group.orthogonal(l, group.line_of(v)):
+                continue
+            normals.append(tuple(a - b for a, b in zip(rs.roots[l], rs.roots[v])))
+    return normals
+
+
+def closed_projection(gram, normals):
+    """(closure, Coxeter type, order) of the reflection group generated by
+    `normals` under `gram`, with the order from a stabilizer chain on the
+    closed vectors and the type from the positive-direction simples."""
+    vgroup = _VectorReflectionGroup(gram, normals)
+    positives = vgroup.positive_lines()
+    perms = {v: vgroup.reflection_perm(v) for v in positives}
+    handle = SubgroupHandle.from_gens(
+        len(vgroup.order_list), [perms[v] for v in vgroup.gen_lines]
+    )
+    pos_index = {vgroup.vectors[v] for v in positives}
+    simples = [
+        v
+        for v in positives
+        if all(
+            perms[v][vgroup.vectors[w]] in pos_index for w in positives if w != v
+        )
+    ]
+    ctype = classify_coxeter_graph(
+        simples, lambda a, b: perm_order(compose(perms[a], perms[b]))
+    )
+    return vgroup, ctype, handle.order()

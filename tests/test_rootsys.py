@@ -137,18 +137,22 @@ def test_degree_from_trace_matches_rank(cache, family, n):
 def test_orthogonal_matches_gram_product(family, n):
     rs = _rs(family, n)
     if rs.crystallographic:
-        assert all(isinstance(x, int) for row in rs.form for x in row)
-    assert rs.form == tuple(
-        tuple((2 if rs.crystallographic else 1) * x for x in row) for row in rs.gram
-    )
+        # twice the Gram matrix is integral: squared lengths 4 and 2, bonds
+        # -2 and -1
+        assert all((2 * x).denominator == 1 for row in rs.gram for x in row)
     for i in range(rs.n_roots):
         for j in range(rs.n_roots):
             assert rs.orthogonal(i, j) == (rs.product(i, j) == 0)
 
 
 def _form_rows(rs):
-    # row i: the pairings of root i with the simple roots under `form`
-    form = rs.form
+    # row i: the pairings of root i with the simple roots under an invariant
+    # form in the field of the coordinates: 2 * gram as ints, or gram for H
+    form = (
+        tuple(tuple(int(2 * x) for x in row) for row in rs.gram)
+        if rs.crystallographic
+        else rs.gram
+    )
     return tuple(
         tuple(sum(map(mul, v, col)) for col in zip(*form)) for v in rs.roots
     )
@@ -377,3 +381,13 @@ def test_json_serialization():
     assert parsed["rank"] == 2
     assert len(parsed["roots"]) == 6
     assert parsed["roots"][rs.index[(1, 0)]] == ["1", "0"]
+
+
+@pytest.mark.parametrize(
+    "family,n", list(ALL_SMALL) + [pytest.param("E", 8, marks=pytest.mark.large)]
+)
+def test_group_order_from_the_type_matches_schreier_sims(cache, family, n):
+    # CoxeterGroup.order reads |W| off the Coxeter type; the oracle is the
+    # stabilizer chain of the simple reflections' root permutations
+    group = cache.group(family, n)
+    assert group.handle.order() == group.order

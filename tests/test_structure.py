@@ -15,8 +15,12 @@ from coxcent.perms import compose, conjugate
 from coxcent.scalars import Scalar
 from coxcent.structure import (
     CHECK_NAMES,
+    RecognitionError,
     ViolationError,
+    _canonical_direction,
     _compute_class_data,
+    _is_positive_direction,
+    _projection_reflections,
     centralizer,
     check_complement,
     check_extended_diagram,
@@ -28,7 +32,13 @@ from coxcent.structure import (
     run_property_suite,
     tilde_side,
 )
-from oracles import normalizer_of_reflection_subgroup
+from oracles import (
+    _VectorReflectionGroup,
+    closed_projection,
+    invariant_form,
+    normalizer_of_reflection_subgroup,
+    projection_normals,
+)
 
 
 def test_centralizer_of_identity_is_group(cache):
@@ -100,34 +110,53 @@ def test_early_stopped_centralizer_chain_is_complete(cache, family, n):
     assert sifted["stopped"] < sifted["full"]
 
 
-@pytest.mark.parametrize("family,n", [("B", 5), ("E", 6), ("F", 4), ("H", 3)])
-def test_projection_reflections_match_the_arithmetic(monkeypatch, cache, family, n):
-    # reflection_perm conjugates the generators' permutations recorded by
-    # the closure; the oracle reflects every vector in the form's field
+@pytest.mark.parametrize(
+    "family,n", [("B", 5), ("D", 6), ("E", 6), ("E", 7), ("F", 4), ("H", 3), ("H", 4)]
+)
+def test_projection_reflections_match_the_arithmetic(cache, family, n):
+    # tilde_side reads each reflection off a root permutation; the oracle
+    # closes the normals by reflecting them over the form's field
     group = cache.group(family, n)
-    real = structure._VectorReflectionGroup
-    built = []
-
-    def build(gram, normals):
-        vgroup = real(gram, normals)
-        built.append(vgroup)
-        return vgroup
-
-    monkeypatch.setattr(structure, "_VectorReflectionGroup", build)
-    for cls in cache.classes(family, n):
-        if cls.mirror_of is None:
-            for side in "+-":
-                tilde_side(group, cls.rep, side, 1)
-    # the projections' normals are closed already; from the simple roots
-    # alone the closure is the root system, reached by conjugation
     rs = group.root_system
-    whole = build(rs.form, [rs.roots[s] for s in rs.simple])
+    form = invariant_form(rs)
+    for cls in cache.classes(family, n):
+        if cls.mirror_of is not None:
+            continue
+        for side in "+-":
+            normals = projection_normals(group, cls.rep, side)
+            closure, ctype, order = closed_projection(form, normals)
+            vectors, perms = _projection_reflections(group, cls.rep, side)
+            assert sorted(vectors) == sorted(closure.order_list)
+            assert set(perms) == {
+                k for k, v in enumerate(vectors) if _is_positive_direction(v)
+            }
+            for k, p in perms.items():
+                assert [vectors[x] for x in p] == [
+                    closure.reflect(w, vectors[k]) for w in vectors
+                ]
+            t = tilde_side(group, cls.rep, side, order)
+            assert (t.ctype, t.order, t.reflection_generated) == (ctype, order, True)
+    # from the simple roots alone the oracle's closure is the root system
+    whole = _VectorReflectionGroup(form, [rs.roots[s] for s in rs.simple])
     assert len(whole.order_list) == rs.n_roots
-    for vgroup in built:
-        vectors = vgroup.order_list
-        for v in vectors:
-            expected = tuple(vgroup.vectors[vgroup.reflect(w, v)] for w in vectors)
-            assert vgroup.reflection_perm(v) == expected
+
+
+@pytest.mark.parametrize("side", "+-")
+def test_projection_rejects_a_missing_entry(monkeypatch, cache, side):
+    # with one entry dropped, some reflection maps a normal to a root that
+    # has none: a RecognitionError, not a KeyError
+    group = cache.group("E", 6)
+    cls = next(c for c in cache.classes("E", 6) if c.degree == 2)
+    real = structure._projection_entries
+
+    def dropped(group, u, side):
+        entries = real(group, u, side)
+        next(entries)
+        yield from entries
+
+    monkeypatch.setattr(structure, "_projection_entries", dropped)
+    with pytest.raises(RecognitionError, match="leaves its normals"):
+        tilde_side(group, cls.rep, side, 1)
 
 
 def test_reflection_subgroup_type_trivial_and_whole(cache):
@@ -181,35 +210,34 @@ def test_tilde_orders_are_reflection_subgroup_orders(cache):
 
 
 @pytest.mark.parametrize("family,n", [("B", 4), ("D", 5), ("F", 4), ("E", 6)])
-def test_tilde_integer_path_matches_scalar_path(monkeypatch, cache, family, n):
-    # the same form and normals lifted to Scalar take the Q(sqrt5) path,
-    # the reference for the primitive-integer closure
+def test_tilde_integer_path_matches_scalar_path(cache, family, n):
+    # the oracle on the same form and normals lifted to Scalar takes the
+    # Q(sqrt5) path, the reference for the primitive-integer vectors
     group = cache.group(family, n)
-    real = structure._VectorReflectionGroup
+    form = invariant_form(group.root_system)
+    lifted_form = tuple(tuple(Scalar.of(x) for x in row) for row in form)
 
-    def projections(lift):
-        fields = set()
+    def lift(v):
+        return tuple(Scalar.of(x) for x in v)
 
-        def build(gram, normals):
-            if lift:
-                gram = tuple(tuple(Scalar.of(x) for x in row) for row in gram)
-                normals = [tuple(Scalar.of(x) for x in v) for v in normals]
-            vgroup = real(gram, normals)
-            fields.update(type(x) for v in vgroup.order_list for x in v)
-            return vgroup
-
-        monkeypatch.setattr(structure, "_VectorReflectionGroup", build)
-        out = []
-        for cls in cache.classes(family, n):
-            for side in "+-":
-                t = tilde_side(group, cls.rep, side, 1)
-                out.append((t.ctype, t.order))
-        return out, fields
-
-    integral, int_fields = projections(lift=False)
-    lifted, scalar_fields = projections(lift=True)
+    int_fields, scalar_fields = set(), set()
+    for cls in cache.classes(family, n):
+        for side in "+-":
+            normals = projection_normals(group, cls.rep, side)
+            vectors, _ = _projection_reflections(group, cls.rep, side)
+            _, int_type, int_order = closed_projection(form, normals)
+            lifted, scalar_type, scalar_order = closed_projection(
+                lifted_form, [lift(v) for v in normals]
+            )
+            int_fields.update(type(x) for v in vectors for x in v)
+            scalar_fields.update(type(x) for v in lifted.order_list for x in v)
+            assert {_canonical_direction(lift(v)) for v in vectors} == set(
+                lifted.order_list
+            )
+            t = tilde_side(group, cls.rep, side, 1)
+            assert (t.ctype, t.order) == (int_type, int_order)
+            assert (t.ctype, t.order) == (scalar_type, scalar_order)
     assert int_fields == {int} and scalar_fields == {Scalar}
-    assert integral == lifted
 
 
 def test_a_family_tilde_types(cache):
