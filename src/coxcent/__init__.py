@@ -18,7 +18,6 @@ from .permengine import SubgroupHandle, fingerprint
 from .rootsys import (
     CapabilityError,
     DihedralModel,
-    GroupElement,
     RootSystem,
     build_system,
     extended_diagram_Y,
@@ -44,7 +43,6 @@ __all__ = [
     "CoxeterGroup",
     "CoxeterType",
     "DihedralModel",
-    "GroupElement",
     "InvolutionClass",
     "RecognitionError",
     "RootSystem",

@@ -8,15 +8,14 @@ reflections in pairwise orthogonal roots, hence a degree-d involution
 times a reflection whose root it fixes.
 
 Deduplication keys an involution u by its negated-root set Phi_u^-, held
-as the lines it contains: the sorted positions of those |Phi_u^-|/2 lines
-in `group.lines`, as a byte string (two bytes a position beyond 256
-lines).  The level BFS makes every representative a product of
+as the integer with bit p set for each of its |Phi_u^-|/2 lines
+`group.lines[p]`.  The level BFS makes every representative a product of
 reflections in pairwise orthogonal roots it negates, so Phi_u^- spans
 V_u^-, where u is -1 (and +1 on the orthogonal complement): the key
 determines u.  As g^-1 u g negates g(Phi_u^-), the class of u is in
 bijection with the W-orbit of its key (R. W. Richardson, Bull. Austral.
-Math. Soc. 26, 1982), which `conjugacy_class_set` computes with one
-`bytes.translate` table per simple reflection.
+Math. Soc. 26, 1982), which `conjugacy_class_set` computes by mapping
+only the bits each simple reflection moves.
 
 When -1 lies in the group, classes of degree above n/2 mirror the classes
 of the complementary degree through u -> -u.
@@ -193,7 +192,7 @@ def enumerate_involution_classes(group: CoxeterGroup) -> list[InvolutionClass]:
     ]
     current = [classes[0]]
     for d in range(top_level):
-        seen: set[bytes] = set()
+        seen: set[int] = set()
         fresh: list[InvolutionClass] = []
         for cls in current:
             u = cls.rep

@@ -294,52 +294,54 @@ def orbit_stabilizer(
 class LineAction:
     """A group's action on the reflection lines, for orbits of line sets.
 
-    A set of lines is keyed by the sorted positions of its lines in
-    `lines`, packed as `perms.pack` packs a permutation: one byte per
-    position, or two when there are more than 256 lines.  Each generator becomes a table
-    from a position to the position of its image line; at width 1 it is a
-    `bytes.translate` table, so mapping a key runs in C.
+    A set of lines is keyed by an integer bitmask, bit p standing for
+    `lines[p]`.  Each generator is kept as `(keep, moved, table)`: `moved`
+    holds the bits of the positions it moves, `keep` the other bits, and
+    `table` maps each moved bit to the bit of its image.
     """
 
-    def __init__(self, gens, lines, neg, width: int | None = None):
-        position = {}
+    def __init__(self, gens, lines, neg):
+        self.position = position = {}
         for p, line in enumerate(lines):
             position[line] = position[neg[line]] = p
-        self.position = position
-        self.width = width if width is not None else (1 if len(lines) <= 256 else 2)
+        full = (1 << len(lines)) - 1
         images = [[position[g[line]] for line in lines] for g in gens]
-        if self.width == 1:
-            self.tables = [bytes(im) + bytes(256 - len(im)) for im in images]
-        else:
-            self.tables = [tuple(im) for im in images]
+        tables = [{1 << p: 1 << q for p, q in enumerate(im) if q != p} for im in images]
+        self.generators = [(full ^ sum(t), sum(t), t) for t in tables]
 
-    def key(self, roots) -> bytes:
+    def key(self, roots) -> int:
         """The key of the lines through the given roots."""
-        return pack(sorted({self.position[r] for r in roots}), self.width)
+        return sum(1 << p for p in {self.position[r] for r in roots})
 
 
-def conjugacy_class_set(action: LineAction, key: bytes) -> set[bytes]:
+class _MovedImages(dict):
+    """A generator's table, extended on demand to every moved part m."""
+
+    def __missing__(self, m):
+        image, rest = 0, m
+        while rest:
+            image |= self[rest & -rest]
+            rest &= rest - 1
+        self[m] = image
+        return image
+
+
+def conjugacy_class_set(action: LineAction, key: int) -> set[int]:
     """The orbit of a line-set key.  For the lines an involution negates:
-    the keys of its conjugacy class, one per element."""
+    the keys of its conjugacy class, one per element.  Each generator maps
+    x to `(x & keep) | images[x & moved]`, memoized within the call."""
+    gens = [(keep, moved, _MovedImages(t)) for keep, moved, t in action.generators]
     seen = {key}
     queue = [key]
-    tables = action.tables
-    if action.width == 1:
-        while queue:
-            x = queue.pop()
-            for t in tables:
-                y = bytes(sorted(x.translate(t)))
+    while queue:
+        x = queue.pop()
+        for keep, moved, images in gens:
+            m = x & moved
+            if m:  # else the generator fixes x
+                y = (x & keep) | images[m]
                 if y not in seen:
                     seen.add(y)
                     queue.append(y)
-        return seen
-    while queue:
-        positions = unpack(queue.pop(), 2)
-        for t in tables:
-            y = pack(sorted(map(t.__getitem__, positions)), 2)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
     return seen
 
 

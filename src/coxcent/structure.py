@@ -690,7 +690,7 @@ def check_normalizer(data: ClassData) -> CheckResult:
 
     The normalizer is the stabilizer of the minus part's set of lines, so
     its order is |G| over the size of that set's orbit
-    (`conjugacy_class_set` on its line-position key).  It lies in C(u) when
+    (`conjugacy_class_set` on its line bitmask key).  It lies in C(u) when
     u negates every one of the lines and is the product of the reflections
     in pairwise orthogonal lines of the set: then the set spans V_u^-, and
     whatever keeps V_u^- keeps its orthogonal complement and commutes with

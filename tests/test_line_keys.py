@@ -1,4 +1,4 @@
-"""Census keys as byte strings of line positions, and B/D labels from root
+"""Census keys as bitmasks of line positions, and B/D labels from root
 images, each against the formula it replaced."""
 
 from __future__ import annotations
@@ -7,15 +7,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxcent import linalg
 from coxcent.coxtype import CoxeterType
 from coxcent.group import CoxeterGroup
 from coxcent.involutions import enumerate_involution_classes
-from coxcent.permengine import LineAction, SubgroupHandle, conjugacy_class_set
-from coxcent.perms import pack
+from coxcent.permengine import SubgroupHandle, _MovedImages, conjugacy_class_set
 from coxcent.rootsys import signed_permutation
-from coxcent.tables import expected_rows
+from coxcent.structure import profiles_for_group
+from coxcent.tables import Analysis, class_csv, class_json, expected_rows
 
 
 def census(classes):
@@ -44,15 +46,10 @@ def root_tuple_orbit(gens, key):
     return seen
 
 
-@pytest.mark.parametrize(
-    "family,n", [("B", 4), ("D", 5), ("F", 4), ("E", 6), ("H", 3), ("I", 8)]
-)
-def test_line_key_orbit_matches_root_tuple_orbit(cache, family, n):
-    group = cache.group(family, n)
+def assert_orbits_match_root_tuple_orbits(group, classes):
     action = group.line_action
-    own = [c for c in cache.classes(family, n) if c.mirror_of is None]
-    assert own
-    for cls in own:
+    assert classes
+    for cls in classes:
         u = cls.rep
         old = root_tuple_orbit(
             group.handle.gens,
@@ -61,6 +58,24 @@ def test_line_key_orbit_matches_root_tuple_orbit(cache, family, n):
         new = conjugacy_class_set(action, action.key(group.negated_lines(u)))
         assert {action.key(x) for x in old} == new
         assert len(old) == len(new) == cls.size
+
+
+@pytest.mark.parametrize(
+    "family,n", [("B", 4), ("D", 5), ("F", 4), ("E", 6), ("H", 3), ("I", 8)]
+)
+def test_line_key_orbit_matches_root_tuple_orbit(cache, family, n):
+    group = cache.group(family, n)
+    own = [c for c in cache.classes(family, n) if c.mirror_of is None]
+    assert_orbits_match_root_tuple_orbits(group, own)
+
+
+@pytest.mark.parametrize("family,n", [("B", 9), ("D", 9), ("I", 257)])
+def test_keys_beyond_64_lines_match_root_tuple_orbit(cache, family, n):
+    # keys wider than a machine word; degrees <= 2 keep the oracle cheap
+    group = cache.group(family, n)
+    assert len(group.lines) > 64
+    low = [c for c in cache.classes(family, n) if 0 < c.degree <= 2]
+    assert_orbits_match_root_tuple_orbits(group, low)
 
 
 # -- signed permutations against the Fraction-matrix formula ----------------------
@@ -132,18 +147,76 @@ def test_census_ignores_generator_order(cache, family, n):
         assert census(enumerate_involution_classes(group)) == expected
 
 
-# -- two-byte keys -------------------------------------------------------------------
+def artifact_bytes(group, classes, profiles):
+    analysis = Analysis(group, classes, profiles)
+    return class_csv(analysis).encode(), class_json(analysis).encode()
 
 
-def test_key_width_follows_the_line_count():
-    assert CoxeterGroup(CoxeterType.irreducible("I", 256)).line_action.width == 1
-    assert CoxeterGroup(CoxeterType.irreducible("I", 257)).line_action.width == 2
+@pytest.mark.parametrize("family,n", [("B", 5), ("D", 6), ("E", 6)])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_analyze_artifacts_ignore_generator_order(cache, family, n, data):
+    # the census's per-generator masks and the profiles' generating sets
+    # both come from these generators
+    expected = artifact_bytes(
+        cache.group(family, n), cache.classes(family, n), cache.profiles(family, n)
+    )
+    gens = list(cache.group(family, n).handle.gens)
+    for order in (gens[::-1], data.draw(st.permutations(gens))):
+        group = CoxeterGroup(CoxeterType.irreducible(family, n))
+        group.handle = SubgroupHandle.from_gens(group.n_points, order)
+        classes = enumerate_involution_classes(group)
+        assert artifact_bytes(group, classes, profiles_for_group(group, classes)) == expected
+
+
+# -- bitmask keys --------------------------------------------------------------------
+
+
+def test_key_sets_one_bit_per_line(cache):
+    group = cache.group("B", 5)
+    action = group.line_action
+    lines = group.lines
+    assert action.key(lines[:3]) == 0b111
+    assert action.key([group.neg[lines[4]], lines[4], lines[0]]) == 0b10001
+    assert action.key([]) == 0
+
+
+@pytest.mark.parametrize("family,n", [("B", 5), ("E", 6), ("H", 3)])
+def test_moved_line_memo_maps_keys_as_the_root_permutation_does(cache, family, n):
+    group = cache.group(family, n)
+    action = group.line_action
+    lines = group.lines
+    full = (1 << len(lines)) - 1
+
+    def position(root):
+        return lines.index(root if root in lines else group.neg[root])
+
+    def image_key(g, subset):
+        return sum(1 << position(g[l]) for l in subset)
+
+    rng = random.Random(10)
+    assert len(action.generators) == len(group.handle.gens)
+    for g, (keep, moved, table) in zip(group.handle.gens, action.generators):
+        stays = [l for l in lines if position(g[l]) == position(l)]
+        assert moved == full ^ sum(1 << position(l) for l in stays)
+        assert keep == full ^ moved
+        images = _MovedImages(table)
+        for _ in range(300):
+            subset = rng.sample(lines, rng.randint(0, len(lines)))
+            x = sum(1 << position(l) for l in subset)
+            m = x & moved
+            assert m or image_key(g, subset) == x
+            assert (x & keep) | images[m] == image_key(g, subset)
+        # a generator fixes every set of the lines it does not move, and
+        # the set of all lines
+        for subset in (stays, rng.sample(stays, len(stays) // 2), lines):
+            x = sum(1 << position(l) for l in subset)
+            assert (x & keep) | images[x & moved] == x == image_key(g, subset)
 
 
 @pytest.mark.parametrize("m", [257, 300, 1024])
 def test_wide_dihedral_census_matches_reference_rows(m):
     group = CoxeterGroup(CoxeterType.irreducible("I", m))
-    assert group.line_action.width == 2
     got = sorted((c.degree, c.label, c.size) for c in enumerate_involution_classes(group))
     want = sorted(
         (r.degree, label, r.class_size)
@@ -151,12 +224,3 @@ def test_wide_dihedral_census_matches_reference_rows(m):
         for label in r.labels
     )
     assert got == want
-
-
-@pytest.mark.parametrize("family,n", [("B", 5), ("D", 5)])
-def test_two_byte_keys_give_the_same_census(cache, family, n):
-    group = CoxeterGroup(CoxeterType.irreducible(family, n))
-    group.line_action = LineAction(group.handle.gens, group.lines, group.neg, width=2)
-    key = group.line_action.key(group.lines[:3])
-    assert key == pack((0, 1, 2), 2)
-    assert census(enumerate_involution_classes(group)) == census(cache.classes(family, n))

@@ -324,7 +324,7 @@ def test_plus_normalizer_asymmetry_in_a2(cache):
     group = cache.group("A", 2)
     u = group.reflection_perm(group.lines[0])
     assert group.fixed_lines(u) == []
-    assert conjugacy_class_set(group.line_action, b"") == {b""}
+    assert conjugacy_class_set(group.line_action, 0) == {0}
     assert group.order == 6
     assert centralizer(group, u, class_size=3).order() == 2
 
