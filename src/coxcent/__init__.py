@@ -14,7 +14,7 @@ from .involutions import (
     enumerate_involution_classes,
     first_cube,
 )
-from .permengine import SubgroupHandle, fingerprint
+from .permengine import SubgroupHandle
 from .rootsys import (
     CapabilityError,
     DihedralModel,
@@ -59,7 +59,6 @@ __all__ = [
     "expected_rows",
     "extended_diagram_Y",
     "factored",
-    "fingerprint",
     "first_cube",
     "profiles_for_group",
     "reflection_subgroup_type",

@@ -40,7 +40,8 @@ class PredictedProfile:
 
 def canonical_gamma(kind: str, r: int) -> tuple[str, int]:
     """Collapse degenerate structure labels: Sym_0 = Sym_1 = 1 and
-    Sym_r x C2 = Sym_2 for r <= 1, matching the fingerprint's preference."""
+    Sym_r x C2 = Sym_2 for r <= 1, as `permengine.fingerprint` labels a
+    group of order 2."""
     if kind == "sym":
         return ("sym", max(r, 1))
     if r <= 1:

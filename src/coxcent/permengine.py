@@ -2,8 +2,8 @@
 
 A deterministic Schreier-Sims implementation provides exact orders and
 membership tests; on top of it sit generic orbit/stabilizer computation,
-coset quotients by reflection subgroups and a structure fingerprint for
-the small quotient groups.
+the quotient by a normal reflection subgroup as its complement acting on
+the roots, and structure labels proved from that complement's orbits.
 Nothing here is randomized: base points, orbit orders and transversals are
 fixed functions of the input, which is what makes every downstream table
 byte-reproducible.
@@ -12,19 +12,16 @@ byte-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import factorial
 
 from .perms import (
     Perm,
     compose,
-    conjugate,
     identity,
     inverse,
     is_identity,
     pack,
     pack_width,
-    perm_order,
     unpack,
 )
 
@@ -211,13 +208,6 @@ class SubgroupHandle:
 # -- orbits and stabilizers ----------------------------------------------------
 
 
-def make_conjugation_action(width: int):
-    def act(g: Perm, x: bytes) -> bytes:
-        return pack(conjugate(unpack(x, width), g), width)
-
-    return act
-
-
 def orbit_stabilizer(
     n_points: int,
     gens: list[Perm],
@@ -345,25 +335,27 @@ def conjugacy_class_set(action: LineAction, key: int) -> set[int]:
     return seen
 
 
-# -- quotients -----------------------------------------------------------------
+# -- the reflection quotient ------------------------------------------------------
 
 
 class QuotientGroup:
-    """The action of a group on the right cosets of a normal reflection
-    subgroup W1, realized through W1's root system.
+    """The quotient of a group by a normal reflection subgroup W1, realized
+    as its complement N, the stabilizer of a positive system, on the roots.
 
     `reflections` maps every root of a positive system Phi1+ of W1's root
     system Phi1 to its reflection.  W1 acts simply transitively on the
     positive systems of Phi1 (R. B. Howlett, J. London Math. Soc. 21,
-    1980), so each coset W1 x holds exactly one y with y(Phi1+) = Phi1+.
-    Descent reaches it: while a simple root a of Phi1+ has y(a) outside
-    Phi1+, replace y by s_a y (s_a first, then y), which sends one root
-    fewer of Phi1+ out of Phi1+.  These representatives form the
-    stabilizer of Phi1+, a complement of W1.  `image` is the quotient map
-    onto permutations of coset indices.
+    1980), so each coset W1 x holds exactly one y with y(Phi1+) = Phi1+,
+    and these y form N = Stab(Phi1+), a complement of W1 (B. Brink and
+    R. B. Howlett, Invent. Math. 136, 1999).  Descent reaches y: while a
+    simple root a of Phi1+ has y(a) outside Phi1+, replace y by s_a y (s_a
+    first, then y), which sends one root fewer of Phi1+ out of Phi1+.
+    `image`, the descent, is the quotient map onto N; `handle` is N,
+    generated by the descents of the group's generators, and `size` = |N|
+    is the order of its stabilizer chain on the roots.
     """
 
-    def __init__(self, group: SubgroupHandle, reflections: dict[int, Perm], max_index=10_000):
+    def __init__(self, group: SubgroupHandle, reflections: dict[int, Perm]):
         positive = frozenset(reflections)
         roots = positive | {s[a] for a, s in reflections.items()}
         # g normalizes W1 when it maps Phi1 onto itself: g^-1 s_a g = s_(g(a))
@@ -375,29 +367,12 @@ class QuotientGroup:
             for a, s in reflections.items()
             if all(s[b] in positive for b in positive if b != a)
         ]
-        ident = identity(group.n_points)
-        reps = [ident]
-        lookup = {ident: 0}
-        i = 0
-        while i < len(reps):
-            rep = reps[i]
-            i += 1
-            for s in group.gens:
-                c = self._canonical(compose(rep, s))
-                if c not in lookup:
-                    if len(reps) == max_index:
-                        raise MembershipError(
-                            f"more than {max_index} cosets for a coset action"
-                        )
-                    lookup[c] = len(reps)
-                    reps.append(c)
-        self.reps = reps
-        self.lookup = lookup
-        self.size = len(reps)
-        self.gens = [self.image(s) for s in group.gens]
-        self.handle = SubgroupHandle.from_gens(self.size, self.gens)
+        self.handle = SubgroupHandle.from_gens(
+            group.n_points, [self.image(g) for g in group.gens]
+        )
+        self.size = self.handle.order()
 
-    def _canonical(self, y: Perm) -> Perm:
+    def image(self, y: Perm) -> Perm:
         """The element of the coset W1 y that maps Phi1+ onto itself."""
         positive = self.positive
         while True:
@@ -408,89 +383,17 @@ class QuotientGroup:
             else:
                 return y
 
-    def image(self, p: Perm) -> Perm:
-        """The permutation induced on cosets by right multiplication."""
-        return tuple(
-            self.lookup[self._canonical(compose(rep, p))] for rep in self.reps
-        )
+    @property
+    def reps(self) -> list[Perm]:
+        """The elements of N, one per coset, the identity first."""
+        return self.handle.elements()
 
 
-def quotient_action(group: SubgroupHandle, reflections: dict[int, Perm], max_index=10_000):
-    return QuotientGroup(group, reflections, max_index)
+def quotient_action(group: SubgroupHandle, reflections: dict[int, Perm]):
+    return QuotientGroup(group, reflections)
 
 
-# -- structure fingerprinting ----------------------------------------------------
-
-
-def _group_invariants(n_points: int, gens: list[Perm], limit: int) -> tuple:
-    handle = SubgroupHandle.from_gens(n_points, gens)
-    elements = handle.elements(limit=limit)
-    order_counts: dict[int, int] = {}
-    for e in elements:
-        o = perm_order(e)
-        order_counts[o] = order_counts.get(o, 0) + 1
-    center = sum(
-        1
-        for e in elements
-        if all(compose(e, g) == compose(g, e) for g in handle.gens)
-    )
-    derived = _derived_subgroup_order(handle)
-    abelian = center == len(elements)
-    return (
-        len(elements),
-        tuple(sorted(order_counts.items())),
-        center,
-        derived,
-        abelian,
-    )
-
-
-def _derived_subgroup_order(handle: SubgroupHandle) -> int:
-    gens = handle.gens
-    if not gens:
-        return 1
-    commutators = []
-    for a in gens:
-        for b in gens:
-            c = compose(compose(inverse(a), inverse(b)), compose(a, b))
-            if not is_identity(c):
-                commutators.append(c)
-    derived = BSGS(handle.n_points, commutators)
-    frontier = list(commutators)
-    while frontier:
-        x = frontier.pop()
-        for s in gens:
-            y = conjugate(x, s)
-            if not derived.contains(y):
-                derived.add_generator(y)
-                frontier.append(y)
-    return derived.order()
-
-
-@lru_cache(maxsize=None)
-def _sym_reference(r: int) -> tuple:
-    if r <= 1:
-        return _group_invariants(1, [], limit=2)
-    gens = []
-    for i in range(r - 1):
-        img = list(range(r))
-        img[i], img[i + 1] = img[i + 1], img[i]
-        gens.append(tuple(img))
-    return _group_invariants(r, gens, limit=factorial(r) + 1)
-
-
-@lru_cache(maxsize=None)
-def _sym_x_c2_reference(r: int) -> tuple:
-    pts = max(r, 1) + 2
-    gens = []
-    for i in range(r - 1):
-        img = list(range(pts))
-        img[i], img[i + 1] = img[i + 1], img[i]
-        gens.append(tuple(img))
-    swap = list(range(pts))
-    swap[pts - 2], swap[pts - 1] = swap[pts - 1], swap[pts - 2]
-    gens.append(tuple(swap))
-    return _group_invariants(pts, gens, limit=2 * factorial(max(r, 1)) + 1)
+# -- structure labels from orbits ------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -500,31 +403,65 @@ class StructureLabel:
     kind: str  # "sym" | "sym_x_c2" | "other"
     r: int
     order: int
-    invariants: tuple = ()
 
     def __str__(self) -> str:
         if self.kind == "sym":
             return f"Sym{self.r}"
         if self.kind == "sym_x_c2":
             return "C2xC2" if self.r == 2 else f"Sym{self.r}xC2"
-        return f"other({self.order}; {self.invariants})"
+        return f"other({self.order})"
 
 
-def fingerprint(handle: SubgroupHandle, max_order: int = 96) -> StructureLabel:
-    """Identify a small group among {Sym_r, Sym_r x C2, other}.
+def _orbits(handle: SubgroupHandle) -> list[list[int]]:
+    seen: set[int] = set()
+    orbits = []
+    for p in range(handle.n_points):
+        if p not in seen:
+            seen.add(p)
+            orbit = [p]
+            for x in orbit:
+                for g in handle.gens:
+                    if g[x] not in seen:
+                        seen.add(g[x])
+                        orbit.append(g[x])
+            orbits.append(orbit)
+    return orbits
 
-    The invariants (order, element-order multiset, center and derived-group
-    orders, abelianness) separate the symmetric groups and their order-2
-    extensions from every other group of the orders that occur here.
+
+def _restricted_order(handle: SubgroupHandle, points: list[int]) -> int:
+    """The order of the group induced on a union of orbits."""
+    index = {p: i for i, p in enumerate(points)}
+    gens = [tuple(index[g[p]] for p in points) for g in handle.gens]
+    return SubgroupHandle.from_gens(len(points), gens).order()
+
+
+def fingerprint(handle: SubgroupHandle) -> StructureLabel:
+    """Identify a group as Sym_r or Sym_r x C2, with a proof read off its
+    orbits, or else label it other.
+
+    Restriction to a union U of orbits is a homomorphism into Sym(U), and
+    one whose image has the group's order is injective.  So an orbit O1 of
+    size r whose restriction has order r! = |G| proves G = Sym(O1), and an
+    r-orbit O1 with a 2-orbit O2 whose joint restriction has order
+    2 r! = |G| proves G = Sym(O1) x Sym(O2).  Sym_r is tried first, so a
+    group of order 2 is Sym2.
     """
     order = handle.order()
-    if order > max_order:
-        raise MembershipError(f"order {order} exceeds the fingerprint bound")
-    inv = _group_invariants(handle.n_points, handle.gens, limit=max_order + 1)
-    for r in range(1, 8):
-        if factorial(r) == order and _sym_reference(r) == inv:
+    by_size: dict[int, list[list[int]]] = {}
+    for orbit in _orbits(handle):
+        by_size.setdefault(len(orbit), []).append(orbit)
+    r = 1
+    while factorial(r) <= order:
+        if factorial(r) == order and any(
+            _restricted_order(handle, o1) == order for o1 in by_size.get(r, ())
+        ):
             return StructureLabel("sym", r, order)
-    for r in range(0, 8):
-        if 2 * factorial(max(r, 1)) == order and _sym_x_c2_reference(r) == inv:
+        if r >= 2 and 2 * factorial(r) == order and any(
+            _restricted_order(handle, o1 + o2) == order
+            for o1 in by_size.get(r, ())
+            for o2 in by_size.get(2, ())
+            if o2 is not o1
+        ):
             return StructureLabel("sym_x_c2", r, order)
-    return StructureLabel("other", 0, order, inv)
+        r += 1
+    return StructureLabel("other", 0, order)

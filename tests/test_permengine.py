@@ -1,5 +1,5 @@
-"""Stabilizer chains, orbits, quotients and fingerprints, validated against
-brute-force closures."""
+"""Stabilizer chains, orbits, quotients and structure labels, validated
+against brute-force closures."""
 
 from __future__ import annotations
 
@@ -146,12 +146,6 @@ def test_quotient_sym3_from_b3():
     assert q.image(compose(a, b)) == compose(q.image(a), q.image(b))
 
 
-def test_quotient_respects_index_bound():
-    group, _ = coxeter_gens("B", 3)
-    with pytest.raises(MembershipError):
-        quotient_action(group.handle, {}, max_index=10)
-
-
 def test_quotient_requires_normal():
     group, _ = coxeter_gens("A", 3)
     line = group.lines[0]
@@ -198,9 +192,26 @@ def test_fingerprint_other():
     assert label.order == 8
 
 
-def test_fingerprint_order_gate():
-    with pytest.raises(MembershipError):
-        fingerprint(_sym_handle(5), max_order=96)
+def test_fingerprint_needs_a_faithful_orbit():
+    # Sym3 on a 3-orbit and, through the sign, on a 2-orbit: order 6 = 3!,
+    # so it is Sym3 and not Sym3 x C2
+    gens = [(1, 0, 2, 4, 3), (0, 2, 1, 4, 3)]
+    label = fingerprint(SubgroupHandle.from_gens(5, gens))
+    assert str(label) == "Sym3"
+    # C6, regular on 6 points, has order 3! but no 3-orbit: other
+    label = fingerprint(SubgroupHandle.from_gens(6, [(1, 2, 3, 4, 5, 0)]))
+    assert label.kind == "other" and label.order == 6
+    # nor with a 3-orbit it acts on through C3
+    c6 = (1, 2, 3, 4, 5, 0, 7, 8, 6)
+    assert fingerprint(SubgroupHandle.from_gens(9, [c6])).kind == "other"
+    # C12 of order 2 * 3!, regular, and through C3 and C2 on a 3-orbit and
+    # a 2-orbit, whose joint restriction has order 6 only
+    c12 = tuple((i + 1) % 12 for i in range(12)) + (13, 14, 12, 16, 15)
+    label = fingerprint(SubgroupHandle.from_gens(17, [c12]))
+    assert label.kind == "other" and label.order == 12
+    # a larger symmetric group, beyond any element listing
+    label = fingerprint(_sym_handle(8))
+    assert (label.kind, label.r, label.order) == ("sym", 8, factorial(8))
 
 
 def test_bsgs_determinism():

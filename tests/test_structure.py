@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxcent import structure
-from coxcent.permengine import BSGS, conjugacy_class_set
-from coxcent.perms import compose, conjugate
+from coxcent.permengine import BSGS, SubgroupHandle, conjugacy_class_set
+from coxcent.perms import compose, conjugate, inverse
 from coxcent.scalars import Scalar
 from coxcent.structure import (
     CHECK_NAMES,
@@ -37,6 +37,7 @@ from oracles import (
     closed_projection,
     invariant_form,
     normalizer_of_reflection_subgroup,
+    orbit_stabilizer,
     projection_normals,
 )
 
@@ -55,13 +56,14 @@ def test_centralizer_orders_match_class_sizes(cache):
             assert c.contains(cls.rep)
 
 
-def test_centralizer_schreier_fallback(cache):
-    # With no seeds the seeded path cannot reach |G| / |class|, so the
-    # Schreier scan of the conjugation orbit has to find the centralizer.
+def test_centralizer_short_of_its_order_is_a_violation(cache):
+    # By Theorem 1.1 the degree-<=2 involutions of C(u) generate it, so
+    # seeds that fall short of |G| / |class| are a violation.
     group = cache.group("A", 3)
     u = group.reflection_perm(group.lines[0])
-    assert centralizer(group, u, class_size=6, seeds=[]).order() == 4  # <s> x A1
-    # a class size that contradicts the scanned centralizer is a violation
+    with pytest.raises(ViolationError):
+        centralizer(group, u, class_size=6, seeds=[])
+    # a class size too small for the centralizer is a violation too
     with pytest.raises(ViolationError):
         centralizer(group, u, class_size=3)
 
@@ -249,6 +251,26 @@ def test_a_family_tilde_types(cache):
     assert str(p.plus_type) == "A1"
     assert str(p.tilde_plus_type) == "A1^2"
     assert p.gamma_structure.kind == "sym" and p.gamma_structure.r == 2
+
+
+def test_normalizer_check_needs_generators_inside_the_normalizer(cache):
+    # a reflection that does not commute with u moves u's minus roots, so
+    # put among the generators of the centralizer it fails check 2.3
+    for family, n, degree in [("B", 4, 2), ("E", 6, 2), ("H", 3, 1)]:
+        group = cache.group(family, n)
+        cls = next(c for c in cache.classes(family, n) if c.degree == degree)
+        data = _compute_class_data(group, cls)
+        assert check_normalizer(data).status == "pass"
+        u = cls.rep
+        stranger = next(
+            s
+            for s in map(group.reflection_perm, group.lines)
+            if compose(s, u) != compose(u, s)
+        )
+        result = check_normalizer(
+            replace(data, deg2_involutions=data.deg2_involutions + [stranger])
+        )
+        assert result.status == "fail" and "move the minus roots" in result.detail
 
 
 def test_normalizer_examples(cache):
@@ -449,6 +471,38 @@ def test_complement_check_fails_without_an_involution_class(cache, family, n, la
         kept = [x for x in data.deg2_involutions if x not in n_class]
         result = check_complement(replace(data, deg2_involutions=kept))
         assert result.status == "fail", (label, result.detail)
+
+
+@pytest.mark.parametrize(
+    "family,n", [("B", 5), ("D", 6), ("E", 6), ("F", 4), ("H", 3), ("H", 4)]
+)
+def test_quotient_is_the_stabilizer_of_the_positive_system(cache, family, n):
+    # |Gamma| is the order of Stab(Phi1+) in C(u), computed here as the
+    # stabilizer of the sorted positive-root tuple; each image of a
+    # generator of C(u) keeps Phi1+ and lies in its coset of W1
+    group = cache.group(family, n)
+    for cls in cache.classes(family, n):
+        if cls.mirror_of is not None:
+            continue
+        u = cls.rep
+        g_u = centralizer(group, u, cls.size)
+        lines = group.fixed_lines(u) + group.negated_lines(u)
+        reflections = {l: group.reflection_perm(l) for l in lines}
+        q = structure.quotient_action(g_u, reflections)
+        _, stab = orbit_stabilizer(
+            group.n_points,
+            g_u.gens,
+            tuple(sorted(q.positive)),
+            lambda g, xs: tuple(sorted(g[x] for x in xs)),
+            group_order=g_u.order(),
+        )
+        assert q.size == stab.order(), (family, n, cls.label)
+        assert q.size == _compute_class_data(group, cls).profile.gamma_order
+        w1 = SubgroupHandle.from_gens(group.n_points, reflections.values())
+        for g in g_u.gens:
+            y = q.image(g)
+            assert all(y[a] in q.positive for a in q.positive)
+            assert w1.contains(compose(y, inverse(g)))
 
 
 def test_quotient_by_a_root_set_missing_a_line_is_caught(monkeypatch, cache):

@@ -68,6 +68,15 @@ def test_compare_rows_reports_differences(cache):
     assert diffs[0].column == "gamma"
 
 
+def test_a11_rows_match_the_model(cache):
+    # the degree-6 class of A11 has the largest reflection quotient the
+    # golden set does not reach, Sym6 of order 720
+    analysis = _analysis(cache, "A", 11)
+    assert any(str(p.gamma_structure) == "Sym6" for p in analysis.profiles)
+    got = computed_rows(analysis.group, analysis.profiles)
+    assert compare_rows(expected_rows(CoxeterType.irreducible("A", 11)), got) == []
+
+
 def test_verify_small_types(cache):
     for family, n in [("I", 5), ("I", 7), ("I", 12), ("B", 2), ("D", 6)]:
         _, diffs = verify_type(CoxeterType([(family, n)]))
