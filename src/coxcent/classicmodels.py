@@ -33,10 +33,6 @@ class PredictedProfile:
         base = factorial(max(self.gamma_r, 1))
         return base if self.gamma_kind == "sym" else 2 * base
 
-    @property
-    def gamma_canonical(self) -> tuple[str, int]:
-        return canonical_gamma(self.gamma_kind, self.gamma_r)
-
 
 def canonical_gamma(kind: str, r: int) -> tuple[str, int]:
     """Collapse degenerate structure labels: Sym_0 = Sym_1 = 1 and

@@ -15,7 +15,7 @@ from pathlib import Path
 from .coxtype import CoxeterType
 from .group import CoxeterGroup
 from .involutions import enumerate_involution_classes
-from .rootsys import CapabilityError
+from .rootsys import DEFAULT_MAX_RANK, CapabilityError
 from .structure import (
     CHECK_NAMES,
     RecognitionError,
@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument("--rank", type=int, help="rank for families A/B/D")
             p.add_argument("--m", type=int, help="m for I2(m)")
-        p.add_argument("--max-rank", type=int, default=12)
+        p.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
         p.add_argument("--out", help="directory for output artifacts")
         large = p.add_mutually_exclusive_group()
         large.add_argument("--large", action="store_true", help="enable E8")

@@ -136,9 +136,6 @@ class CoxeterType:
     def root_count(self) -> int:
         return sum(_component_roots(c) for c in self.components)
 
-    def reflection_count(self) -> int:
-        return self.root_count() // 2
-
     def __mul__(self, other: "CoxeterType") -> "CoxeterType":
         return CoxeterType(self.components + other.components)
 

@@ -7,7 +7,7 @@ from functools import cached_property
 from .coxtype import CoxeterType
 from .permengine import LineAction, SubgroupHandle
 from .perms import Perm, compose
-from .rootsys import DihedralModel, RootSystem, build_system
+from .rootsys import DEFAULT_MAX_RANK, DihedralModel, RootSystem, build_system
 
 
 class CoxeterGroup:
@@ -18,7 +18,7 @@ class CoxeterGroup:
     its Coxeter type.
     """
 
-    def __init__(self, ctype: CoxeterType, max_rank: int = 12):
+    def __init__(self, ctype: CoxeterType, max_rank: int = DEFAULT_MAX_RANK):
         if not ctype.is_irreducible():
             raise ValueError("CoxeterGroup wants an irreducible type")
         self.ctype = ctype

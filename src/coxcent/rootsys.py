@@ -14,12 +14,10 @@ visible on the abstract 2m-point root circle (see :class:`DihedralModel`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .coxtype import CoxeterType
-from .linalg import Matrix
 from .perms import Perm, conjugate
 from .scalars import GOLDEN, Scalar
 
@@ -66,17 +64,6 @@ def _dynkin_data(family: str, n: int):
         ]
         return edges, [Scalar(2)] * n
     raise CapabilityError(f"no root datum for {family}{n}")
-
-
-@dataclass
-class GroupElement:
-    """A group element as a root permutation, with its exact matrix on V."""
-
-    perm: Perm
-    system: "RootSystem"
-
-    def matrix(self) -> Matrix:
-        return self.system.matrix_of_perm(self.perm)
 
 
 class RootSystem:
@@ -216,20 +203,8 @@ class RootSystem:
         """Permutation of root indices induced by the reflection in root `line`."""
         return self._reflection_perms[line]
 
-    def reflection(self, line: int) -> GroupElement:
-        return GroupElement(self.reflection_perm(line), self)
-
     def generators(self) -> list[Perm]:
         return [self.reflection_perm(i) for i in self.simple]
-
-    # -- matrices ----------------------------------------------------------
-
-    def matrix_of_perm(self, perm: Perm) -> Matrix:
-        cols = [self.roots[perm[s]] for s in self.simple]
-        return tuple(
-            tuple(Scalar.of(cols[c][r]) for c in range(self.rank))
-            for r in range(self.rank)
-        )
 
     def degree_of(self, perm: Perm) -> int:
         """dim of the (-1)-eigenspace of an involution: its eigenvalues are
@@ -319,11 +294,6 @@ class DihedralModel:
         if self.m % 2:
             return False
         return (i - j) % self.m == self.m // 2
-
-    def is_long(self, i: int) -> bool:
-        # All dihedral roots play symmetric roles; length classes are not
-        # meaningful for the abstract model.
-        return True
 
     def degree_of(self, perm: Perm) -> int:
         if all(i == x for i, x in enumerate(perm)):

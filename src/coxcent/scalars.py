@@ -44,9 +44,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
-    def is_rational(self) -> bool:
-        return not self.b
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 

@@ -14,9 +14,10 @@ For an involution u the centralizer G_u splits along V = V+ (+) V-:
   Sym_r x C2) is proved by restricting N to its orbits.
 
 The orders in the cross-checks come from three separate sources, so no
-identity asserted here rides on the statement it is checking: |G_u| and
-the projection orders from stabilizer chains (of the centralizer, and of
-the reflection groups on the normal-vector sets); |G_u^+| and
+identity asserted here rides on the statement it is checking: |G_u| from
+the centralizer's stabilizer chain, and the projection orders from the
+reflection groups on the normals (a stabilizer chain on them, or, on a
+line, whether there is a normal, and on all of V, |W|); |G_u^+| and
 |G_u^-| from the Coxeter types recognized on their root sets; |Gamma| as
 |N|, from N's own stabilizer chain on the roots, with
 |G1| = |G_u| / |Gamma|.
@@ -149,23 +150,26 @@ def classify_coxeter_graph(nodes: list, m) -> CoxeterType:
 # -- reflection subgroups of the ambient group ------------------------------------
 
 
-def _dihedral_subset_type(group: CoxeterGroup, pos_lines: list[int]) -> CoxeterType:
-    k = len(pos_lines)
-    m = group.geometry.m
-    if k == 0:
-        return CoxeterType.trivial()
-    if k == 1:
-        return CoxeterType.irreducible("A", 1)
-    if k == 2 and group.orthogonal(pos_lines[0], pos_lines[1]):
-        return CoxeterType([("A", 1), ("A", 1)])
-    if m % k == 0:
-        step = m // k
-        diffs = {
-            (pos_lines[i + 1] - pos_lines[i]) for i in range(k - 1)
-        }
-        if diffs == {step}:
-            return CoxeterType([("I", k)])
-    raise RecognitionError("dihedral root subset is not a subsystem")
+def _recognize(positive, reflection) -> CoxeterType:
+    """Coxeter type of a reflection group, from the positive roots of its
+    root set and each one's reflection as a permutation of that set.
+
+    A positive root is simple iff its reflection keeps every other positive
+    root positive (J. E. Humphreys, Reflection Groups and Coxeter Groups,
+    1990, 1.4-1.7); two simple roots bond with the order of the product of
+    their reflections.
+    """
+    pos = set(positive)
+    simples = []
+    for a in sorted(pos):
+        pa = reflection(a)
+        if all(pa[b] in pos for b in pos if b != a):
+            simples.append(a)
+
+    def bond(a: int, b: int) -> int:
+        return perm_order(compose(reflection(a), reflection(b)))
+
+    return classify_coxeter_graph(simples, bond)
 
 
 def reflection_subgroup_type(group: CoxeterGroup, rootset) -> CoxeterType:
@@ -178,23 +182,11 @@ def reflection_subgroup_type(group: CoxeterGroup, rootset) -> CoxeterType:
     if any(neg[r] not in rootset for r in rootset):
         raise ValueError("root set is not closed under negation")
     pos = sorted(r for r in rootset if r in group._line_set)
-    if group.is_dihedral:
-        return _dihedral_subset_type(group, pos)
-    pos_set = set(pos)
-    simples = []
     for a in pos:
         pa = group.reflection_perm(a)
         if any(pa[b] not in rootset for b in pos):
             raise ValueError("root set is not closed under its reflections")
-        if all(pa[b] in pos_set for b in pos if b != a):
-            simples.append(a)
-
-    def bond(i: int, j: int) -> int:
-        return perm_order(
-            compose(group.reflection_perm(i), group.reflection_perm(j))
-        )
-
-    ctype = classify_coxeter_graph(simples, bond)
+    ctype = _recognize(pos, group.reflection_perm)
     if ctype.root_count() != len(rootset):
         raise RecognitionError(
             f"recognized {ctype} but root counts disagree "
@@ -257,9 +249,7 @@ def centralizer(
 class TildeResult:
     ctype: CoxeterType
     order: int  # order of the reflection subgroup of the projection
-    expected_order: int  # |G_u| / |G_u^(opposite)|
     reflection_generated: bool
-    dim: int
 
 
 def _primitive(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -290,18 +280,17 @@ def _is_positive_direction(vec) -> bool:
 
 
 def _projection_entries(group: CoxeterGroup, u: Perm, side: str):
-    """(r, raw normal) for every root r with a degree-<=2 involution j of
-    G_u that acts on V_u^side as a reflection: r itself when u(r) = -r
-    (side "-") or u(r) = r (side "+"), with j = s_r; r -+ u(r) when u swaps
-    r with an orthogonal root u(r) != +-r, with j = s_r s_u(r)."""
-    roots, neg = group.root_system.roots, group.neg
-    sign = 1 if side == "+" else -1
+    """(r, u(r)) for every root r with a degree-<=2 involution j of G_u that
+    acts on V_u^side as a reflection: u(r) = -r (side "-") or u(r) = r (side
+    "+"), with j = s_r and normal r; or u swaps r with an orthogonal root
+    u(r) != +-r, with j = s_r s_u(r) and normal r -+ u(r)."""
+    neg = group.neg
     for r in range(group.n_points):
         ur = u[r]
-        if ur == (r if side == "+" else neg[r]):
-            yield r, roots[r]
-        elif ur != r and ur != neg[r] and group.orthogonal(r, ur):
-            yield r, tuple(a + sign * b for a, b in zip(roots[r], roots[ur]))
+        if ur == (r if side == "+" else neg[r]) or (
+            ur != r and ur != neg[r] and group.orthogonal(r, ur)
+        ):
+            yield r, ur
 
 
 def _projection_reflections(
@@ -315,6 +304,8 @@ def _projection_reflections(
     reflection in normal i sends normal k to the normal of j_i(rep_k),
     where j_i is the j of i's first entry and rep_k is k's first entry.
     """
+    roots, neg = group.root_system.roots, group.neg
+    sign = 1 if side == "+" else -1
     canonical = (
         _primitive if group.root_system.crystallographic else _canonical_direction
     )
@@ -322,7 +313,10 @@ def _projection_reflections(
     vectors: list[tuple] = []
     reps: list[int] = []
     root_vec: dict[int, int] = {}
-    for r, raw in _projection_entries(group, u, side):
+    for r, ur in _projection_entries(group, u, side):
+        raw = roots[r]
+        if ur != r and ur != neg[r]:
+            raw = tuple(a + sign * b for a, b in zip(raw, roots[ur]))
         v = canonical(raw)
         k = index.get(v)
         if k is None:
@@ -330,7 +324,6 @@ def _projection_reflections(
             vectors.append(v)
             reps.append(r)
         root_vec[r] = k
-    neg = group.neg
     perms = {}
     for k, (v, r) in enumerate(zip(vectors, reps)):
         if not _is_positive_direction(v):
@@ -353,70 +346,34 @@ def tilde_side(
     """The projection of G_u to GL(V_u^side) as a recognized reflection group.
 
     Its reflections come from the degree-<=2 involutions of G_u (see
-    `_projection_entries`), and their permutations of the normals are read
-    off those involutions' permutations of the roots, with no arithmetic
-    in the field.  The projection equals the reflection subgroup these
-    normals generate precisely when its order matches |G_u| / |G_u^opp|,
-    which is what `reflection_generated` records.
+    `_projection_entries`).  On all of V, u = +-1 and the projection is W.
+    On a line or a point the normals are all parallel, so the group is A1
+    if there is one and trivial otherwise.  In between, each reflection's
+    permutation of the normals is read off its involution's permutation of
+    the roots, with no arithmetic in the field.  The projection equals the
+    reflection subgroup these normals generate precisely when its order
+    matches |G_u| / |G_u^opp| (`expected_order`), which is what
+    `reflection_generated` records.
     """
-    if group.is_dihedral:
-        return _dihedral_tilde(group, u, side, expected_order)
-    rank = group.root_system.rank
+    rank = group.geometry.rank
     deg = group.degree(u)
     dim = deg if side == "-" else rank - deg
-    if dim == 0:
-        return TildeResult(CoxeterType.trivial(), 1, expected_order, expected_order == 1, 0)
     if dim == rank:
-        ctype = reflection_subgroup_type(group, range(group.n_points))
-        order = group.order
-        return TildeResult(ctype, order, expected_order, order == expected_order, dim)
-
-    vectors, perms = _projection_reflections(group, u, side)
-    if not vectors:
-        return TildeResult(
-            CoxeterType.trivial(), 1, expected_order, expected_order == 1, dim
-        )
-    order = SubgroupHandle.from_gens(len(vectors), list(perms.values())).order()
-    simples = [
-        k
-        for k, p in perms.items()
-        if all(p[x] in perms for x in perms if x != k)
-    ]
-
-    def bond(a, b):
-        return perm_order(compose(perms[a], perms[b]))
-
-    ctype = classify_coxeter_graph(simples, bond)
-    if ctype.root_count() != len(vectors) or ctype.order() != order:
-        raise RecognitionError(
-            f"projection classified as {ctype} but orders disagree"
-        )
-    return TildeResult(ctype, order, expected_order, order == expected_order, dim)
-
-
-def _dihedral_tilde(group, u, side, expected_order) -> TildeResult:
-    deg = group.degree(u)
-    dim = deg if side == "-" else 2 - deg
-    if dim == 0 or expected_order == 1:
-        return TildeResult(
-            CoxeterType.trivial(), 1, expected_order, expected_order == 1, dim
-        )
-    if dim == 1:
-        # A finite subgroup of GL on a line is 1 or {1, -1}; the latter is
-        # the reflection group A1, so the projection is reflection-generated
-        # exactly when its order is at most 2.
-        ctype = CoxeterType.irreducible("A", 1)
-        return TildeResult(
-            ctype, expected_order, expected_order, expected_order == 2, dim
-        )
-    ctype = group.ctype
-    return TildeResult(
-        ctype,
-        expected_order,
-        expected_order,
-        expected_order == ctype.order(),
-        dim,
-    )
+        ctype, order = group.ctype, group.order
+    elif dim <= 1:
+        if next(_projection_entries(group, u, side), None) is None:
+            ctype, order = CoxeterType.trivial(), 1
+        else:
+            ctype, order = CoxeterType.irreducible("A", 1), 2
+    else:
+        vectors, perms = _projection_reflections(group, u, side)
+        order = SubgroupHandle.from_gens(len(vectors), list(perms.values())).order()
+        ctype = _recognize(list(perms), perms.__getitem__)
+        if ctype.root_count() != len(vectors) or ctype.order() != order:
+            raise RecognitionError(
+                f"projection classified as {ctype} but orders disagree"
+            )
+    return TildeResult(ctype, order, order == expected_order)
 
 
 def gamma(
@@ -571,10 +528,6 @@ class CheckResult:
     subject: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status in ("pass", "skipped")
 
 
 def check_theorem_1_1(data: ClassData) -> CheckResult:

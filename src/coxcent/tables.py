@@ -19,6 +19,7 @@ from .classicmodels import predicted_rows
 from .coxtype import CoxeterType, factored
 from .group import CoxeterGroup
 from .involutions import InvolutionClass, enumerate_involution_classes, first_cube
+from .rootsys import DEFAULT_MAX_RANK
 from .structure import CentralizerProfile, profiles_for_group
 
 SCHEMA_VERSION = 1
@@ -173,7 +174,7 @@ def printed_gamma(group: CoxeterGroup, profile: CentralizerProfile) -> str:
     cls = profile.cls
     if family == "A" and n >= 2:
         return str(cls.degree)
-    if family in ("B", "D") and not group.is_dihedral:
+    if family in ("B", "D"):
         a, a_fixed, b = cls.label.rstrip("+-").split(",")
         if family == "D" and int(a) > 0 and int(a_fixed) > 0:
             return f"{b},2"
@@ -240,7 +241,7 @@ class Analysis:
     profiles: list[CentralizerProfile]
 
 
-def analyze(ctype: CoxeterType, max_rank: int = 12) -> Analysis:
+def analyze(ctype: CoxeterType, max_rank: int = DEFAULT_MAX_RANK) -> Analysis:
     group = CoxeterGroup(ctype, max_rank=max_rank)
     classes = enumerate_involution_classes(group)
     profiles = profiles_for_group(group, classes)
@@ -298,7 +299,7 @@ def class_json(analysis: Analysis) -> str:
 
 
 def verify_type(
-    ctype: CoxeterType, fixture_path=None, max_rank: int = 12
+    ctype: CoxeterType, fixture_path=None, max_rank: int = DEFAULT_MAX_RANK
 ) -> tuple[list[TableRow], list[RowDiff]]:
     """The reference rows of a type and their differences from the
     computed rows.  The reference is read first, so a bad fixture fails

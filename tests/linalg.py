@@ -1,14 +1,17 @@
-"""Exact dense linear algebra over the Scalar field.
+"""Exact dense linear algebra over the Scalar field, an oracle for the tests.
 
-Matrices are tuples of row tuples of :class:`Scalar`.  Dimensions in this
-package never exceed 12, so plain Gaussian elimination is the right tool.
+Matrices are tuples of row tuples of :class:`Scalar`.  Dimensions here
+never exceed 12, so plain Gaussian elimination is the right tool.
 The pivot rule (first nonzero entry in column order) is fixed so that ranks,
 kernels and solutions are deterministic.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, Scalar
+from dataclasses import dataclass
+
+from coxcent.perms import Perm
+from coxcent.scalars import ONE, ZERO, Scalar
 
 Vector = tuple[Scalar, ...]
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -135,3 +138,30 @@ def solve(m: Matrix, rhs: Vector) -> Vector:
     for r, c in enumerate(pivots):
         x[c] = rows[r][n_cols]
     return tuple(x)
+
+
+# -- group elements as matrices in the simple-root basis ------------------------------
+
+
+def matrix_of_perm(rs, perm: Perm) -> Matrix:
+    """The matrix on V of the element of the root system `rs` that permutes
+    the root indices by `perm`: column k is the image of simple root k."""
+    cols = [rs.roots[perm[s]] for s in rs.simple]
+    return tuple(
+        tuple(Scalar.of(cols[c][r]) for c in range(rs.rank)) for r in range(rs.rank)
+    )
+
+
+@dataclass
+class GroupElement:
+    """A group element as a root permutation, with its exact matrix on V."""
+
+    perm: Perm
+    system: object
+
+    def matrix(self) -> Matrix:
+        return matrix_of_perm(self.system, self.perm)
+
+
+def reflection(rs, line: int) -> GroupElement:
+    return GroupElement(rs.reflection_perm(line), rs)

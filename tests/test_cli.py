@@ -7,6 +7,7 @@ import json
 import pytest
 
 from coxcent import cli
+from coxcent.rootsys import DEFAULT_MAX_RANK
 
 
 def run(argv) -> int:
@@ -65,6 +66,24 @@ def test_dihedral_m_over_bound_is_capability_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("capability error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "rank,max_rank", [(DEFAULT_MAX_RANK + 1, None), (3, 2)]
+)
+def test_rank_over_max_rank_is_capability_error(capsys, rank, max_rank):
+    # --max-rank defaults to the library's bound, and lowers it when given
+    argv = ["analyze", "--type", "B", "--rank", str(rank)]
+    if max_rank is not None:
+        argv += ["--max-rank", str(max_rank)]
+    assert run(argv) == 3
+    bound = DEFAULT_MAX_RANK if max_rank is None else max_rank
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"capability error: rank {rank} of family B "
+        f"exceeds the supported bound {bound}\n"
+    )
 
 
 def test_verify_all_wiring(monkeypatch, capsys):

@@ -4,8 +4,8 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxcent import linalg
-from coxcent.linalg import (
+import linalg
+from linalg import (
     identity,
     kernel_basis,
     mat_inv,
@@ -13,6 +13,7 @@ from coxcent.linalg import (
     mat_sub,
     mat_vec,
     matrix,
+    matrix_of_perm,
     rank,
     solve,
 )
@@ -107,14 +108,14 @@ def test_f4_degree2_plus_eigenspace_dimension():
     # kernel of (u + 1) for u a product of two orthogonal F4 reflections
     from coxcent.coxtype import CoxeterType
     from coxcent.group import CoxeterGroup
-    from coxcent.linalg import mat_neg
+    from linalg import mat_neg
     from coxcent.perms import compose
 
     group = CoxeterGroup(CoxeterType.irreducible("F", 4))
     first = group.lines[0]
     partner = next(l for l in group.lines if l != first and group.orthogonal(first, l))
     u = compose(group.reflection_perm(first), group.reflection_perm(partner))
-    m = group.root_system.matrix_of_perm(u)
+    m = matrix_of_perm(group.root_system, u)
     minus_space = kernel_basis(mat_sub(m, mat_neg(identity(4))))
     assert len(minus_space) == 2
     plus_space = kernel_basis(mat_sub(m, identity(4)))

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxcent import linalg
 from coxcent.coxtype import CoxeterType
 from coxcent.group import CoxeterGroup
 from coxcent.involutions import enumerate_involution_classes
@@ -18,6 +17,7 @@ from coxcent.permengine import SubgroupHandle, _MovedImages, conjugacy_class_set
 from coxcent.rootsys import signed_permutation
 from coxcent.structure import profiles_for_group
 from coxcent.tables import Analysis, class_csv, class_json, expected_rows
+import linalg
 
 
 def census(classes):
@@ -98,7 +98,7 @@ def matrix_signed_permutation(rs, perm):
     family = rs.ctype.components[0][0]
     s = _standard_basis_matrix(family, rs.rank)
     s_inv = linalg.mat_inv(s)
-    m = linalg.mat_mul(linalg.mat_mul(s, rs.matrix_of_perm(perm)), s_inv)
+    m = linalg.mat_mul(linalg.mat_mul(s, linalg.matrix_of_perm(rs, perm)), s_inv)
     sigma = []
     signs = []
     for j in range(rs.rank):

@@ -10,7 +10,6 @@ import pytest
 from coxcent.cli import ALL_SMALL
 from coxcent.coxtype import CoxeterType
 from coxcent.group import CoxeterGroup
-from coxcent.linalg import identity, mat_sub, rank
 from coxcent.permengine import SubgroupHandle
 from coxcent.perms import compose, is_identity, perm_order
 from coxcent.rootsys import (
@@ -22,6 +21,7 @@ from coxcent.rootsys import (
     signed_permutation,
 )
 from coxcent.structure import reflection_subgroup_type
+from linalg import identity, mat_sub, matrix_of_perm, rank
 
 
 def _rs(family, n):
@@ -112,7 +112,7 @@ def test_braid_order_in_a2():
 def test_reflection_matrix_squares_to_identity():
     rs = _rs("H", 3)
     for line in rs.positive[:5]:
-        m = rs.matrix_of_perm(rs.reflection_perm(line))
+        m = matrix_of_perm(rs, rs.reflection_perm(line))
         assert rank(mat_sub(m, identity(rs.rank))) == 1
 
 
@@ -129,7 +129,7 @@ def test_degree_from_trace_matches_rank(cache, family, n):
     # the reference is the exact rank of M - I
     rs = cache.group(family, n).root_system
     for cls in cache.classes(family, n):
-        m = rs.matrix_of_perm(cls.rep)
+        m = matrix_of_perm(rs, cls.rep)
         assert rs.degree_of(cls.rep) == rank(mat_sub(m, identity(rs.rank))) == cls.degree
 
 
@@ -178,12 +178,12 @@ def test_orthogonal_matches_the_form_rows(family, n):
 
 def test_eigenspace_dimensions_sum():
     # dim ker(u - 1) + dim ker(u + 1) = dim V for involutions
-    from coxcent.linalg import kernel_basis, mat_neg
+    from linalg import kernel_basis, mat_neg
 
     group = CoxeterGroup(CoxeterType.irreducible("B", 3))
     for line in group.lines[:3]:
         u = group.reflection_perm(line)
-        m = group.root_system.matrix_of_perm(u)
+        m = matrix_of_perm(group.root_system, u)
         plus = kernel_basis(mat_sub(m, identity(3)))
         minus = kernel_basis(mat_sub(m, mat_neg(identity(3))))
         assert len(plus) + len(minus) == 3

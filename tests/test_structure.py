@@ -32,6 +32,7 @@ from coxcent.structure import (
     run_property_suite,
     tilde_side,
 )
+from linalg import matrix_of_perm
 from oracles import (
     _VectorReflectionGroup,
     closed_projection,
@@ -168,9 +169,14 @@ def test_reflection_subgroup_type_trivial_and_whole(cache):
 
 
 def test_reflection_subgroup_type_rejects_unclosed(cache):
-    group = cache.group("B", 3)
-    with pytest.raises(ValueError):
-        reflection_subgroup_type(group, (group.lines[0],))
+    b3, i12 = cache.group("B", 3), cache.group("I", 12)
+    for group, rootset in [
+        (b3, (b3.lines[0],)),
+        # the lines at angles 0 and pi/12 generate all of I2(12)
+        (i12, lines_with_negatives(i12, [0, 1])),
+    ]:
+        with pytest.raises(ValueError):
+            reflection_subgroup_type(group, rootset)
 
 
 def test_recognizer_on_parabolic_subsets(cache):
@@ -209,6 +215,27 @@ def test_tilde_orders_are_reflection_subgroup_orders(cache):
             assert p.tilde_minus_order == p.order // p.plus_order
             assert p.tilde_plus_order == p.order // p.minus_order
             assert p.tilde_minus_order == p.tilde_minus_type.order() or p.tilde_minus_type.is_trivial()
+
+
+def test_tilde_side_on_a_line_matches_the_vector_path(cache):
+    # on a side of dimension <= 1, tilde_side reads the projection off
+    # whether any normal exists; the oracle closes the normals over the field
+    sides = 0
+    for family, n in [
+        ("A", 5), ("B", 5), ("D", 6), ("E", 6), ("F", 4), ("H", 3), ("H", 4)
+    ]:
+        group = cache.group(family, n)
+        form = invariant_form(group.root_system)
+        for cls in cache.classes(family, n):
+            for side, dim in (("-", cls.degree), ("+", n - cls.degree)):
+                if dim > 1:
+                    continue
+                sides += 1
+                normals = projection_normals(group, cls.rep, side)
+                _, ctype, order = closed_projection(form, normals)
+                t = tilde_side(group, cls.rep, side, order)
+                assert (t.ctype, t.order) == (ctype, order), (family, n, cls.label)
+    assert sides == 28
 
 
 @pytest.mark.parametrize("family,n", [("B", 4), ("D", 5), ("F", 4), ("E", 6)])
@@ -592,15 +619,15 @@ def test_e6_deg2_projection_by_exhaustive_restriction(cache):
     # centralizer elements to V+ as exact matrices.  The image has order 48,
     # exactly 9 reflection lines, and fixes a line of V+ pointwise, which
     # identifies the rank-3 type B3 (and rules out any rank-4 type).
-    from coxcent import linalg
-    from coxcent.linalg import identity as ident, kernel_basis, mat_sub, rank, solve
+    import linalg
+    from linalg import identity as ident, kernel_basis, mat_sub, rank, solve
 
     group = cache.group("E", 6)
     cls = next(c for c in cache.classes("E", 6) if c.degree == 2)
     elements = centralizer(group, cls.rep, class_size=cls.size).elements(limit=200)
     assert len(elements) == 192
     rs = group.root_system
-    m_u = rs.matrix_of_perm(cls.rep)
+    m_u = matrix_of_perm(rs, cls.rep)
     plus_basis = kernel_basis(mat_sub(m_u, ident(rs.rank)))
     k = len(plus_basis)
     assert k == 4
@@ -609,7 +636,7 @@ def test_e6_deg2_projection_by_exhaustive_restriction(cache):
     )
 
     def restrict(perm):
-        m = rs.matrix_of_perm(perm)
+        m = matrix_of_perm(rs, perm)
         cols = [
             solve(basis_matrix, linalg.mat_vec(m, tuple(plus_basis[c])))
             for c in range(k)

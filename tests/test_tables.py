@@ -78,7 +78,9 @@ def test_a11_rows_match_the_model(cache):
 
 
 def test_verify_small_types(cache):
-    for family, n in [("I", 5), ("I", 7), ("I", 12), ("B", 2), ("D", 6)]:
+    # I2(m) beyond the m that `verify --all` reaches, G2 = I2(6) included
+    dihedral = [("I", m) for m in (5, 6, 7, 9, 10, 12, 16, 30, 31, 257)]
+    for family, n in dihedral + [("B", 2), ("D", 6)]:
         _, diffs = verify_type(CoxeterType([(family, n)]))
         assert diffs == [], (family, n, diffs)
 
