@@ -114,9 +114,6 @@ class CoxeterType:
     def trivial() -> "CoxeterType":
         return CoxeterType()
 
-    def is_trivial(self) -> bool:
-        return not self.components
-
     def is_irreducible(self) -> bool:
         return len(self.components) == 1
 
@@ -166,23 +163,6 @@ class CoxeterType:
         return "x".join(parts)
 
     __repr__ = __str__
-
-    @staticmethod
-    def parse(text: str) -> "CoxeterType":
-        """Inverse of ``str`` on canonical type strings."""
-        text = text.strip()
-        if text == "1":
-            return CoxeterType()
-        comps: list[Component] = []
-        for part in text.split("x"):
-            name, _, exp = part.partition("^")
-            count = int(exp) if exp else 1
-            if name.startswith("I2(") and name.endswith(")"):
-                comp = ("I", int(name[3:-1]))
-            else:
-                comp = (name[0], int(name[1:]))
-            comps.extend([comp] * count)
-        return CoxeterType(comps)
 
 
 def factored(n: int) -> str:

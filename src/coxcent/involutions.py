@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .group import CoxeterGroup
 from .permengine import conjugacy_class_set
-from .perms import Perm, compose, is_identity, is_involution
+from .perms import Perm, compose, is_identity
 from .rootsys import signed_permutation
 
 
@@ -40,12 +40,6 @@ class InvolutionClass:
     size: int
     label: str = ""
     mirror_of: "InvolutionClass | None" = field(default=None, repr=False)
-
-
-def degree(group: CoxeterGroup, u: Perm) -> int:
-    if not is_involution(u):
-        raise ValueError("element is not an involution")
-    return group.degree(u)
 
 
 # -- cubes ----------------------------------------------------------------------
@@ -158,22 +152,21 @@ def label_class(group: CoxeterGroup, u: Perm, deg: int) -> str:
         return ""
     if family == "E" and group.ctype.rank() == 7 and deg in (3, 4):
         v = u if deg == 3 else compose(group.neg, u)
-        cube = first_cube(group, v)
-        rs = group.root_system
-        total = [0] * rs.rank
-        for line in cube:
-            for k, x in enumerate(rs.mod2_vector(line, "R_mod_2P")):
-                total[k] = (total[k] + x) % 2
-        return "droite" if not any(total) else "triangle"
+        return "droite" if _cube_sum_vanishes(group, v, "R_mod_2P") else "triangle"
     if family == "E" and group.ctype.rank() == 8 and deg == 4:
-        cube = first_cube(group, u)
-        rs = group.root_system
-        total = [0] * rs.rank
-        for line in cube:
-            for k, x in enumerate(rs.roots[line]):
-                total[k] = (total[k] + x) % 2
-        return "rectangle" if not any(total) else "tetraedre"
+        return "rectangle" if _cube_sum_vanishes(group, u, "R_mod_2R") else "tetraedre"
     return ""
+
+
+def _cube_sum_vanishes(group: CoxeterGroup, u: Perm, mode: str) -> bool:
+    """Whether the roots of u's first cube sum to 0 in the mod-2 quotient
+    `mode` of `RootSystem.mod2_vector`."""
+    rs = group.root_system
+    total = [0] * rs.rank
+    for line in first_cube(group, u):
+        for k, x in enumerate(rs.mod2_vector(line, mode)):
+            total[k] = (total[k] + x) % 2
+    return not any(total)
 
 
 # -- enumeration -------------------------------------------------------------------

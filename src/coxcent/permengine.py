@@ -14,16 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import factorial
 
-from .perms import (
-    Perm,
-    compose,
-    identity,
-    inverse,
-    is_identity,
-    pack,
-    pack_width,
-    unpack,
-)
+from .perms import Perm, compose, identity, inverse, is_identity
 
 
 class MembershipError(ValueError):
@@ -215,7 +206,6 @@ def orbit_stabilizer(
     act,
     *,
     group_order: int | None = None,
-    seed_stab_gens=(),
 ):
     """Generic orbit of `seed` under `act`, with stabilizer generators.
 
@@ -224,21 +214,17 @@ def orbit_stabilizer(
     scan stops once the stabilizer reaches |G| / |orbit|, which the
     orbit-stabilizer identity makes exact.
     """
-    width = pack_width(n_points)
-    ident = identity(n_points)
-    transversal = {seed: pack(ident, width)}
+    transversal = {seed: identity(n_points)}
     order = [seed]
     i = 0
     while i < len(order):
         x = order[i]
         i += 1
-        t = None
+        t = transversal[x]
         for g in gens:
             y = act(g, x)
             if y not in transversal:
-                if t is None:
-                    t = unpack(transversal[x], width)
-                transversal[y] = pack(compose(t, g), width)
+                transversal[y] = compose(t, g)
                 order.append(y)
 
     target = None
@@ -249,33 +235,23 @@ def orbit_stabilizer(
 
     stab = BSGS(n_points)
     collected: list[Perm] = []
-    for g in seed_stab_gens:
-        if act(g, seed) != seed:
-            raise MembershipError("seed generator does not stabilize the seed")
-        if target is not None and stab.order() == target:
+    done = target == 1  # a trivial stabilizer needs no scan
+    for x in order:
+        if done:
             break
-        if stab.add_generator(g):
-            collected.append(g)
-    if target is None or stab.order() != target:
-        done = False
-        for x in order:
-            if done:
-                break
-            t = unpack(transversal[x], width)
-            for g in gens:
-                y = act(g, x)
-                schreier = compose(
-                    compose(t, g), inverse(unpack(transversal[y], width))
-                )
-                if is_identity(schreier):
-                    continue
-                if stab.add_generator(schreier):
-                    collected.append(schreier)
-                    if target is not None and stab.order() == target:
-                        done = True
-                        break
-        if target is not None and stab.order() != target:
-            raise MembershipError("stabilizer chain failed to reach its order")
+        t = transversal[x]
+        for g in gens:
+            y = act(g, x)
+            schreier = compose(compose(t, g), inverse(transversal[y]))
+            if is_identity(schreier):
+                continue
+            if stab.add_generator(schreier):
+                collected.append(schreier)
+                if target is not None and stab.order() == target:
+                    done = True
+                    break
+    if target is not None and stab.order() != target:
+        raise MembershipError("stabilizer chain failed to reach its order")
     handle = SubgroupHandle(n_points, collected)
     handle._bsgs = stab
     return order, handle

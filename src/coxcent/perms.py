@@ -1,8 +1,7 @@
 """Permutations as image tuples, composed left to right.
 
 ``p`` maps ``i`` to ``p[i]``; ``compose(p, q)`` applies ``p`` first, then
-``q``.  Tuples keep elements hashable; packing to bytes keeps the
-transversals of large orbits compact.
+``q``.  Tuples keep elements hashable.
 """
 
 from __future__ import annotations
@@ -63,21 +62,3 @@ def perm_order(p: Perm) -> int:
 
 def is_involution(p: Perm) -> bool:
     return all(p[p[i]] == i for i in range(len(p)))
-
-
-def pack(p: Perm, width: int) -> bytes:
-    if width == 1:
-        return bytes(p)
-    return b"".join(i.to_bytes(2, "big") for i in p)
-
-
-def unpack(data: bytes, width: int) -> Perm:
-    if width == 1:
-        return tuple(data)
-    return tuple(
-        int.from_bytes(data[i : i + 2], "big") for i in range(0, len(data), 2)
-    )
-
-
-def pack_width(n_points: int) -> int:
-    return 1 if n_points <= 255 else 2

@@ -225,9 +225,6 @@ class RootSystem:
         n = self.rank
         return tuple(sum(v[i] * c[i][j] for i in range(n)) for j in range(n))
 
-    def in_2R(self, v: tuple[int, ...]) -> bool:
-        return all(x % 2 == 0 for x in v)
-
     def mod2_vector(self, root_index: int, mode: str) -> tuple[int, ...]:
         v = self.roots[root_index]
         if mode == "R_mod_2R":
@@ -239,22 +236,6 @@ class RootSystem:
                 raise CapabilityError("the R/2P model is specific to E7")
             return tuple(x % 2 for x in self.weight_coords(v))
         raise ValueError(f"unknown mod-2 mode {mode!r}")
-
-    def mod2_form(self, i: int, j: int) -> int:
-        """Pairing (root_i . root_j^vee) mod 2."""
-        pairing = 2 * self.product(i, j) / self.norm(j)
-        return int(pairing) % 2
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": str(self.ctype),
-            "rank": self.rank,
-            "roots": [
-                [str(c) for c in root] for root in self.roots
-            ],
-        }
 
 
 class DihedralModel:
@@ -282,8 +263,11 @@ class DihedralModel:
     def reflection_perm(self, line: int) -> Perm:
         perm = self._refl_perms.get(line)
         if perm is None:
+            # k -> c - k (mod 2m) with c = 2j + m: c, c-1, ..., 0 for
+            # k <= c, then 2m - 1, ..., c + 1
             mm = 2 * self.m
-            perm = tuple((2 * line + self.m - k) % mm for k in range(mm))
+            c = (2 * line + self.m) % mm
+            perm = tuple(range(c, -1, -1)) + tuple(range(mm - 1, c, -1))
             self._refl_perms[line] = perm
         return perm
 
@@ -303,9 +287,6 @@ class DihedralModel:
         if perm in (self.reflection_perm(j) for j in range(self.m)):
             return 1
         raise ValueError("dihedral element is not an involution")
-
-    def to_json_dict(self) -> dict:
-        return {"type": str(self.ctype), "rank": 2, "roots": 2 * self.m}
 
 
 def build_system(ctype: CoxeterType, max_rank: int = DEFAULT_MAX_RANK):

@@ -37,10 +37,6 @@ class Scalar:
             return x
         return Scalar(_coerce(x))
 
-    @staticmethod
-    def sqrt5() -> "Scalar":
-        return Scalar(0, 1)
-
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
@@ -144,29 +140,6 @@ class Scalar:
         return f"{self.a}{sep}{surd}"
 
     __repr__ = __str__
-
-    @staticmethod
-    def parse(text: str) -> "Scalar":
-        """Inverse of ``str``; round-trips bit exactly."""
-        text = text.strip()
-        if "r5" not in text:
-            return Scalar(Fraction(text))
-        head, _, _ = text.partition("r5")
-        # Split the rational part from the sqrt-coefficient:  a+br5 / a-br5 / br5
-        for i in range(len(head) - 1, 0, -1):
-            if head[i] in "+-" and head[i - 1] not in "+-/":
-                a_part, b_part = head[:i], head[i:]
-                break
-        else:
-            a_part, b_part = "", head
-        if b_part in ("", "+"):
-            b = Fraction(1)
-        elif b_part == "-":
-            b = Fraction(-1)
-        else:
-            b = Fraction(b_part)
-        a = Fraction(a_part) if a_part else Fraction(0)
-        return Scalar(a, b)
 
 
 ZERO = Scalar(0)

@@ -53,18 +53,6 @@ class TableRow:
     def key(self):
         return (self.degree, self.labels)
 
-    def columns(self):
-        return (
-            self.class_size,
-            self.classes,
-            self.order,
-            self.g_minus,
-            self.tilde_g_minus,
-            self.g_plus,
-            self.tilde_g_plus,
-            self.gamma,
-        )
-
 
 class FixtureError(ValueError):
     """A reference table file that is not valid JSON or lacks a table."""

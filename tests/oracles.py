@@ -39,7 +39,7 @@ def act_on_point(g: Perm, x: int) -> int:
 
 
 def normalizer_of_reflection_subgroup(
-    group: SubgroupHandle, rootset, neg, seed_stab_gens=()
+    group: SubgroupHandle, rootset, neg
 ) -> SubgroupHandle:
     """Normalizer in `group` of the reflection subgroup with the given roots.
 
@@ -56,7 +56,6 @@ def normalizer_of_reflection_subgroup(
         seed,
         lambda g, xs: tuple(sorted(g[x] for x in xs)),
         group_order=group.order(),
-        seed_stab_gens=seed_stab_gens,
     )
     return stab
 

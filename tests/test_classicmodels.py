@@ -7,15 +7,13 @@ from math import factorial
 
 import pytest
 
+from bruteforce import SignedPerm, brute_force_classes, sym_reference_orders
 from coxcent.classicmodels import (
-    SignedPerm,
-    brute_force_classes,
     canonical_gamma,
     predict_profile_A,
     predict_profile_B,
     predict_profile_D,
     predicted_rows,
-    sym_reference_orders,
 )
 
 

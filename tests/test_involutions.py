@@ -9,7 +9,6 @@ from coxcent.coxtype import CoxeterType
 from coxcent.group import CoxeterGroup
 from coxcent.involutions import (
     cube_decompositions,
-    degree,
     first_cube,
     label_class,
     signed_invariants,
@@ -111,13 +110,6 @@ def test_reflection_classes_cover_all_reflections(cache):
         group = cache.group(family, n)
         deg1 = [c for c in cache.classes(family, n) if c.degree == 1]
         assert sum(c.size for c in deg1) == group.n_points // 2
-
-
-def test_degree_rejects_non_involutions(cache):
-    group = cache.group("A", 2)
-    s, t = group.handle.gens[:2]
-    with pytest.raises(ValueError):
-        degree(group, compose(s, t))
 
 
 # -- B/D invariants -----------------------------------------------------------------

@@ -8,10 +8,7 @@ from coxcent.perms import (
     inverse,
     is_identity,
     is_involution,
-    pack,
-    pack_width,
     perm_order,
-    unpack,
 )
 
 perms = st.permutations(range(8)).map(tuple)
@@ -53,19 +50,6 @@ def is_identity_power(p, k):
     for _ in range(k):
         q = compose(q, p)
     return is_identity(q)
-
-
-@given(perms)
-def test_pack_round_trip(p):
-    for width in (1, 2):
-        assert unpack(pack(p, width), width) == p
-
-
-def test_pack_width():
-    assert pack_width(240) == 1
-    assert pack_width(255) == 1
-    assert pack_width(256) == 2
-    assert pack_width(288) == 2
 
 
 def test_involution_detection():

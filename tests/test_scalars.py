@@ -26,11 +26,6 @@ def test_distributivity(x, y, z):
     assert x * (y + z) == x * y + x * z
 
 
-@given(scalars)
-def test_string_round_trip(x):
-    assert Scalar.parse(str(x)) == x
-
-
 @given(scalars, scalars)
 def test_order_total_and_compatible(x, y):
     assert (x < y) + (y < x) + (x == y) == 1
@@ -39,7 +34,7 @@ def test_order_total_and_compatible(x, y):
 
 
 def test_sqrt5_squares_to_five():
-    assert Scalar.sqrt5() * Scalar.sqrt5() == Scalar(5)
+    assert Scalar(0, 1) * Scalar(0, 1) == Scalar(5)
 
 
 def test_golden_ratio_identity():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxcent import structure
+from coxcent.coxtype import CoxeterType
 from coxcent.permengine import BSGS, SubgroupHandle, conjugacy_class_set
 from coxcent.perms import compose, conjugate, inverse
 from coxcent.scalars import Scalar
@@ -214,7 +215,7 @@ def test_tilde_orders_are_reflection_subgroup_orders(cache):
         for p in cache.profiles(family, n):
             assert p.tilde_minus_order == p.order // p.plus_order
             assert p.tilde_plus_order == p.order // p.minus_order
-            assert p.tilde_minus_order == p.tilde_minus_type.order() or p.tilde_minus_type.is_trivial()
+            assert p.tilde_minus_order == p.tilde_minus_type.order() or p.tilde_minus_type == CoxeterType.trivial()
 
 
 def test_tilde_side_on_a_line_matches_the_vector_path(cache):

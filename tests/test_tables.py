@@ -28,7 +28,7 @@ def test_fixture_is_self_consistent():
     fixture = load_fixture()
     assert fixture["schema_version"] == 1
     for name, table in fixture["tables"].items():
-        ctype = CoxeterType.parse(name)
+        ctype = CoxeterType.irreducible(name[0], int(name[1:]))
         order = ctype.order()
         for row in table["rows"]:
             # class sizes multiply back to the group order
