@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cached_property
 
 from .coxtype import CoxeterType
@@ -106,8 +107,10 @@ class CoxeterGroup:
         neg = self.neg
         return [l for l in self.lines if u[l] == l or u[l] == neg[l]]
 
-    def centralizer_involutions_deg_le_2(self, u: Perm) -> list[Perm]:
-        """All involutions of degree <= 2 in the centralizer of u.
+    def centralizer_involutions_deg_le_2(self, u: Perm) -> Iterator[Perm]:
+        """Every involution of degree <= 2 in the centralizer of u, built
+        one at a time, so a caller that needs only some of them builds no
+        more.
 
         Degree 1: reflections in u-stable lines.  Degree 2: products of two
         orthogonal reflections whose line pair is preserved by u, either
@@ -117,7 +120,8 @@ class CoxeterGroup:
         """
         neg = self.neg
         stable_lines = self.stable_lines(u)
-        out = [self.reflection_perm(l) for l in stable_lines]
+        for l in stable_lines:
+            yield self.reflection_perm(l)
         n_stable = 0
         for la in self.lines:
             ua = u[la]
@@ -129,7 +133,4 @@ class CoxeterGroup:
                 partners = (lb,) if lb > la else ()
             for lb in partners:
                 if self.orthogonal(la, lb):
-                    out.append(
-                        compose(self.reflection_perm(la), self.reflection_perm(lb))
-                    )
-        return out
+                    yield compose(self.reflection_perm(la), self.reflection_perm(lb))

@@ -1,16 +1,20 @@
 """Permutation-group algorithms on root indices.
 
-A deterministic Schreier-Sims implementation provides exact orders and
-membership tests; on top of it sit generic orbit/stabilizer computation,
-the quotient by a normal reflection subgroup as its complement acting on
-the roots, and structure labels proved from that complement's orbits.
-Nothing here is randomized: base points, orbit orders and transversals are
-fixed functions of the input, which is what makes every downstream table
-byte-reproducible.
+A Schreier-Sims implementation provides exact orders and membership
+tests; on top of it sit generic orbit/stabilizer computation, the quotient
+by a normal reflection subgroup as its complement acting on the roots, and
+structure labels proved from that complement's orbits.  A chain with a
+proven upper bound on its order sifts pseudo-random elements until it
+reaches the bound; they come from a generator with a fixed seed, so base
+points, orbit orders and transversals are fixed functions of the input,
+and every downstream table is byte-reproducible.  An order is exact
+whatever that sequence is: a chain stops early only on reaching a proven
+bound, and otherwise completes by Schreier verification.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -27,9 +31,21 @@ class BSGS:
     Transversal entries are never rewritten once created (orbits only ever
     extend), so the per-level record of already-sifted Schreier generators
     stays valid across incremental updates.
+
+    The chain is built in three steps.  Each generator is sifted in turn,
+    and a nontrivial residue is inserted unverified; the generators that
+    extended the chain are `kept`, and one that sifts to the identity
+    already lies in <kept>.  Given a `bound`, a proven upper bound for the
+    order of the group the generators generate, pseudo-random elements of
+    <kept> are sifted in the same way until the order reaches it, or until
+    `_TRIVIAL_RUN` of them in a row sift to the identity.  Unless the
+    order is then `bound`, Schreier verification completes the chain.  The
+    order, the product of the basic-orbit lengths, is a lower bound for
+    |<kept>| at every step, so reaching the bound proves the chain
+    complete.  Generators are read only until the bound is reached.
     """
 
-    def __init__(self, n_points: int, gens=()):
+    def __init__(self, n_points: int, gens=(), bound: int | None = None):
         self.n = n_points
         self._id = identity(n_points)
         self.base: list[int] = []
@@ -38,8 +54,33 @@ class BSGS:
         self.trans: list[dict[int, Perm]] = []
         self.tinv: list[dict[int, Perm]] = []
         self._checked: list[set[tuple[int, int]]] = []
+        self.kept: list[Perm] = []
         for g in gens:
-            self.add_generator(g)
+            if self.order() == bound:
+                break
+            if self._sift_in(g):
+                self.kept.append(g)
+        if bound is not None and self.order() < bound and self.kept:
+            trivial = 0
+            for g in _random_elements(self.kept, n_points):
+                if not self._sift_in(g):
+                    trivial += 1
+                    if trivial == _TRIVIAL_RUN:
+                        break
+                elif self.order() >= bound:
+                    break
+                else:
+                    trivial = 0
+        if self.base and self.order() != bound:
+            self._verify_from(len(self.base) - 1, bound)
+
+    def _sift_in(self, g: Perm) -> bool:
+        """Insert g's residue, unverified; returns True if it was nontrivial."""
+        residue, lvl = self.sift(g)
+        if is_identity(residue):
+            return False
+        self._insert(residue, lvl)
+        return True
 
     def _new_level(self, bpoint: int):
         self.base.append(bpoint)
@@ -91,21 +132,14 @@ class BSGS:
             result *= len(orbit)
         return result
 
-    def add_generator(self, g: Perm, bound: int | None = None) -> bool:
-        """Sift g into the chain; returns True if the group grew.
-
-        `bound` must be an upper bound for the order of the group the
-        generators generate.  Verification stops as soon as `order()`
-        reaches it: the product of the basic-orbit lengths is a lower bound
-        for that order, so the two meet only when every basic orbit is
-        complete, and the chain is then a genuine base and strong
-        generating set.
-        """
+    def add_generator(self, g: Perm) -> bool:
+        """Sift g into a complete chain and verify; returns True if the
+        group grew."""
         residue, lvl = self.sift(g)
         if is_identity(residue):
             return False
         self._insert(residue, lvl)
-        self._verify_from(lvl if lvl < len(self.base) else len(self.base) - 1, bound)
+        self._verify_from(lvl, None)
         return True
 
     def _insert(self, residue: Perm, lvl: int):
@@ -118,6 +152,9 @@ class BSGS:
             self._extend_level(k)
 
     def _verify_from(self, start: int, bound: int | None):
+        """Sift Schreier generators from level `start` up to level 0, the
+        levels below `start` being complete, until none is left or the
+        order reaches `bound`."""
         lvl = start
         while lvl >= 0 and (bound is None or self.order() != bound):
             deeper = self._check_level(lvl)
@@ -163,27 +200,54 @@ class BSGS:
         return result
 
 
+# Product-replacement state: at least this many slots, a fixed seed, and
+# the run of trivial sifts after which a bounded chain stops sifting them.
+_SLOTS = 10
+_SEED = 14
+_TRIVIAL_RUN = 40
+
+
+def _random_elements(gens: list[Perm], n_points: int):
+    """An endless pseudo-random sequence of elements of <gens>, by product
+    replacement with an accumulator (F. Celler, C. R. Leedham-Green,
+    S. H. Murray, A. C. Niemeyer and E. A. O'Brien, Comm. Algebra 23,
+    1995), from a fixed seed."""
+    rng = random.Random(_SEED)
+    slots = list(gens) * -(-_SLOTS // len(gens))
+    acc = identity(n_points)
+    while True:
+        i, j = rng.sample(range(len(slots)), 2)
+        other = slots[j] if rng.random() < 0.5 else inverse(slots[j])
+        slots[i] = compose(slots[i], other)
+        acc = compose(acc, slots[i])
+        yield acc
+
+
 @dataclass
 class SubgroupHandle:
-    """A subgroup given by generators, with a lazily built stabilizer chain."""
+    """A subgroup given by generators, with a lazily built stabilizer chain.
+
+    `_bound`, when set, is a proven upper bound for the subgroup's order,
+    passed to the chain (see BSGS)."""
 
     n_points: int
     gens: list[Perm] = field(default_factory=list)
     _bsgs: BSGS | None = None
+    _bound: int | None = None
 
     @staticmethod
-    def from_gens(n_points: int, gens) -> "SubgroupHandle":
+    def from_gens(n_points: int, gens, bound: int | None = None) -> "SubgroupHandle":
         seen = set()
         unique = []
         for g in gens:
             if g not in seen and not is_identity(g):
                 seen.add(g)
                 unique.append(g)
-        return SubgroupHandle(n_points, unique)
+        return SubgroupHandle(n_points, unique, _bound=bound)
 
     def bsgs(self) -> BSGS:
         if self._bsgs is None:
-            self._bsgs = BSGS(self.n_points, self.gens)
+            self._bsgs = BSGS(self.n_points, self.gens, self._bound)
         return self._bsgs
 
     def order(self) -> int:
@@ -233,7 +297,7 @@ def orbit_stabilizer(
             raise MembershipError("orbit size does not divide the group order")
         target = group_order // len(order)
 
-    stab = BSGS(n_points)
+    stab = BSGS(n_points)  # unbounded: this is the tests' oracle
     collected: list[Perm] = []
     done = target == 1  # a trivial stabilizer needs no scan
     for x in order:
@@ -343,6 +407,8 @@ class QuotientGroup:
             for a, s in reflections.items()
             if all(s[b] in positive for b in positive if b != a)
         ]
+        # unbounded: N's only upper bound comes from the Coxeter types, and
+        # check 2.1b compares |N| with them as an independent count
         self.handle = SubgroupHandle.from_gens(
             group.n_points, [self.image(g) for g in group.gens]
         )
@@ -408,7 +474,8 @@ def _restricted_order(handle: SubgroupHandle, points: list[int]) -> int:
     """The order of the group induced on a union of orbits."""
     index = {p: i for i, p in enumerate(points)}
     gens = [tuple(index[g[p]] for p in points) for g in handle.gens]
-    return SubgroupHandle.from_gens(len(points), gens).order()
+    # the restriction is a quotient of the group, so its order bounds it
+    return SubgroupHandle.from_gens(len(points), gens, handle.order()).order()
 
 
 def fingerprint(handle: SubgroupHandle) -> StructureLabel:

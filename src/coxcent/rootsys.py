@@ -96,18 +96,24 @@ class RootSystem:
             self.cartan = tuple(tuple(row) for row in refl)
         else:
             self.cartan = None
-        self._refl = tuple(tuple(row) for row in refl)
+        # s_i(v) = v - (sum_j v_j refl[j][i]) alpha_i: column i's nonzero
+        # entries, the diagonal 2 among them
+        self._columns = tuple(
+            tuple((j, refl[j][i]) for j in range(n) if refl[j][i]) for i in range(n)
+        )
 
         zero = 0 if self.crystallographic else Scalar(0)
         one = 1 if self.crystallographic else Scalar(1)
         simple_coords = [
             tuple(one if k == i else zero for k in range(n)) for i in range(n)
         ]
-        roots = self._close(simple_coords)
-        roots.sort(key=lambda v: (sum(v[1:], v[0]), v))
-        self.roots = tuple(roots)
-        self.index = {v: i for i, v in enumerate(self.roots)}
+        images = self._close(simple_coords)
+        self.roots = tuple(sorted(images, key=lambda v: (sum(v[1:], v[0]), v)))
+        self.index = index = {v: i for i, v in enumerate(self.roots)}
         self.n_roots = len(self.roots)
+        self._simple_perms = tuple(
+            tuple(index[images[v][i]] for v in self.roots) for i in range(n)
+        )
         self.neg = tuple(
             self.index[tuple(-c for c in v)] for v in self.roots
         )
@@ -120,26 +126,25 @@ class RootSystem:
         self._gram_rows: dict[int, tuple] = {}
 
     def _apply_simple(self, i: int, v: tuple) -> tuple:
-        c = sum(v[j] * self._refl[j][i] for j in range(self.rank))
+        c = sum(v[j] * x for j, x in self._columns[i])
         out = list(v)
         out[i] = v[i] - c
         return tuple(out)
 
-    def _close(self, simple_coords) -> list:
+    def _close(self, simple_coords) -> dict[tuple, tuple]:
+        """Every root, mapped to its images under s_0, ..., s_(rank-1)."""
+        images: dict[tuple, tuple] = {}
         seen = set(simple_coords)
         queue = list(simple_coords)
         while queue:
             v = queue.pop()
-            for i in range(self.rank):
-                w = self._apply_simple(i, v)
+            row = tuple(self._apply_simple(i, v) for i in range(self.rank))
+            images[v] = row
+            for w in (*row, tuple(-c for c in v)):
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
-            nv = tuple(-c for c in v)
-            if nv not in seen:
-                seen.add(nv)
-                queue.append(nv)
-        return list(seen)
+        return images
 
     # -- inner products ---------------------------------------------------
 
@@ -181,15 +186,14 @@ class RootSystem:
     def _reflection_perms(self) -> tuple[Perm, ...]:
         """The permutation of root indices of every root's reflection.
 
-        Only the simple reflections are computed on coordinates.  Every other
+        The simple reflections are read off the root closure.  Every other
         root is beta = s_j(gamma) for a root gamma reached before it in a
         BFS from the simple roots, and s_beta = s_j s_gamma s_j.
         """
-        index = self.index
         perms: list[Perm | None] = [None] * self.n_roots
-        for j, s in enumerate(self.simple):
-            perms[s] = tuple(index[self._apply_simple(j, v)] for v in self.roots)
-        simple_perms = [perms[s] for s in self.simple]
+        simple_perms = self._simple_perms
+        for s, perm in zip(self.simple, simple_perms):
+            perms[s] = perm
         queue = list(self.simple)
         for gamma in queue:
             for s_j in simple_perms:

@@ -22,18 +22,18 @@ line, whether there is a normal, and on all of V, |W|); |G_u^+| and
 |N|, from N's own stabilizer chain on the roots, with
 |G1| = |G_u| / |Gamma|.
 
-The centralizer's chain stops verifying once its order reaches the
-target |G| / (class size).  The target bounds the chain from both sides:
-the kept seeds lie in C(u), of order |G| / |class| <= the target (the
-class size is an orbit that can only fall short of the class), and a
-partial chain's order, the product of its basic-orbit lengths, is at most
-the order its generators generate.  So the two meet only on a complete
-chain.  The projection chains and checks 1.1 and 2.4 verify in full,
-since there the order is what is checked.
+Every chain whose order has a proven upper bound is built to that bound
+(see `BSGS`): a partial chain's order, the product of its basic-orbit
+lengths, is at most the order its generators generate, so it meets the
+bound only on a complete chain, and a chain that falls short is completed
+by Schreier verification and reports its exact order.  Each call site
+says why its bound is one.  N's chain and the listing of G_u^- in checks
+2.7/2.8 are left unbounded.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd
 
@@ -45,6 +45,7 @@ from .involutions import (
     first_cube,
 )
 from .permengine import (
+    BSGS,
     QuotientGroup,
     StructureLabel,
     SubgroupHandle,
@@ -204,42 +205,32 @@ def lines_with_negatives(group: CoxeterGroup, lines) -> frozenset[int]:
 
 
 def centralizer(
-    group: CoxeterGroup, u: Perm, class_size: int, seeds: list[Perm] | None = None
+    group: CoxeterGroup, u: Perm, class_size: int, seeds: Iterable[Perm] | None = None
 ) -> SubgroupHandle:
     """The centralizer of an involution, as a subgroup handle.
 
     It is the subgroup generated by `seeds`, the degree-<=2 centralizing
-    involutions (computed here unless the caller has them), whose order must
-    be the target |G| / |class|.  Falling short raises ViolationError: by
-    Theorem 1.1 those involutions generate C(u).
+    involutions (built here, one at a time, unless the caller has them),
+    whose order must be the target |G| / |class|.  Falling short raises
+    ViolationError: by Theorem 1.1 those involutions generate C(u).  The
+    handle's generators are the seeds the chain kept.
 
-    The class size is the orbit size of u's negated-root set, which can only
-    fall short of the class (C(u) fixes that set).  Kept seeds must commute
-    with u, so a short size leaves them below the target too.
-
-    The target also stops each seed's chain verification early: it is at
-    least the order the kept seeds generate, and the chain's order at most
-    that, so the two meet only on a complete chain of C(u).
+    The target bounds the chain: the class size is the orbit size of u's
+    negated-root set, which can only fall short of the class (C(u) fixes
+    that set), so the target is at least |C(u)|, and kept seeds must
+    commute with u, so they lie in C(u).
     """
     if group.order % class_size:
         raise ViolationError("class size does not divide the group order")
     target = group.order // class_size
     if seeds is None:
         seeds = group.centralizer_involutions_deg_le_2(u)
-    handle = SubgroupHandle(group.n_points, [])
-    bsgs = handle.bsgs()
-    kept = []
-    for g in seeds:
-        if bsgs.order() == target:
-            break
-        if bsgs.add_generator(g, bound=target):
-            if compose(g, u) != compose(u, g):
-                raise ViolationError("a centralizer seed does not commute with u")
-            kept.append(g)
-    if bsgs.order() != target:
+    chain = BSGS(group.n_points, seeds, bound=target)
+    if any(compose(g, u) != compose(u, g) for g in chain.kept):
+        raise ViolationError("a centralizer seed does not commute with u")
+    if chain.order() != target:
         raise ViolationError("centralizer order disagrees with the class size")
-    handle.gens = kept
-    return handle
+    return SubgroupHandle(group.n_points, chain.kept, chain)
 
 
 # -- projections to the two eigenspaces ----------------------------------------------
@@ -354,6 +345,13 @@ def tilde_side(
     reflection subgroup these normals generate precisely when its order
     matches |G_u| / |G_u^opp| (`expected_order`), which is what
     `reflection_generated` records.
+
+    `expected_order` bounds the chain on the normals: the pointwise
+    stabilizer of V_u^side in G_u is G_u^opp (Steinberg), so the projection
+    has |G_u| / |G_u^opp| elements, and the reflection subgroup lies in it.
+    A bound below the subgroup's order raises RecognitionError: the chain
+    then either stops at the bound, short of the recognized type's order,
+    or passes it.
     """
     rank = group.geometry.rank
     deg = group.degree(u)
@@ -367,9 +365,15 @@ def tilde_side(
             ctype, order = CoxeterType.irreducible("A", 1), 2
     else:
         vectors, perms = _projection_reflections(group, u, side)
-        order = SubgroupHandle.from_gens(len(vectors), list(perms.values())).order()
+        order = SubgroupHandle.from_gens(
+            len(vectors), list(perms.values()), expected_order
+        ).order()
         ctype = _recognize(list(perms), perms.__getitem__)
-        if ctype.root_count() != len(vectors) or ctype.order() != order:
+        if (
+            ctype.root_count() != len(vectors)
+            or ctype.order() != order
+            or order > expected_order
+        ):
             raise RecognitionError(
                 f"projection classified as {ctype} but orders disagree"
             )
@@ -426,15 +430,23 @@ class ClassData:
     group: CoxeterGroup
     plus_lines: list[int]
     minus_lines: list[int]
-    deg2_involutions: list[Perm]
     quotient: QuotientGroup | None
     profile: CentralizerProfile
+    deg2_involutions: list[Perm] | None = None  # see `involutions`
+
+    def involutions(self) -> list[Perm]:
+        """The degree-<=2 involutions of G_u, built on first use: only the
+        checks read them all."""
+        if self.deg2_involutions is None:
+            self.deg2_involutions = list(
+                self.group.centralizer_involutions_deg_le_2(self.profile.cls.rep)
+            )
+        return self.deg2_involutions
 
 
 def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
     u = cls.rep
-    involutions = group.centralizer_involutions_deg_le_2(u)
-    g_u = centralizer(group, u, cls.size, involutions)
+    g_u = centralizer(group, u, cls.size)
     plus_lines, minus_lines = group.fixed_lines(u), group.negated_lines(u)
     gu_order = g_u.order()
     quotient, gamma_label, gamma_order = gamma(
@@ -483,7 +495,6 @@ def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
         group=group,
         plus_lines=plus_lines,
         minus_lines=minus_lines,
-        deg2_involutions=involutions,
         quotient=quotient,
         profile=profile,
     )
@@ -538,8 +549,17 @@ def check_theorem_1_1(data: ClassData) -> CheckResult:
     if data.quotient is None:
         return CheckResult(name, subject, "pass", "reflection quotient trivial")
     q = data.quotient
-    images = [q.image(j) for j in data.deg2_involutions]
-    span = SubgroupHandle.from_gens(q.handle.n_points, images)
+    neg = data.group.neg
+    stable = data.plus_lines + data.minus_lines
+    # An involution j of degree <= 2 that negates a root c of G1 lies in G1,
+    # so it descends to the identity: j is s_c, or -1 on a plane whose roots
+    # hold c and a root c' orthogonal to c, which u keeps as it keeps c and
+    # the plane, and then j = s_c s_c'.
+    outside = (
+        j for j in data.involutions() if all(j[l] != neg[l] for l in stable)
+    )
+    # the images lie in N, so |N| = |Gamma| bounds the group they generate
+    span = BSGS(q.handle.n_points, map(q.image, outside), bound=q.size)
     if span.order() == q.size:
         return CheckResult(name, subject, "pass")
     return CheckResult(
@@ -638,7 +658,7 @@ def check_normalizer(data: ClassData) -> CheckResult:
     u = data.profile.cls.rep
     minus = lines_with_negatives(group, data.minus_lines)
     movers = sum(
-        1 for j in data.deg2_involutions if any(j[r] not in minus for r in minus)
+        1 for j in data.involutions() if any(j[r] not in minus for r in minus)
     )
     w = u
     chosen: list[int] = []
@@ -715,6 +735,7 @@ def check_out_injectivity(data: ClassData, bound: int = 10_000) -> list[CheckRes
             CheckResult("2.7", subject, "skipped", f"|G-| = {p.minus_order} over bound"),
             CheckResult("2.8", subject, "skipped", f"|G-| = {p.minus_order} over bound"),
         ]
+    # unbounded: the scan needs every element, and it is the oracle
     minus_handle = SubgroupHandle.from_gens(
         data.group.n_points,
         [data.group.reflection_perm(l) for l in data.minus_lines],
@@ -760,9 +781,10 @@ def check_complement(data: ClassData) -> CheckResult:
     q = data.quotient
     positive = q.positive
     fixers = [
-        j for j in data.deg2_involutions if all(j[a] in positive for a in positive)
+        j for j in data.involutions() if all(j[a] in positive for a in positive)
     ]
-    order = SubgroupHandle.from_gens(data.group.n_points, fixers).order()
+    # the fixers lie in N, so |N| = |Gamma| bounds the group they generate
+    order = SubgroupHandle.from_gens(data.group.n_points, fixers, q.size).order()
     if order == q.size:
         return CheckResult(name, subject, "pass")
     return CheckResult(

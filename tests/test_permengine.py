@@ -57,11 +57,73 @@ def test_bsgs_order_matches_brute_closure(family, n, order):
 def test_bound_above_the_order_leaves_the_chain_exact():
     # a bound the chain never reaches stops nothing: verification runs in full
     group, gens = coxeter_gens("B", 4)
-    chain = BSGS(group.n_points)
-    for g in gens:
-        chain.add_generator(g, bound=2 * 384)
+    chain = BSGS(group.n_points, gens, bound=2 * 384)
     assert chain.order() == 384 == group.handle.order()
     assert len(set(chain.elements(limit=400))) == 384
+
+
+def _subgroup_generators(cache, family, n):
+    """Generator lists of subgroups of a group: random subsets of its
+    reflections, and of the degree-<=2 involutions centralizing a class
+    representative, from a fixed seed."""
+    import random
+
+    rng = random.Random(1995)
+    group = cache.group(family, n)
+    reflections = [group.reflection_perm(l) for l in group.lines]
+    out = [reflections]
+    for _ in range(6):
+        out.append(rng.sample(reflections, rng.randint(1, 4)))
+    for cls in cache.classes(family, n):
+        seeds = list(group.centralizer_involutions_deg_le_2(cls.rep))
+        out.append(seeds)
+        out.append(rng.sample(seeds, min(len(seeds), rng.randint(1, 3))))
+    return group, out
+
+
+@pytest.mark.parametrize("family,n", [("B", 4), ("D", 5), ("F", 4), ("H", 3)])
+def test_bounded_chain_reaches_the_true_order(cache, family, n):
+    # the true order comes from an unbounded chain; a bound at, or above,
+    # it gives that order and a complete chain, whose listing has that many
+    # distinct elements
+    group, generator_lists = _subgroup_generators(cache, family, n)
+    for gens in generator_lists:
+        true = BSGS(group.n_points, gens).order()
+        for bound in (true, 2 * true, 3 * true):
+            chain = BSGS(group.n_points, gens, bound=bound)
+            assert chain.order() == true, (gens, bound)
+            assert len(set(chain.elements(limit=4000))) == true
+
+
+@pytest.mark.parametrize("family,n", [("B", 4), ("F", 4), ("H", 3)])
+def test_bounded_chain_is_deterministic(cache, family, n):
+    # the pseudo-random elements come from a fixed seed, so two
+    # constructions from one input agree in every choice
+    group, generator_lists = _subgroup_generators(cache, family, n)
+    for gens in generator_lists:
+        bound = BSGS(group.n_points, gens).order()
+        first, second = (BSGS(group.n_points, gens, bound=bound) for _ in range(2))
+        assert first.base == second.base
+        assert first.level_gens == second.level_gens
+        assert first.kept == second.kept
+
+
+def test_bounded_chain_reads_generators_only_up_to_its_bound(cache):
+    # once the order reaches the bound the remaining generators are unread:
+    # here the degree-<=2 involutions of B4, which generate it
+    group = cache.group("B", 4)
+    seeds = list(group.centralizer_involutions_deg_le_2(group.identity))
+    read = []
+
+    def lazily():
+        for g in seeds:
+            read.append(g)
+            yield g
+
+    chain = BSGS(group.n_points, lazily(), bound=group.order)
+    assert chain.order() == group.order
+    assert chain.kept == [g for g in read if g in chain.kept]
+    assert len(read) < len(seeds)
 
 
 def test_f4_exhaustive_order():

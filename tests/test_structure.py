@@ -70,6 +70,28 @@ def test_centralizer_short_of_its_order_is_a_violation(cache):
         centralizer(group, u, class_size=3)
 
 
+def test_centralizer_from_the_reflections_alone_is_a_violation(monkeypatch, cache):
+    # On a class with a nontrivial reflection quotient the reflections in
+    # the stable lines generate only G1: the chain falls short of its bound,
+    # so Schreier verification completes it, and the order it proves is a
+    # violation.
+    fallbacks = []
+    real = BSGS._verify_from
+
+    def counting(chain, start, bound):
+        fallbacks.append(bound)
+        return real(chain, start, bound)
+
+    monkeypatch.setattr(BSGS, "_verify_from", counting)
+    group = cache.group("B", 4)
+    cls = next(c for c in cache.classes("B", 4) if c.label == "0,0,2")
+    u = cls.rep
+    reflections = [group.reflection_perm(l) for l in group.stable_lines(u)]
+    with pytest.raises(ViolationError, match="disagrees with the class size"):
+        centralizer(group, u, cls.size, seeds=reflections)
+    assert fallbacks == [group.order // cls.size]
+
+
 def test_centralizer_rejects_a_noncommuting_seed(cache):
     # a seed outside C(u) could reach the order the class size implies, so
     # every kept seed must commute with u
@@ -112,6 +134,61 @@ def test_early_stopped_centralizer_chain_is_complete(cache, family, n):
             assert chain.contains(x) == fresh.contains(x) == (compose(x, u) == compose(u, x))
     # the stop leaves Schreier generators unsifted
     assert sifted["stopped"] < sifted["full"]
+
+
+@pytest.mark.parametrize("family,n", [("B", 4), ("E", 6), ("H", 3)])
+def test_tilde_bound_below_the_order_is_a_recognition_error(cache, family, n):
+    # a bound below the projection's order either stops the chain short of
+    # the recognized type's order or is passed; both are RecognitionError,
+    # never a wrong order
+    group = cache.group(family, n)
+    sides = 0
+    for cls, p in zip(cache.classes(family, n), cache.profiles(family, n)):
+        for side, dim, true in (
+            ("-", cls.degree, p.tilde_minus_order),
+            ("+", n - cls.degree, p.tilde_plus_order),
+        ):
+            if not 1 < dim < n:
+                continue
+            sides += 1
+            assert tilde_side(group, cls.rep, side, true).order == true
+            for bound in sorted({1, true // 2, true - 1}):
+                with pytest.raises(RecognitionError, match="orders disagree"):
+                    tilde_side(group, cls.rep, side, bound)
+    assert sides
+
+
+def test_no_bounded_chain_falls_back_to_schreier_verification(monkeypatch, cache):
+    # Every chain with a proven bound on its order reaches it by sifting, on
+    # every `verify --all` type: the profiles and the checks that read them
+    # (`run_property_suite` builds each profile as `profiles_for_group`
+    # does).  A change that sent bounded chains back through Schreier
+    # verification would keep every output and only show here.
+    from coxcent.cli import ALL_SMALL
+
+    bounded, fallbacks = [], []
+    real_init, real_verify = BSGS.__init__, BSGS._verify_from
+
+    def init(chain, n_points, gens=(), bound=None):
+        if bound is not None:
+            bounded.append(bound)
+        real_init(chain, n_points, gens, bound)
+
+    def verify(chain, start, bound):
+        if bound is not None:
+            fallbacks.append(bound)
+        return real_verify(chain, start, bound)
+
+    monkeypatch.setattr(BSGS, "__init__", init)
+    monkeypatch.setattr(BSGS, "_verify_from", verify)
+    for family, n in ALL_SMALL:
+        profiles = []
+        results = run_property_suite(
+            cache.group(family, n), cache.classes(family, n), profiles
+        )
+        assert profiles and all(r.status != "fail" for r in results)
+    assert len(bounded) > 300
+    assert fallbacks == []
 
 
 @pytest.mark.parametrize(
@@ -251,8 +328,12 @@ def test_tilde_integer_path_matches_scalar_path(cache, family, n):
         return tuple(Scalar.of(x) for x in v)
 
     int_fields, scalar_fields = set(), set()
-    for cls in cache.classes(family, n):
-        for side in "+-":
+    # tilde_side's bound is the class's |G_u| / |G_u^opp|, a true upper bound
+    for cls, p in zip(cache.classes(family, n), cache.profiles(family, n)):
+        for side, bound in (
+            ("+", p.order // p.minus_order),
+            ("-", p.order // p.plus_order),
+        ):
             normals = projection_normals(group, cls.rep, side)
             vectors, _ = _projection_reflections(group, cls.rep, side)
             _, int_type, int_order = closed_projection(form, normals)
@@ -264,7 +345,7 @@ def test_tilde_integer_path_matches_scalar_path(cache, family, n):
             assert {_canonical_direction(lift(v)) for v in vectors} == set(
                 lifted.order_list
             )
-            t = tilde_side(group, cls.rep, side, 1)
+            t = tilde_side(group, cls.rep, side, bound)
             assert (t.ctype, t.order) == (int_type, int_order)
             assert (t.ctype, t.order) == (scalar_type, scalar_order)
     assert int_fields == {int} and scalar_fields == {Scalar}
@@ -296,7 +377,7 @@ def test_normalizer_check_needs_generators_inside_the_normalizer(cache):
             if compose(s, u) != compose(u, s)
         )
         result = check_normalizer(
-            replace(data, deg2_involutions=data.deg2_involutions + [stranger])
+            replace(data, deg2_involutions=data.involutions() + [stranger])
         )
         assert result.status == "fail" and "move the minus roots" in result.detail
 
@@ -492,11 +573,11 @@ def test_complement_check_fails_without_an_involution_class(cache, family, n, la
     assert q.size > 1 and check_complement(data).status == "pass"
     positive = q.positive
     fixers = [
-        j for j in data.deg2_involutions if all(j[a] in positive for a in positive)
+        j for j in data.involutions() if all(j[a] in positive for a in positive)
     ]
     for j in fixers:
         n_class = {conjugate(j, y) for y in q.reps}
-        kept = [x for x in data.deg2_involutions if x not in n_class]
+        kept = [x for x in data.involutions() if x not in n_class]
         result = check_complement(replace(data, deg2_involutions=kept))
         assert result.status == "fail", (label, result.detail)
 
