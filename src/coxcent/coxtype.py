@@ -5,7 +5,8 @@ E6/E7/E8, F4, G2, H3, H4 and I2(m) with m >= 5, m != 6, plus the trivial
 type written "1".  Construction canonicalizes the degenerate aliases
 (I2(3)=A2, I2(4)=B2, I2(6)=G2, B1=A1, D2=A1xA1, D3=A3) and drops empty
 factors (A0 = A(-1) = B0 = D0 = D1 = 1), so equality is plain equality of
-the canonical component multiset.
+the canonical component multiset.  `classify_coxeter_graph` reads the
+type of a Coxeter graph.
 """
 
 from __future__ import annotations
@@ -182,3 +183,91 @@ def factored(n: int) -> str:
     if n > 1:
         parts.append(str(n))
     return " ".join(parts)
+
+
+class RecognitionError(RuntimeError):
+    """A reflection subgroup failed to classify; signals an engine bug."""
+
+
+# -- Coxeter graph classification -------------------------------------------------
+
+
+def _classify_connected(nodes: list, adj: dict, m) -> CoxeterType:
+    r = len(nodes)
+    if r == 1:
+        return CoxeterType.irreducible("A", 1)
+    if r == 2:
+        return CoxeterType([("I", m(nodes[0], nodes[1]))])
+    degrees = {v: len(adj[v]) for v in nodes}
+    branch = [v for v in nodes if degrees[v] >= 3]
+    if branch:
+        if len(branch) > 1 or degrees[branch[0]] > 3:
+            raise RecognitionError("diagram has an unrecognized branch pattern")
+        hub = branch[0]
+        arms = []
+        for start in adj[hub]:
+            length = 1
+            prev, cur = hub, start
+            while True:
+                if m(prev, cur) != 3:
+                    raise RecognitionError("branched diagram with a marked edge")
+                nxt = [w for w in adj[cur] if w != prev]
+                if not nxt:
+                    break
+                if len(nxt) > 1:
+                    raise RecognitionError("diagram has two branch points")
+                prev, cur = cur, nxt[0]
+                length += 1
+            arms.append(length)
+        arms.sort()
+        if arms[0] == 1 and arms[1] == 1:
+            return CoxeterType.irreducible("D", arms[2] + 3)
+        if arms == [1, 2, 2]:
+            return CoxeterType.irreducible("E", 6)
+        if arms == [1, 2, 3]:
+            return CoxeterType.irreducible("E", 7)
+        if arms == [1, 2, 4]:
+            return CoxeterType.irreducible("E", 8)
+        raise RecognitionError(f"unrecognized branched diagram with arms {arms}")
+    # A path: walk it from one endpoint.
+    ends = [v for v in nodes if degrees[v] == 1]
+    if len(ends) != 2:
+        raise RecognitionError("diagram is not a path")
+    walk = [ends[0]]
+    while len(walk) < r:
+        nxt = [w for w in adj[walk[-1]] if len(walk) < 2 or w != walk[-2]]
+        walk.append(nxt[0])
+    edge_labels = [m(walk[i], walk[i + 1]) for i in range(r - 1)]
+    if edge_labels[0] < edge_labels[-1]:
+        edge_labels.reverse()
+    if all(x == 3 for x in edge_labels):
+        return CoxeterType.irreducible("A", r)
+    if edge_labels[0] == 4 and all(x == 3 for x in edge_labels[1:]):
+        return CoxeterType.irreducible("B", r)
+    if r == 4 and edge_labels == [3, 4, 3]:
+        return CoxeterType.irreducible("F", 4)
+    if edge_labels[0] == 5 and all(x == 3 for x in edge_labels[1:]) and r in (3, 4):
+        return CoxeterType.irreducible("H", r)
+    raise RecognitionError(f"unrecognized path diagram with labels {edge_labels}")
+
+
+def classify_coxeter_graph(nodes: list, m) -> CoxeterType:
+    """Type of the Coxeter graph on `nodes` with bond orders m(i, j) >= 2."""
+    adj = {
+        v: [w for w in nodes if w != v and m(v, w) >= 3] for v in nodes
+    }
+    remaining = list(nodes)
+    result = CoxeterType.trivial()
+    while remaining:
+        comp = [remaining[0]]
+        seen = {remaining[0]}
+        i = 0
+        while i < len(comp):
+            for w in adj[comp[i]]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+            i += 1
+        result = result * _classify_connected(comp, adj, m)
+        remaining = [v for v in remaining if v not in seen]
+    return result

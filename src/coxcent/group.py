@@ -1,12 +1,13 @@
-"""A finite Coxeter group bundled with its faithful action on roots."""
+"""A finite Coxeter group bundled with its faithful action on roots, and
+the one recognizer that types its reflection subgroups."""
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cached_property
 
-from .coxtype import CoxeterType
-from .permengine import LineAction, SubgroupHandle
+from .coxtype import CoxeterType, RecognitionError, classify_coxeter_graph
+from .permengine import ParabolicGroupoid, SubgroupHandle
 from .perms import Perm, compose
 from .rootsys import DEFAULT_MAX_RANK, DihedralModel, RootSystem, build_system
 
@@ -46,10 +47,13 @@ class CoxeterGroup:
         return self.ctype.order()
 
     @cached_property
-    def line_action(self) -> LineAction:
-        """The generators' action on line positions, built on first use: a
-        group's construction and order do not pay for it."""
-        return LineAction(self.handle.gens, self.lines, self.neg)
+    def parabolics(self) -> ParabolicGroupoid:
+        """Howlett's groupoid on the subsets of the simple roots, built on
+        first use."""
+        simple = self.geometry.simple
+        return ParabolicGroupoid(
+            simple, [self.reflection_perm(a) for a in simple], self._line_set, self.neg
+        )
 
     @cached_property
     def identity(self) -> Perm:
@@ -66,20 +70,10 @@ class CoxeterGroup:
         """The -1 element when it lies in the group, else None.
 
         -1 lies in the group exactly when it is the longest element w0, the
-        one element sending every positive root to a negative root.  Descent
-        reaches w0 from the identity: while a simple root a has y(a)
-        positive, y <- s_a y (s_a first, then y) is one longer than y.
+        one element sending every positive root to a negative root.
         """
-        positive = self._line_set
-        simple = [(a, self.reflection_perm(a)) for a in self.geometry.simple]
-        y = self.identity
-        while True:
-            for a, s in simple:
-                if y[a] in positive:
-                    y = compose(s, y)
-                    break
-            else:
-                return self.neg if y == self.neg else None
+        groupoid = self.parabolics
+        return self.neg if groupoid.longest(groupoid.full) == self.neg else None
 
     def line_of(self, root_index: int) -> int:
         """The positive-root label of the reflection line through a root."""
@@ -134,3 +128,61 @@ class CoxeterGroup:
             for lb in partners:
                 if self.orthogonal(la, lb):
                     yield compose(self.reflection_perm(la), self.reflection_perm(lb))
+
+
+# -- reflection subgroups of the ambient group ------------------------------------
+
+
+def recognize(positive, reflection) -> CoxeterType:
+    """Coxeter type of a reflection group, from the positive roots of its
+    root set and each one's reflection as a permutation of that set.
+
+    A positive root is simple iff its reflection keeps every other positive
+    root positive (J. E. Humphreys, Reflection Groups and Coxeter Groups,
+    1990, 1.4-1.7); two simple roots a, b bond with the order m of the
+    product of their reflections, a rotation of order m in their plane,
+    whose cycle through a has length m.
+    """
+    pos = set(positive)
+    simples = []
+    for a in sorted(pos):
+        pa = reflection(a)
+        if all(pa[b] in pos for b in pos if b != a):
+            simples.append(a)
+
+    def bond(a: int, b: int) -> int:
+        ra, rb = reflection(a), reflection(b)
+        m, x = 1, rb[ra[a]]
+        while x != a:
+            m, x = m + 1, rb[ra[x]]
+        return m
+
+    return classify_coxeter_graph(simples, bond)
+
+
+def reflection_subgroup_type(group: CoxeterGroup, rootset) -> CoxeterType:
+    """Coxeter type of the subgroup generated by the reflections whose roots
+    form `rootset` (which must be negation- and reflection-closed)."""
+    rootset = frozenset(rootset)
+    if not rootset:
+        return CoxeterType.trivial()
+    neg = group.neg
+    if any(neg[r] not in rootset for r in rootset):
+        raise ValueError("root set is not closed under negation")
+    pos = sorted(r for r in rootset if r in group._line_set)
+    for a in pos:
+        pa = group.reflection_perm(a)
+        if any(pa[b] not in rootset for b in pos):
+            raise ValueError("root set is not closed under its reflections")
+    ctype = recognize(pos, group.reflection_perm)
+    if ctype.root_count() != len(rootset):
+        raise RecognitionError(
+            f"recognized {ctype} but root counts disagree "
+            f"({ctype.root_count()} vs {len(rootset)})"
+        )
+    return ctype
+
+
+def lines_with_negatives(group: CoxeterGroup, lines) -> frozenset[int]:
+    neg = group.neg
+    return frozenset(x for l in lines for x in (l, neg[l]))

@@ -7,15 +7,21 @@ complete because every involution of degree d+1 is a product of d+1
 reflections in pairwise orthogonal roots, hence a degree-d involution
 times a reflection whose root it fixes.
 
-Deduplication keys an involution u by its negated-root set Phi_u^-, held
-as the integer with bit p set for each of its |Phi_u^-|/2 lines
-`group.lines[p]`.  The level BFS makes every representative a product of
-reflections in pairwise orthogonal roots it negates, so Phi_u^- spans
-V_u^-, where u is -1 (and +1 on the orthogonal complement): the key
-determines u.  As g^-1 u g negates g(Phi_u^-), the class of u is in
-bijection with the W-orbit of its key (R. W. Richardson, Bull. Austral.
-Math. Soc. 26, 1982), which `conjugacy_class_set` computes by mapping
-only the bits each simple reflection moves.
+Each candidate is brought to its normal form (R. W. Richardson, Bull.
+Austral. Math. Soc. 26, 1982): every involution is conjugate to w_K, the
+longest element of a standard parabolic W_K that is -1 on the span of
+K, for a subset K of the simple roots, reached by conjugating with simple
+reflections (`normal_form`).  w_J and w_K are conjugate iff J and K are,
+and the subsets conjugate to K form its component in Howlett's groupoid
+of elementary moves (`permengine.conjugacy_class_set`), so a candidate
+whose K lies in a component already found is skipped, and a level stops
+once every admissible K of its degree has been found.  The class size is
+|W| / |C(w_K)| with |C(w_K)| = |G_u^+| |G_u^-| |Gamma|: the two parts are
+typed by the one recognizer on their roots, and Gamma, the quotient of
+C(w_K) = W_K N_K by its reflection part, is the image of N_K, which the
+loops of the groupoid at K generate (B. Brink and R. B. Howlett, Invent.
+Math. 136, 1999).  The work per class depends on the rank, not on the
+size of the class: no orbit is listed.
 
 When -1 lies in the group, classes of degree above n/2 mirror the classes
 of the complementary degree through u -> -u.
@@ -25,8 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .group import CoxeterGroup
-from .permengine import conjugacy_class_set
+from .group import CoxeterGroup, lines_with_negatives, reflection_subgroup_type
+from .permengine import (
+    QuotientGroup,
+    SubgroupHandle,
+    ViolationError,
+    conjugacy_class_set,
+)
 from .perms import Perm, compose, is_identity
 from .rootsys import signed_permutation
 
@@ -172,11 +183,60 @@ def _cube_sum_vanishes(group: CoxeterGroup, u: Perm, mode: str) -> bool:
 # -- enumeration -------------------------------------------------------------------
 
 
+def normal_form(group: CoxeterGroup, u: Perm) -> int:
+    """Richardson's normal form of an involution u: the subset K of the
+    simple roots, as a mask over their positions, with u conjugate to w_K.
+
+    While a simple root a has u(a) negative and u(a) != -a, u <- s_a u s_a,
+    which is two shorter.  At the end every left descent s_a of u has
+    u(a) = -a, so s_a commutes with u; then x = w_K u, with K the a that u
+    negates, commutes with W_K and has no descent, so x = 1 and u = w_K.  A
+    descent that does not end at w_K raises ViolationError.
+    """
+    positive, neg = group._line_set, group.neg
+    groupoid = group.parabolics
+    steps = [(a, group.reflection_perm(a)) for a in groupoid.simple]
+    for _ in range(len(group.lines) // 2 + 1):  # the length falls by 2 a step
+        for a, s in steps:
+            ua = u[a]
+            if ua not in positive and ua != neg[a]:
+                u = compose(compose(s, u), s)
+                break
+        else:
+            k = sum(1 << i for i, a in enumerate(groupoid.simple) if u[a] == neg[a])
+            if u == groupoid.longest(k):
+                return k
+            break
+    raise ViolationError("an involution's normal form is not w_K")
+
+
+def _class_size(group: CoxeterGroup, k: int, loops: list[Perm]) -> int:
+    """|W| / |C(w_K)|, with |C(w_K)| = |G_u^+| |G_u^-| |Gamma| for u = w_K.
+
+    C(w_K) = W_K N_K, where N_K, generated by the loops, keeps K and so
+    meets W_K trivially.  Its image in the reflection quotient by
+    G1 = G_u^+ x G_u^-, which contains W_K = G_u^-, is all of Gamma, and
+    |Gamma| is the order of the quotient's complement on the roots.
+    """
+    u = group.parabolics.longest(k)
+    plus, minus = group.fixed_lines(u), group.negated_lines(u)
+    order = 1
+    for lines in (plus, minus):
+        order *= reflection_subgroup_type(group, lines_with_negatives(group, lines)).order()
+    quotient = QuotientGroup(
+        SubgroupHandle.from_gens(group.n_points, loops),
+        {l: group.reflection_perm(l) for l in plus + minus},
+    )
+    order *= quotient.size
+    if group.order % order:
+        raise ViolationError("a centralizer order does not divide the group order")
+    return group.order // order
+
+
 def enumerate_involution_classes(group: CoxeterGroup) -> list[InvolutionClass]:
     """All conjugacy classes of involutions, identity included, sorted by
     (degree, label)."""
     n = group.ctype.rank()
-    action = group.line_action
     minus_one = group.minus_one
     top_level = n // 2 if minus_one is not None else n
 
@@ -185,20 +245,25 @@ def enumerate_involution_classes(group: CoxeterGroup) -> list[InvolutionClass]:
     ]
     current = [classes[0]]
     for d in range(top_level):
-        seen: set[int] = set()
+        # the normal forms of degree d + 1 whose class is not found yet
+        unfound = group.parabolics.admissible(d + 1)
         fresh: list[InvolutionClass] = []
         for cls in current:
             u = cls.rep
             for line in group.lines:
+                if not unfound:
+                    break
                 if u[line] != line:
                     continue
                 w = compose(u, group.reflection_perm(line))
-                key = action.key(group.negated_lines(w))
-                if key in seen:
+                k = normal_form(group, w)
+                if k not in unfound:
                     continue
-                orbit = conjugacy_class_set(action, key)
-                seen |= orbit
-                new_cls = InvolutionClass(rep=w, degree=d + 1, size=len(orbit))
+                component, loops = conjugacy_class_set(group.parabolics, k)
+                unfound -= component
+                new_cls = InvolutionClass(
+                    rep=w, degree=d + 1, size=_class_size(group, k, loops)
+                )
                 fresh.append(new_cls)
                 classes.append(new_cls)
         current = fresh

@@ -1,21 +1,27 @@
 """Permutation-group algorithms on root indices.
 
-A Schreier-Sims implementation provides exact orders and membership
-tests; on top of it sit generic orbit/stabilizer computation, the quotient
-by a normal reflection subgroup as its complement acting on the roots, and
-structure labels proved from that complement's orbits.  A chain with a
-proven upper bound on its order sifts pseudo-random elements until it
-reaches the bound; they come from a generator with a fixed seed, so base
-points, orbit orders and transversals are fixed functions of the input,
-and every downstream table is byte-reproducible.  An order is exact
-whatever that sequence is: a chain stops early only on reaching a proven
-bound, and otherwise completes by Schreier verification.
+A Schreier-Sims implementation provides exact orders; on top of it sit
+generic orbit/stabilizer computation, the quotient by a normal reflection
+subgroup as its complement acting on the roots, and structure labels
+proved from that complement's orbits.  Howlett's groupoid on the subsets
+of the simple roots gives their W-classes and the loops that generate
+their stabilizers, with no orbit listed.
+
+A chain with a proven upper bound on its order sifts pseudo-random
+elements until it reaches the bound; they come from a generator with a
+fixed seed, so base points, orbit orders and transversals are fixed
+functions of the input, and every downstream table is byte-reproducible.
+An order is exact whatever that sequence is: a chain stops early only on
+reaching a proven bound, and otherwise completes by Schreier
+verification.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import combinations
 from math import factorial
 
 from .perms import Perm, compose, identity, inverse, is_identity
@@ -23,6 +29,10 @@ from .perms import Perm, compose, identity, inverse, is_identity
 
 class MembershipError(ValueError):
     pass
+
+
+class ViolationError(RuntimeError):
+    """A verified statement failed; never expected to fire."""
 
 
 class BSGS:
@@ -119,12 +129,6 @@ class BSGS:
 
     def sift(self, g: Perm) -> tuple[Perm, int]:
         return self.sift_from(0, g)
-
-    def contains(self, g: Perm) -> bool:
-        if len(g) != self.n:
-            raise MembershipError("degree mismatch")
-        residue, _ = self.sift(g)
-        return is_identity(residue)
 
     def order(self) -> int:
         result = 1
@@ -253,9 +257,6 @@ class SubgroupHandle:
     def order(self) -> int:
         return self.bsgs().order()
 
-    def contains(self, p: Perm) -> bool:
-        return self.bsgs().contains(p)
-
     def elements(self, limit: int | None = 100_000) -> list[Perm]:
         return self.bsgs().elements(limit)
 
@@ -321,58 +322,156 @@ def orbit_stabilizer(
     return order, handle
 
 
-class LineAction:
-    """A group's action on the reflection lines, for orbits of line sets.
+# -- Howlett's groupoid on the subsets of the simple roots ------------------------
 
-    A set of lines is keyed by an integer bitmask, bit p standing for
-    `lines[p]`.  Each generator is kept as `(keep, moved, table)`: `moved`
-    holds the bits of the positions it moves, `keep` the other bits, and
-    `table` maps each moved bit to the bit of its image.
+
+def _bits(mask: int):
+    """The positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class ParabolicGroupoid:
+    """Howlett's elementary moves between subsets of the simple roots.
+
+    A subset J is the integer with bit i set for each root `simple[i]` in
+    it.  For i outside J, with L = J + i, the move nu = w_0^L w_0^J maps J
+    onto a subset of L, where w_0^L is the longest element of the parabolic
+    subgroup W_L.  Two subsets are W-conjugate iff a chain of moves joins
+    them (R. B. Howlett, J. London Math. Soc. 21, 1980; M. Geck and
+    G. Pfeiffer, Characters of Finite Coxeter Groups and Iwahori-Hecke
+    Algebras, 2000, 2.3), and the elements mapping K onto itself form the
+    vertex group N_K at K of the groupoid the moves generate (B. Brink and
+    R. B. Howlett, Invent. Math. 136, 1999).
     """
 
-    def __init__(self, gens, lines, neg):
-        self.position = position = {}
-        for p, line in enumerate(lines):
-            position[line] = position[neg[line]] = p
-        full = (1 << len(lines)) - 1
-        images = [[position[g[line]] for line in lines] for g in gens]
-        tables = [{1 << p: 1 << q for p, q in enumerate(im) if q != p} for im in images]
-        self.generators = [(full ^ sum(t), sum(t), t) for t in tables]
+    def __init__(self, simple, reflections, positive: frozenset[int], neg):
+        self.simple = tuple(simple)
+        self.full = (1 << len(self.simple)) - 1
+        self.n_points = len(neg)
+        self.position = {a: i for i, a in enumerate(self.simple)}
+        self._reflections = tuple(reflections)
+        self._positive = positive
+        self._neg = neg
+        # the simple roots bonded to simple[i]: those its reflection moves
+        self._bonds = [
+            sum(1 << j for j, b in enumerate(self.simple) if s[b] != b and j != i)
+            for i, s in enumerate(self._reflections)
+        ]
+        self._connected: dict[int, Perm] = {}
 
-    def key(self, roots) -> int:
-        """The key of the lines through the given roots."""
-        return sum(1 << p for p in {self.position[r] for r in roots})
+    def _part(self, subset: int, seed: int) -> int:
+        """The union of the connected components of a subset of the Coxeter
+        graph that meet `seed`."""
+        part = grow = seed
+        while grow:
+            reach = 0
+            for i in _bits(grow):
+                reach |= self._bonds[i]
+            grow = reach & subset & ~part
+            part |= grow
+        return part
+
+    def _parts(self, subset: int) -> list[int]:
+        """The connected components of a subset of the Coxeter graph."""
+        parts = []
+        while subset:
+            part = self._part(subset, subset & -subset)
+            parts.append(part)
+            subset &= ~part
+        return parts
+
+    def _connected_longest(self, part: int) -> Perm:
+        """w_0 of a connected subset, by descent from the identity: while a
+        simple root a of it has y(a) positive, y <- s_a y (s_a first, then
+        y) is one longer than y."""
+        y = self._connected.get(part)
+        if y is None:
+            steps = [(self.simple[i], self._reflections[i]) for i in _bits(part)]
+            y = identity(self.n_points)
+            while True:
+                for a, s in steps:
+                    if y[a] in self._positive:
+                        y = compose(s, y)
+                        break
+                else:
+                    break
+            self._connected[part] = y
+        return y
+
+    def longest(self, subset: int) -> Perm:
+        """w_0^J: the product of the commuting longest elements of J's
+        connected components."""
+        parts = [self._connected_longest(p) for p in self._parts(subset)]
+        return reduce(compose, parts) if parts else identity(self.n_points)
+
+    def move(self, subset: int, i: int) -> Perm:
+        """nu = w_0^(J+i) w_0^J, as w_0^C w_0^(J&C) with C the component of
+        J + i that holds i: the other components of J cancel."""
+        c = self._part(subset | 1 << i, 1 << i)
+        parts = self._parts(subset & c) + [c]
+        return reduce(compose, map(self._connected_longest, parts))
+
+    def admissible(self, size: int) -> set[int]:
+        """The subsets K of `size` simple roots with w_0^K = -1 on their
+        span: each connected component's w_0 negates its simple roots."""
+
+        def negates(part: int) -> bool:
+            w = self._connected_longest(part)
+            return all(w[a] == self._neg[a] for a in (self.simple[i] for i in _bits(part)))
+
+        subsets = (sum(1 << i for i in c) for c in combinations(range(len(self.simple)), size))
+        return {k for k in subsets if all(map(negates, self._parts(k)))}
 
 
-class _MovedImages(dict):
-    """A generator's table, extended on demand to every moved part m."""
+def conjugacy_class_set(
+    groupoid: ParabolicGroupoid, k: int
+) -> tuple[frozenset[int], list[Perm]]:
+    """The component of k in Howlett's groupoid, the subsets W-conjugate to
+    k, with loops at k that generate N_k.
 
-    def __missing__(self, m):
-        image, rest = 0, m
-        while rest:
-            image |= self[rest & -rest]
-            rest &= rest - 1
-        self[m] = image
-        return image
-
-
-def conjugacy_class_set(action: LineAction, key: int) -> set[int]:
-    """The orbit of a line-set key.  For the lines an involution negates:
-    the keys of its conjugacy class, one per element.  Each generator maps
-    x to `(x & keep) | images[x & moved]`, memoized within the call."""
-    gens = [(keep, moved, _MovedImages(t)) for keep, moved, t in action.generators]
-    seen = {key}
-    queue = [key]
-    while queue:
-        x = queue.pop()
-        for keep, moved, images in gens:
-            m = x & moved
-            if m:  # else the generator fixes x
-                y = (x & keep) | images[m]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-    return seen
+    A BFS from k keeps, for each subset J it reaches, the product t_J of the
+    moves along its tree path, which maps k onto J.  Each other move nu, from
+    J to a subset J' already reached, closes the loop t_J nu t_J'^-1 (t_J
+    first); the loops of a spanning tree generate the vertex group at k,
+    which is N_k.  The move from J' with the same J + i = J' + i' is nu^-1,
+    so each edge is taken from one end only.  A move that leaves the simple
+    roots, or a loop that does not map k onto itself, raises ViolationError.
+    """
+    simple, position = groupoid.simple, groupoid.position
+    base = {simple[p] for p in _bits(k)}
+    tree = {k: identity(groupoid.n_points)}
+    inverses: dict[int, Perm] = {}
+    crossed: set[tuple[int, int]] = set()  # (J', J + i) of the edges taken
+    loops: list[Perm] = []
+    queue = [k]
+    for j in queue:
+        t = tree[j]
+        for i in _bits(groupoid.full & ~j):
+            union = j | 1 << i
+            if (j, union) in crossed:
+                continue
+            nu = groupoid.move(j, i)
+            try:
+                image = sum(1 << position[nu[simple[p]]] for p in _bits(j))
+            except KeyError:
+                raise ViolationError("a move leaves the simple roots") from None
+            crossed.add((image, union))
+            step = compose(t, nu)
+            if image not in tree:
+                tree[image] = step
+                queue.append(image)
+                continue
+            if image not in inverses:
+                inverses[image] = inverse(tree[image])
+            loop = compose(step, inverses[image])
+            if {loop[a] for a in base} != base:
+                raise ViolationError("a loop of the groupoid moves its base")
+            if not is_identity(loop):
+                loops.append(loop)
+    return frozenset(tree), loops
 
 
 # -- the reflection quotient ------------------------------------------------------

@@ -7,6 +7,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 Perm = tuple[int, ...]
 
@@ -23,7 +24,9 @@ def is_identity(p: Perm) -> bool:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Apply p, then q."""
-    return tuple(map(q.__getitem__, p))
+    if len(p) > 1:  # one itemgetter call builds the whole tuple in C
+        return itemgetter(*p)(q)
+    return tuple(q[i] for i in p)  # on one point itemgetter returns a bare int
 
 
 def inverse(p: Perm) -> Perm:
@@ -39,25 +42,6 @@ def conjugate(p: Perm, g: Perm) -> Perm:
     for i, pi in enumerate(p):
         out[g[i]] = g[pi]
     return tuple(out)
-
-
-def perm_order(p: Perm) -> int:
-    from math import lcm
-
-    n = len(p)
-    seen = bytearray(n)
-    order = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = 1
-            j = p[j]
-            length += 1
-        order = lcm(order, length)
-    return order
 
 
 def is_involution(p: Perm) -> bool:

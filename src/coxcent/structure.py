@@ -33,12 +33,18 @@ says why its bound is one.  N's chain and the listing of G_u^- in checks
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import tee
 from math import gcd
 
-from .coxtype import CoxeterType
-from .group import CoxeterGroup
+from .coxtype import CoxeterType, RecognitionError
+from .group import (
+    CoxeterGroup,
+    lines_with_negatives,
+    recognize,
+    reflection_subgroup_type,
+)
 from .involutions import (
     InvolutionClass,
     cube_decompositions,
@@ -49,156 +55,12 @@ from .permengine import (
     QuotientGroup,
     StructureLabel,
     SubgroupHandle,
+    ViolationError,
     fingerprint,
     quotient_action,
 )
-from .perms import Perm, compose, conjugate, is_identity, perm_order
+from .perms import Perm, compose, conjugate, is_identity
 from .rootsys import extended_diagram_Y
-
-
-class RecognitionError(RuntimeError):
-    """A reflection subgroup failed to classify; signals an engine bug."""
-
-
-class ViolationError(RuntimeError):
-    """A verified statement failed; never expected to fire."""
-
-
-# -- Coxeter graph classification -------------------------------------------------
-
-
-def _classify_connected(nodes: list, adj: dict, m) -> CoxeterType:
-    r = len(nodes)
-    if r == 1:
-        return CoxeterType.irreducible("A", 1)
-    if r == 2:
-        return CoxeterType([("I", m(nodes[0], nodes[1]))])
-    degrees = {v: len(adj[v]) for v in nodes}
-    branch = [v for v in nodes if degrees[v] >= 3]
-    if branch:
-        if len(branch) > 1 or degrees[branch[0]] > 3:
-            raise RecognitionError("diagram has an unrecognized branch pattern")
-        hub = branch[0]
-        arms = []
-        for start in adj[hub]:
-            length = 1
-            prev, cur = hub, start
-            while True:
-                if m(prev, cur) != 3:
-                    raise RecognitionError("branched diagram with a marked edge")
-                nxt = [w for w in adj[cur] if w != prev]
-                if not nxt:
-                    break
-                if len(nxt) > 1:
-                    raise RecognitionError("diagram has two branch points")
-                prev, cur = cur, nxt[0]
-                length += 1
-            arms.append(length)
-        arms.sort()
-        if arms[0] == 1 and arms[1] == 1:
-            return CoxeterType.irreducible("D", arms[2] + 3)
-        if arms == [1, 2, 2]:
-            return CoxeterType.irreducible("E", 6)
-        if arms == [1, 2, 3]:
-            return CoxeterType.irreducible("E", 7)
-        if arms == [1, 2, 4]:
-            return CoxeterType.irreducible("E", 8)
-        raise RecognitionError(f"unrecognized branched diagram with arms {arms}")
-    # A path: walk it from one endpoint.
-    ends = [v for v in nodes if degrees[v] == 1]
-    if len(ends) != 2:
-        raise RecognitionError("diagram is not a path")
-    walk = [ends[0]]
-    while len(walk) < r:
-        nxt = [w for w in adj[walk[-1]] if len(walk) < 2 or w != walk[-2]]
-        walk.append(nxt[0])
-    edge_labels = [m(walk[i], walk[i + 1]) for i in range(r - 1)]
-    if edge_labels[0] < edge_labels[-1]:
-        edge_labels.reverse()
-    if all(x == 3 for x in edge_labels):
-        return CoxeterType.irreducible("A", r)
-    if edge_labels[0] == 4 and all(x == 3 for x in edge_labels[1:]):
-        return CoxeterType.irreducible("B", r)
-    if r == 4 and edge_labels == [3, 4, 3]:
-        return CoxeterType.irreducible("F", 4)
-    if edge_labels[0] == 5 and all(x == 3 for x in edge_labels[1:]) and r in (3, 4):
-        return CoxeterType.irreducible("H", r)
-    raise RecognitionError(f"unrecognized path diagram with labels {edge_labels}")
-
-
-def classify_coxeter_graph(nodes: list, m) -> CoxeterType:
-    """Type of the Coxeter graph on `nodes` with bond orders m(i, j) >= 2."""
-    adj = {
-        v: [w for w in nodes if w != v and m(v, w) >= 3] for v in nodes
-    }
-    remaining = list(nodes)
-    result = CoxeterType.trivial()
-    while remaining:
-        comp = [remaining[0]]
-        seen = {remaining[0]}
-        i = 0
-        while i < len(comp):
-            for w in adj[comp[i]]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-            i += 1
-        result = result * _classify_connected(comp, adj, m)
-        remaining = [v for v in remaining if v not in seen]
-    return result
-
-
-# -- reflection subgroups of the ambient group ------------------------------------
-
-
-def _recognize(positive, reflection) -> CoxeterType:
-    """Coxeter type of a reflection group, from the positive roots of its
-    root set and each one's reflection as a permutation of that set.
-
-    A positive root is simple iff its reflection keeps every other positive
-    root positive (J. E. Humphreys, Reflection Groups and Coxeter Groups,
-    1990, 1.4-1.7); two simple roots bond with the order of the product of
-    their reflections.
-    """
-    pos = set(positive)
-    simples = []
-    for a in sorted(pos):
-        pa = reflection(a)
-        if all(pa[b] in pos for b in pos if b != a):
-            simples.append(a)
-
-    def bond(a: int, b: int) -> int:
-        return perm_order(compose(reflection(a), reflection(b)))
-
-    return classify_coxeter_graph(simples, bond)
-
-
-def reflection_subgroup_type(group: CoxeterGroup, rootset) -> CoxeterType:
-    """Coxeter type of the subgroup generated by the reflections whose roots
-    form `rootset` (which must be negation- and reflection-closed)."""
-    rootset = frozenset(rootset)
-    if not rootset:
-        return CoxeterType.trivial()
-    neg = group.neg
-    if any(neg[r] not in rootset for r in rootset):
-        raise ValueError("root set is not closed under negation")
-    pos = sorted(r for r in rootset if r in group._line_set)
-    for a in pos:
-        pa = group.reflection_perm(a)
-        if any(pa[b] not in rootset for b in pos):
-            raise ValueError("root set is not closed under its reflections")
-    ctype = _recognize(pos, group.reflection_perm)
-    if ctype.root_count() != len(rootset):
-        raise RecognitionError(
-            f"recognized {ctype} but root counts disagree "
-            f"({ctype.root_count()} vs {len(rootset)})"
-        )
-    return ctype
-
-
-def lines_with_negatives(group: CoxeterGroup, lines) -> frozenset[int]:
-    neg = group.neg
-    return frozenset(x for l in lines for x in (l, neg[l]))
 
 
 # -- centralizers -------------------------------------------------------------------
@@ -215,10 +77,12 @@ def centralizer(
     ViolationError: by Theorem 1.1 those involutions generate C(u).  The
     handle's generators are the seeds the chain kept.
 
-    The target bounds the chain: the class size is the orbit size of u's
-    negated-root set, which can only fall short of the class (C(u) fixes
-    that set), so the target is at least |C(u)|, and kept seeds must
-    commute with u, so they lie in C(u).
+    The target bounds the chain: the census reads the class size as
+    |W| / (|G_u^+| |G_u^-| |Gamma|), with Gamma the image of the loops of
+    Howlett's groupoid at u's normal form K.  The loops map K onto itself,
+    so they lie in N_K, inside C(w_K), and by Brink and Howlett they
+    generate N_K, so the target is |C(u)|; kept seeds must commute with u,
+    so they lie in C(u).
     """
     if group.order % class_size:
         raise ViolationError("class size does not divide the group order")
@@ -368,7 +232,7 @@ def tilde_side(
         order = SubgroupHandle.from_gens(
             len(vectors), list(perms.values()), expected_order
         ).order()
-        ctype = _recognize(list(perms), perms.__getitem__)
+        ctype = recognize(list(perms), perms.__getitem__)
         if (
             ctype.root_count() != len(vectors)
             or ctype.order() != order
@@ -432,21 +296,24 @@ class ClassData:
     minus_lines: list[int]
     quotient: QuotientGroup | None
     profile: CentralizerProfile
-    deg2_involutions: list[Perm] | None = None  # see `involutions`
+    seeds: Iterator[Perm]  # the degree-<=2 involutions of G_u, see `involutions`
+    deg2_involutions: list[Perm] | None = None
 
     def involutions(self) -> list[Perm]:
-        """The degree-<=2 involutions of G_u, built on first use: only the
-        checks read them all."""
+        """The degree-<=2 involutions of G_u, listed on first use: only the
+        checks read them all.  `seeds` continues the sequence the
+        centralizer read a prefix of, so no seed is built twice."""
         if self.deg2_involutions is None:
-            self.deg2_involutions = list(
-                self.group.centralizer_involutions_deg_le_2(self.profile.cls.rep)
-            )
+            self.deg2_involutions = list(self.seeds)
         return self.deg2_involutions
 
 
 def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
     u = cls.rep
-    g_u = centralizer(group, u, cls.size)
+    # the centralizer reads a prefix of the seeds, which the tee keeps for
+    # `ClassData.involutions`
+    seeds, later = tee(group.centralizer_involutions_deg_le_2(u))
+    g_u = centralizer(group, u, cls.size, seeds)
     plus_lines, minus_lines = group.fixed_lines(u), group.negated_lines(u)
     gu_order = g_u.order()
     quotient, gamma_label, gamma_order = gamma(
@@ -497,6 +364,7 @@ def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
         minus_lines=minus_lines,
         quotient=quotient,
         profile=profile,
+        seeds=later,
     )
 
 

@@ -1,22 +1,52 @@
-"""Oracles for the tests: a point orbit by plain BFS, the action of a
+"""Oracles for the tests: the order of a permutation, membership in a
+stabilizer chain by sifting, a point orbit by plain BFS, the action of a
 permutation on a point, the normalizer of a reflection subgroup as the
-stabilizer of its root set (`orbit_stabilizer` on sorted root tuples), and
-the projections of a centralizer as reflection groups on normal vectors
-closed by reflecting them over the field."""
+stabilizer of its root set (`orbit_stabilizer` on sorted root tuples), the
+involution census by orbits of negated-line sets, and the projections of a
+centralizer as reflection groups on normal vectors closed by reflecting
+them over the field."""
 
 from __future__ import annotations
 
+from math import lcm
 from operator import mul
 
-from coxcent.permengine import SubgroupHandle, orbit_stabilizer
-from coxcent.perms import Perm, compose, conjugate, perm_order
+from coxcent.coxtype import RecognitionError, classify_coxeter_graph
+from coxcent.involutions import InvolutionClass, label_class
+from coxcent.permengine import MembershipError, SubgroupHandle, orbit_stabilizer
+from coxcent.perms import Perm, compose, conjugate, is_identity
 from coxcent.structure import (
-    RecognitionError,
     _canonical_direction,
     _is_positive_direction,
     _primitive,
-    classify_coxeter_graph,
 )
+
+
+def perm_order(p: Perm) -> int:
+    n = len(p)
+    seen = bytearray(n)
+    order = 1
+    for i in range(n):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = 1
+            j = p[j]
+            length += 1
+        order = lcm(order, length)
+    return order
+
+
+def contains(group, g: Perm) -> bool:
+    """Whether g lies in a SubgroupHandle or a BSGS: g sifts to the
+    identity through the stabilizer chain."""
+    chain = group.bsgs() if isinstance(group, SubgroupHandle) else group
+    if len(g) != chain.n:
+        raise MembershipError("degree mismatch")
+    residue, _ = chain.sift(g)
+    return is_identity(residue)
 
 
 def point_orbit(gens, seed: int) -> list[int]:
@@ -58,6 +88,125 @@ def normalizer_of_reflection_subgroup(
         group_order=group.order(),
     )
     return stab
+
+
+# -- the census by orbits of negated-line sets --------------------------------------
+
+
+class LineAction:
+    """A group's action on the reflection lines, for orbits of line sets.
+
+    A set of lines is keyed by an integer bitmask, bit p standing for
+    `lines[p]`.  Each generator is kept as `(keep, moved, table)`: `moved`
+    holds the bits of the positions it moves, `keep` the other bits, and
+    `table` maps each moved bit to the bit of its image.
+    """
+
+    def __init__(self, gens, lines, neg):
+        self.position = position = {}
+        for p, line in enumerate(lines):
+            position[line] = position[neg[line]] = p
+        full = (1 << len(lines)) - 1
+        images = [[position[g[line]] for line in lines] for g in gens]
+        tables = [{1 << p: 1 << q for p, q in enumerate(im) if q != p} for im in images]
+        self.generators = [(full ^ sum(t), sum(t), t) for t in tables]
+
+    def key(self, roots) -> int:
+        """The key of the lines through the given roots."""
+        return sum(1 << p for p in {self.position[r] for r in roots})
+
+
+def line_action(group) -> LineAction:
+    """The action of a group's generators on its line positions."""
+    return LineAction(group.handle.gens, group.lines, group.neg)
+
+
+class _MovedImages(dict):
+    """A generator's table, extended on demand to every moved part m."""
+
+    def __missing__(self, m):
+        image, rest = 0, m
+        while rest:
+            image |= self[rest & -rest]
+            rest &= rest - 1
+        self[m] = image
+        return image
+
+
+def line_key_orbit(action: LineAction, key: int) -> set[int]:
+    """The orbit of a line-set key.  For the lines an involution negates:
+    the keys of its conjugacy class, one per element.  Each generator maps
+    x to `(x & keep) | images[x & moved]`, memoized within the call."""
+    gens = [(keep, moved, _MovedImages(t)) for keep, moved, t in action.generators]
+    seen = {key}
+    queue = [key]
+    while queue:
+        x = queue.pop()
+        for keep, moved, images in gens:
+            m = x & moved
+            if m:  # else the generator fixes x
+                y = (x & keep) | images[m]
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+    return seen
+
+
+def enumerate_by_orbits(group) -> list[InvolutionClass]:
+    """The involution census by the level BFS with each class's size the
+    orbit of its negated-line set: the line set determines the involution,
+    and g^-1 u g negates g(Phi_u^-), so the orbit is in bijection with the
+    class.  A level keeps one key per involution of its degree."""
+    n = group.ctype.rank()
+    action = line_action(group)
+    minus_one = group.minus_one
+    top_level = n // 2 if minus_one is not None else n
+
+    classes: list[InvolutionClass] = [
+        InvolutionClass(rep=group.identity, degree=0, size=1)
+    ]
+    current = [classes[0]]
+    for d in range(top_level):
+        seen: set[int] = set()
+        fresh: list[InvolutionClass] = []
+        for cls in current:
+            u = cls.rep
+            for line in group.lines:
+                if u[line] != line:
+                    continue
+                w = compose(u, group.reflection_perm(line))
+                key = action.key(group.negated_lines(w))
+                if key in seen:
+                    continue
+                orbit = line_key_orbit(action, key)
+                seen |= orbit
+                new_cls = InvolutionClass(rep=w, degree=d + 1, size=len(orbit))
+                fresh.append(new_cls)
+                classes.append(new_cls)
+        current = fresh
+        if not current:
+            break
+
+    for cls in classes:
+        cls.label = label_class(group, cls.rep, cls.degree)
+
+    if minus_one is not None:
+        for src in list(classes):
+            if n - src.degree <= top_level:
+                continue
+            rep = compose(group.neg, src.rep)
+            classes.append(
+                InvolutionClass(
+                    rep=rep,
+                    degree=n - src.degree,
+                    size=src.size,
+                    label=label_class(group, rep, n - src.degree),
+                    mirror_of=src,
+                )
+            )
+
+    classes.sort(key=lambda c: (c.degree, c.label))
+    return classes
 
 
 # -- projections by closing normal vectors over the field --------------------------

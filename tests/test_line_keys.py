@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from coxcent.coxtype import CoxeterType
 from coxcent.group import CoxeterGroup
 from coxcent.involutions import enumerate_involution_classes
-from coxcent.permengine import SubgroupHandle, _MovedImages, conjugacy_class_set
+from coxcent.permengine import SubgroupHandle
 from coxcent.rootsys import signed_permutation
 from coxcent.structure import profiles_for_group
 from coxcent.tables import Analysis, class_csv, class_json, expected_rows
 import linalg
+from oracles import _MovedImages, line_action, line_key_orbit
 
 
 def census(classes):
@@ -47,7 +48,7 @@ def root_tuple_orbit(gens, key):
 
 
 def assert_orbits_match_root_tuple_orbits(group, classes):
-    action = group.line_action
+    action = line_action(group)
     assert classes
     for cls in classes:
         u = cls.rep
@@ -55,7 +56,7 @@ def assert_orbits_match_root_tuple_orbits(group, classes):
             group.handle.gens,
             tuple(r for r in range(group.n_points) if u[r] == group.neg[r]),
         )
-        new = conjugacy_class_set(action, action.key(group.negated_lines(u)))
+        new = line_key_orbit(action, action.key(group.negated_lines(u)))
         assert {action.key(x) for x in old} == new
         assert len(old) == len(new) == cls.size
 
@@ -174,7 +175,7 @@ def test_analyze_artifacts_ignore_generator_order(cache, family, n, data):
 
 def test_key_sets_one_bit_per_line(cache):
     group = cache.group("B", 5)
-    action = group.line_action
+    action = line_action(group)
     lines = group.lines
     assert action.key(lines[:3]) == 0b111
     assert action.key([group.neg[lines[4]], lines[4], lines[0]]) == 0b10001
@@ -184,7 +185,7 @@ def test_key_sets_one_bit_per_line(cache):
 @pytest.mark.parametrize("family,n", [("B", 5), ("E", 6), ("H", 3)])
 def test_moved_line_memo_maps_keys_as_the_root_permutation_does(cache, family, n):
     group = cache.group(family, n)
-    action = group.line_action
+    action = line_action(group)
     lines = group.lines
     full = (1 << len(lines)) - 1
 

@@ -8,8 +8,8 @@ from coxcent.perms import (
     inverse,
     is_identity,
     is_involution,
-    perm_order,
 )
+from oracles import perm_order
 
 perms = st.permutations(range(8)).map(tuple)
 

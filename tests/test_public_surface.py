@@ -1,7 +1,7 @@
 """The package's surface: the top-level names are exactly what the README
 and the benchmark import, the README's example runs, and every function,
-class and method in `src/coxcent/` is named by the package outside its
-definition, by the benchmark or by the README."""
+class and method in `src/coxcent/` is referenced by the package outside
+its definition, or named by the benchmark or by the README."""
 
 from __future__ import annotations
 
@@ -61,40 +61,60 @@ def test_readme_example_prints_one_line_per_class():
 
 
 def _definitions(tree):
-    """(name, first line, last line) of the header of every function, class
-    and method: decorators and signature, up to the first line of the body.
-    Dunders are left out: the language calls those."""
+    """(name, first line, last line) of every function, class and method,
+    from its decorators to the end of its body.  Dunders are left out: the
+    language calls those."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            yield node.name, first, max(node.lineno, node.body[0].lineno - 1)
+            yield node.name, first, node.end_lineno
 
 
-def test_every_definition_is_named_outside_its_headers():
-    """A name counts as used when it occurs in the package outside the
-    headers that define it, or anywhere in the benchmark or the README.
-    Every header of the name is blanked, so two unused methods of one name
-    do not name each other."""
-    sources = {p: p.read_text().splitlines() for p in sorted(PACKAGE.glob("*.py"))}
-    headers: dict[str, list[tuple[Path, int, int]]] = {}
-    for path, lines in sources.items():
-        for name, first, last in _definitions(ast.parse("\n".join(lines))):
-            headers.setdefault(name, []).append((path, first, last))
+def _references(tree):
+    """(name, line) of every name and attribute the code reads or writes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def test_every_definition_is_referenced_outside_its_definitions():
+    """A name counts as used when the package references it, as a name or
+    an attribute, outside every definition of that name, or when the
+    benchmark or the README names it.  A method that only calls its
+    namesake on another class therefore uses neither."""
+    spans: dict[str, list[tuple[Path, int, int]]] = {}
+    references: list[tuple[str, Path, int]] = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for name, first, last in _definitions(tree):
+            spans.setdefault(name, []).append((path, first, last))
+        references.extend((name, path, line) for name, line in _references(tree))
     elsewhere = "\n".join(
         p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))
     ) + (ROOT / "README.md").read_text()
 
-    unnamed = []
-    for name, defs in sorted(headers.items()):
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        if name in TEST_ONLY or word.search(elsewhere):
-            continue
-        blanked = {path: list(lines) for path, lines in sources.items()}
-        for path, first, last in defs:
-            blanked[path][first - 1 : last] = [""] * (last - first + 1)
-        if not any(word.search("\n".join(lines)) for lines in blanked.values()):
-            unnamed.append(f"{name} ({', '.join(p.name for p, _, _ in defs)})")
-    assert not unnamed, "named nowhere outside their headers: " + "; ".join(unnamed)
-    assert set(TEST_ONLY) <= set(headers), "an exception names no definition"
+    def outside(name: str, path: Path, line: int) -> bool:
+        return not any(
+            p == path and first <= line <= last for p, first, last in spans[name]
+        )
+
+    used = {
+        name
+        for name, path, line in references
+        if name in spans and outside(name, path, line)
+    }
+    unreferenced = [
+        f"{name} ({', '.join(p.name for p, _, _ in defs)})"
+        for name, defs in sorted(spans.items())
+        if name not in used
+        and name not in TEST_ONLY
+        and not re.search(rf"\b{re.escape(name)}\b", elsewhere)
+    ]
+    assert not unreferenced, "referenced nowhere outside their definitions: " + "; ".join(
+        unreferenced
+    )
+    assert set(TEST_ONLY) <= set(spans), "an exception names no definition"

@@ -10,7 +10,7 @@ from coxcent.cli import ALL_SMALL
 from coxcent.coxtype import CoxeterType
 from coxcent.group import CoxeterGroup
 from coxcent.permengine import SubgroupHandle
-from coxcent.perms import compose, is_identity, perm_order
+from coxcent.perms import compose, is_identity
 from coxcent.rootsys import (
     MAX_DIHEDRAL_M,
     CapabilityError,
@@ -21,6 +21,7 @@ from coxcent.rootsys import (
 )
 from coxcent.structure import reflection_subgroup_type
 from linalg import identity, mat_sub, matrix_of_perm, rank
+from oracles import perm_order
 
 
 def _rs(family, n):
