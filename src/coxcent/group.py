@@ -7,7 +7,7 @@ from collections.abc import Iterator
 from functools import cached_property
 
 from .coxtype import CoxeterType, RecognitionError, classify_coxeter_graph
-from .permengine import ParabolicGroupoid, SubgroupHandle
+from .permengine import ParabolicGroupoid
 from .perms import Perm, compose
 from .rootsys import DEFAULT_MAX_RANK, DihedralModel, RootSystem, build_system
 
@@ -28,9 +28,6 @@ class CoxeterGroup:
         self.n_points = self.geometry.n_roots
         self.neg: tuple[int, ...] = tuple(self.geometry.neg)
         self.lines: tuple[int, ...] = tuple(self.geometry.positive)
-        self.handle = SubgroupHandle.from_gens(
-            self.n_points, self.geometry.generators()
-        )
 
     @property
     def is_dihedral(self) -> bool:

@@ -1,15 +1,17 @@
 """Permutation-group algorithms on root indices.
 
-A Schreier-Sims implementation provides exact orders; on top of it sit
-generic orbit/stabilizer computation, the quotient by a normal reflection
-subgroup as its complement acting on the roots, and structure labels
-proved from that complement's orbits.  Howlett's groupoid on the subsets
-of the simple roots gives their W-classes and the loops that generate
-their stabilizers, with no orbit listed.
+A Schreier-Sims implementation provides exact orders, keeping on each
+level of its stabilizer chain only the inverse transversal that sifting
+reads.  On top of it sit generic orbit/stabilizer computation, the
+quotient by a normal reflection subgroup as its complement acting on the
+roots, and structure labels proved from that complement's orbits.
+Howlett's groupoid on the subsets of the simple roots gives their
+W-classes and the loops that generate their stabilizers, with no orbit
+listed.
 
 A chain with a proven upper bound on its order sifts pseudo-random
 elements until it reaches the bound; they come from a generator with a
-fixed seed, so base points, orbit orders and transversals are fixed
+fixed seed, so base points, basic orbits and transversals are fixed
 functions of the input, and every downstream table is byte-reproducible.
 An order is exact whatever that sequence is: a chain stops early only on
 reaching a proven bound, and otherwise completes by Schreier
@@ -22,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 from .perms import Perm, compose, identity, inverse, is_identity
 
@@ -36,11 +38,17 @@ class ViolationError(RuntimeError):
 
 
 class BSGS:
-    """Base and strong generating set with explicit transversals per level.
+    """Base and strong generating set with one inverse transversal per level.
 
-    Transversal entries are never rewritten once created (orbits only ever
-    extend), so the per-level record of already-sifted Schreier generators
-    stays valid across incremental updates.
+    Level i is a dict mapping each point p of the basic orbit of base[i] to
+    t_p^-1, where t_p, a product of the level's strong generators, maps
+    base[i] to p; the dict's keys, in insertion order, are the orbit.
+    Sifting reads only these inverses, and a t_p is formed, by inverting
+    its entry, only where verification needs it.  Each strong generator is
+    inverted once, when it is inserted: `level_gens` holds (g, g^-1) pairs.
+    Entries are never rewritten once created (orbits only ever extend), so
+    the per-level record of already-sifted Schreier generators stays valid
+    across incremental updates.
 
     The chain is built in three steps.  Each generator is sifted in turn,
     and a nontrivial residue is inserted unverified; the generators that
@@ -59,9 +67,7 @@ class BSGS:
         self.n = n_points
         self._id = identity(n_points)
         self.base: list[int] = []
-        self.level_gens: list[list[Perm]] = []
-        self.orbit_order: list[list[int]] = []
-        self.trans: list[dict[int, Perm]] = []
+        self.level_gens: list[list[tuple[Perm, Perm]]] = []
         self.tinv: list[dict[int, Perm]] = []
         self._checked: list[set[tuple[int, int]]] = []
         self.kept: list[Perm] = []
@@ -95,28 +101,21 @@ class BSGS:
     def _new_level(self, bpoint: int):
         self.base.append(bpoint)
         self.level_gens.append([])
-        self.orbit_order.append([bpoint])
-        self.trans.append({bpoint: self._id})
         self.tinv.append({bpoint: self._id})
         self._checked.append(set())
 
     def _extend_level(self, lvl: int):
-        """Grow the Schreier tree at lvl; existing entries are preserved."""
+        """Grow the Schreier tree at lvl; existing entries are preserved.
+        With t_y = t_p g, t_y^-1 is g^-1 followed by t_p^-1."""
         gens = self.level_gens[lvl]
-        trans = self.trans[lvl]
         tinv = self.tinv[lvl]
-        order = self.orbit_order[lvl]
-        i = 0
-        while i < len(order):
-            p = order[i]
-            i += 1
-            for g in gens:
+        queue = list(tinv)
+        for p in queue:
+            for g, g_inv in gens:
                 y = g[p]
-                if y not in trans:
-                    t = compose(trans[p], g)
-                    trans[y] = t
-                    tinv[y] = inverse(t)
-                    order.append(y)
+                if y not in tinv:
+                    tinv[y] = compose(g_inv, tinv[p])
+                    queue.append(y)
 
     def sift_from(self, lvl: int, g: Perm) -> tuple[Perm, int]:
         for i in range(lvl, len(self.base)):
@@ -131,10 +130,7 @@ class BSGS:
         return self.sift_from(0, g)
 
     def order(self) -> int:
-        result = 1
-        for orbit in self.orbit_order:
-            result *= len(orbit)
-        return result
+        return prod(map(len, self.tinv))
 
     def add_generator(self, g: Perm) -> bool:
         """Sift g into a complete chain and verify; returns True if the
@@ -151,8 +147,9 @@ class BSGS:
             moved = next(i for i in range(self.n) if residue[i] != i)
             self._new_level(moved)
         # A strong generator fixing base[:lvl] belongs to every level <= lvl.
+        pair = (residue, inverse(residue))
         for k in range(lvl + 1):
-            self.level_gens[k].append(residue)
+            self.level_gens[k].append(pair)
             self._extend_level(k)
 
     def _verify_from(self, start: int, bound: int | None):
@@ -165,28 +162,30 @@ class BSGS:
             lvl = deeper if deeper is not None else lvl - 1
 
     def _check_level(self, lvl: int):
-        """Sift unprocessed Schreier generators of this level.
+        """Sift unprocessed Schreier generators t_p g t_(g(p))^-1 of this
+        level, forming t_p only for a point that still has one.
 
         Returns the level at which a residue was inserted (verification must
         resume there), or None when the level is clean.
         """
         checked = self._checked[lvl]
-        order = self.orbit_order[lvl]
         gens = self.level_gens[lvl]
-        trans = self.trans[lvl]
         tinv = self.tinv[lvl]
-        for p in order:
-            t = trans[p]
-            for gi, g in enumerate(gens):
+        for p, p_inv in tinv.items():
+            t = None
+            for gi, (g, _) in enumerate(gens):
                 key = (p, gi)
                 if key in checked:
                     continue
                 checked.add(key)
+                if t is None:
+                    t = inverse(p_inv)
                 schreier = compose(compose(t, g), tinv[g[p]])
                 if is_identity(schreier):
                     continue
                 residue, at = self.sift_from(lvl + 1, schreier)
                 if not is_identity(residue):
+                    # the insertion extends tinv, so the scan stops here
                     self._insert(residue, at)
                     return min(at, len(self.base) - 1)
         return None
@@ -198,9 +197,8 @@ class BSGS:
             raise MembershipError(f"group of order {total} exceeds limit {limit}")
         result = [self._id]
         for lvl in range(len(self.base) - 1, -1, -1):
-            trans = self.trans[lvl]
-            order = self.orbit_order[lvl]
-            result = [compose(h, trans[p]) for h in result for p in order]
+            trans = [inverse(t) for t in self.tinv[lvl].values()]
+            result = [compose(h, t) for h in result for t in trans]
         return result
 
 

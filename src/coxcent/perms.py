@@ -42,7 +42,3 @@ def conjugate(p: Perm, g: Perm) -> Perm:
     for i, pi in enumerate(p):
         out[g[i]] = g[pi]
     return tuple(out)
-
-
-def is_involution(p: Perm) -> bool:
-    return all(p[p[i]] == i for i in range(len(p)))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .coxtype import CoxeterType
-from .perms import Perm, conjugate
+from .perms import Perm, conjugate, identity
 from .scalars import GOLDEN, Scalar
 
 
@@ -207,9 +207,6 @@ class RootSystem:
         """Permutation of root indices induced by the reflection in root `line`."""
         return self._reflection_perms[line]
 
-    def generators(self) -> list[Perm]:
-        return [self.reflection_perm(i) for i in self.simple]
-
     def degree_of(self, perm: Perm) -> int:
         """dim of the (-1)-eigenspace of an involution: its eigenvalues are
         +-1, so the degree is (rank - trace) / 2.  Column k of its matrix in
@@ -268,15 +265,13 @@ class DihedralModel:
         perm = self._refl_perms.get(line)
         if perm is None:
             # k -> c - k (mod 2m) with c = 2j + m: c, c-1, ..., 0 for
-            # k <= c, then 2m - 1, ..., c + 1
-            mm = 2 * self.m
-            c = (2 * line + self.m) % mm
-            perm = tuple(range(c, -1, -1)) + tuple(range(mm - 1, c, -1))
+            # k <= c, then 2m - 1, ..., c + 1; slicing the cached identity
+            # shares its ints, so cached reflections hold no copies of them
+            pts = identity(self.n_roots)
+            c = (2 * line + self.m) % self.n_roots
+            perm = pts[c::-1] + pts[:c:-1]
             self._refl_perms[line] = perm
         return perm
-
-    def generators(self) -> list[Perm]:
-        return [self.reflection_perm(i) for i in self.simple]
 
     def orthogonal(self, i: int, j: int) -> bool:
         if self.m % 2:

@@ -104,7 +104,6 @@ def centralizer(
 class TildeResult:
     ctype: CoxeterType
     order: int  # order of the reflection subgroup of the projection
-    reflection_generated: bool
 
 
 def _primitive(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -207,8 +206,7 @@ def tilde_side(
     permutation of the normals is read off its involution's permutation of
     the roots, with no arithmetic in the field.  The projection equals the
     reflection subgroup these normals generate precisely when its order
-    matches |G_u| / |G_u^opp| (`expected_order`), which is what
-    `reflection_generated` records.
+    matches |G_u| / |G_u^opp| (`expected_order`).
 
     `expected_order` bounds the chain on the normals: the pointwise
     stabilizer of V_u^side in G_u is G_u^opp (Steinberg), so the projection
@@ -241,7 +239,7 @@ def tilde_side(
             raise RecognitionError(
                 f"projection classified as {ctype} but orders disagree"
             )
-    return TildeResult(ctype, order, order == expected_order)
+    return TildeResult(ctype, order)
 
 
 def gamma(
@@ -277,11 +275,11 @@ class CentralizerProfile:
     tilde_plus_type: CoxeterType
     gamma_structure: StructureLabel
     gamma_order: int
-    minus_order: int = 0
-    plus_order: int = 0
-    tilde_minus_order: int = 0
-    tilde_plus_order: int = 0
-    g1_order: int = 0
+    minus_order: int
+    plus_order: int
+    tilde_minus_order: int
+    tilde_plus_order: int
+    g1_order: int
     mirrored: bool = False
 
 
@@ -336,9 +334,10 @@ def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
         group, lines_with_negatives(group, minus_lines)
     )
     plus_order, minus_order = plus_type.order(), minus_type.order()
-    tilde_plus = tilde_side(group, u, "+", gu_order // minus_order)
-    tilde_minus = tilde_side(group, u, "-", gu_order // plus_order)
-    if not (tilde_plus.reflection_generated and tilde_minus.reflection_generated):
+    expected = (gu_order // minus_order, gu_order // plus_order)
+    tilde_plus = tilde_side(group, u, "+", expected[0])
+    tilde_minus = tilde_side(group, u, "-", expected[1])
+    if (tilde_plus.order, tilde_minus.order) != expected:
         raise ViolationError(
             f"a projection of the centralizer (class degree {cls.degree}, "
             f"label {cls.label!r}) is not generated by its reflections"

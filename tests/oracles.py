@@ -1,4 +1,5 @@
-"""Oracles for the tests: the order of a permutation, membership in a
+"""Oracles for the tests: the whole group as a subgroup handle, the order
+of a permutation, whether it is an involution, membership in a
 stabilizer chain by sifting, a point orbit by plain BFS, the action of a
 permutation on a point, the normalizer of a reflection subgroup as the
 stabilizer of its root set (`orbit_stabilizer` on sorted root tuples), the
@@ -20,6 +21,18 @@ from coxcent.structure import (
     _is_positive_direction,
     _primitive,
 )
+
+
+def whole_group(group) -> SubgroupHandle:
+    """A CoxeterGroup as the subgroup its simple reflections generate."""
+    geometry = group.geometry
+    return SubgroupHandle.from_gens(
+        group.n_points, [geometry.reflection_perm(a) for a in geometry.simple]
+    )
+
+
+def is_involution(p: Perm) -> bool:
+    return all(p[p[i]] == i for i in range(len(p)))
 
 
 def perm_order(p: Perm) -> int:
@@ -116,9 +129,10 @@ class LineAction:
         return sum(1 << p for p in {self.position[r] for r in roots})
 
 
-def line_action(group) -> LineAction:
-    """The action of a group's generators on its line positions."""
-    return LineAction(group.handle.gens, group.lines, group.neg)
+def line_action(group, gens=None) -> LineAction:
+    """The action of generators of a group, by default its simple
+    reflections, on its line positions."""
+    return LineAction(gens or whole_group(group).gens, group.lines, group.neg)
 
 
 class _MovedImages(dict):
@@ -152,13 +166,14 @@ def line_key_orbit(action: LineAction, key: int) -> set[int]:
     return seen
 
 
-def enumerate_by_orbits(group) -> list[InvolutionClass]:
+def enumerate_by_orbits(group, gens=None) -> list[InvolutionClass]:
     """The involution census by the level BFS with each class's size the
     orbit of its negated-line set: the line set determines the involution,
     and g^-1 u g negates g(Phi_u^-), so the orbit is in bijection with the
-    class.  A level keeps one key per involution of its degree."""
+    class.  A level keeps one key per involution of its degree.  The orbits
+    are those of `gens`, by default the simple reflections."""
     n = group.ctype.rank()
-    action = line_action(group)
+    action = line_action(group, gens)
     minus_one = group.minus_one
     top_level = n // 2 if minus_one is not None else n
 

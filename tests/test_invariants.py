@@ -10,7 +10,7 @@ from coxcent.permengine import SubgroupHandle
 from coxcent.perms import compose, is_identity
 from coxcent.structure import gamma, lines_with_negatives
 from linalg import GroupElement, matrix_of_perm, reflection
-from oracles import contains, normalizer_of_reflection_subgroup
+from oracles import contains, normalizer_of_reflection_subgroup, whole_group
 
 
 def test_reflection_returns_group_element(cache):
@@ -38,18 +38,19 @@ def test_commuting_reflections_iff_orthogonal_or_equal(cache):
 
 def test_sifting_soundness_on_generator_words(cache):
     group = cache.group("D", 4)
-    gens = group.handle.gens
+    handle = whole_group(group)
+    gens = handle.gens
     word = group.identity
     for i in range(25):
         word = compose(word, gens[i % len(gens)])
-        assert contains(group.handle, word)
+        assert contains(handle, word)
 
 
 def test_normalizer_handle_of_minus_part(cache):
     group = cache.group("H", 3)
     cls = next(c for c in cache.classes("H", 3) if c.degree == 1)
     rootset = lines_with_negatives(group, group.negated_lines(cls.rep))
-    handle = normalizer_of_reflection_subgroup(group.handle, rootset, group.neg)
+    handle = normalizer_of_reflection_subgroup(whole_group(group), rootset, group.neg)
     assert handle.order() == 8
     assert contains(handle, cls.rep)
 
@@ -57,7 +58,7 @@ def test_normalizer_handle_of_minus_part(cache):
 def test_normalizer_of_whole_rootset_is_group(cache):
     group = cache.group("B", 3)
     handle = normalizer_of_reflection_subgroup(
-        group.handle, range(group.n_points), group.neg
+        whole_group(group), range(group.n_points), group.neg
     )
     assert handle.order() == group.order
 
@@ -66,7 +67,7 @@ def test_normalizer_rejects_unclosed_set(cache):
     group = cache.group("B", 3)
     with pytest.raises(ValueError):
         normalizer_of_reflection_subgroup(
-            group.handle, (group.lines[0],), group.neg
+            whole_group(group), (group.lines[0],), group.neg
         )
 
 
@@ -88,7 +89,7 @@ def test_gamma_wrapper(cache):
 def test_e6_reflection_count_by_exhaustion(cache):
     # the largest group where the whole-element census is still reasonable
     group = cache.group("E", 6)
-    gens = group.handle.gens
+    gens = whole_group(group).gens
     seen = {group.identity}
     queue = [group.identity]
     while queue:
@@ -132,7 +133,7 @@ def test_minus_one_by_descent_matches_membership(family, n):
     # minus_one descends to the longest element; the oracle sifts -1
     # through the stabilizer chain of the whole group
     group = CoxeterGroup(CoxeterType.irreducible(family, n))
-    expected = group.neg if contains(group.handle, group.neg) else None
+    expected = group.neg if contains(whole_group(group), group.neg) else None
     assert group.minus_one == expected
 
 
@@ -172,13 +173,18 @@ def test_matrix_and_permutation_actions_agree(cache):
 
 def test_bsgs_invariants(cache):
     group = cache.group("D", 4)
-    chain = group.handle.bsgs()
+    chain = whole_group(group).bsgs()
     product = 1
-    for orbit in chain.orbit_order:
+    for orbit in chain.tinv:
         product *= len(orbit)
     assert product == chain.order() == 192
-    for level_gens in chain.level_gens:
-        for g in level_gens:
+    for b, tinv, level_gens in zip(chain.base, chain.tinv, chain.level_gens):
+        # each entry is t_p^-1, mapping its point p back to the base point
+        assert all(t_inv[p] == b for p, t_inv in tinv.items())
+        # the basic orbit is closed under the level's strong generators
+        assert all(g[p] in tinv for g, _ in level_gens for p in tinv)
+        for g, g_inv in level_gens:
+            assert compose(g, g_inv) == group.identity
             assert contains(chain, g)
 
 

@@ -13,12 +13,17 @@ from hypothesis import strategies as st
 from coxcent.coxtype import CoxeterType
 from coxcent.group import CoxeterGroup
 from coxcent.involutions import enumerate_involution_classes
-from coxcent.permengine import SubgroupHandle
 from coxcent.rootsys import signed_permutation
 from coxcent.structure import profiles_for_group
 from coxcent.tables import Analysis, class_csv, class_json, expected_rows
 import linalg
-from oracles import _MovedImages, line_action, line_key_orbit
+from oracles import (
+    _MovedImages,
+    enumerate_by_orbits,
+    line_action,
+    line_key_orbit,
+    whole_group,
+)
 
 
 def census(classes):
@@ -53,7 +58,7 @@ def assert_orbits_match_root_tuple_orbits(group, classes):
     for cls in classes:
         u = cls.rep
         old = root_tuple_orbit(
-            group.handle.gens,
+            whole_group(group).gens,
             tuple(r for r in range(group.n_points) if u[r] == group.neg[r]),
         )
         new = line_key_orbit(action, action.key(group.negated_lines(u)))
@@ -138,14 +143,15 @@ def test_signed_permutation_rejects_a_non_element(cache):
 
 @pytest.mark.parametrize("family,n", [("B", 5), ("D", 6), ("E", 6)])
 def test_census_ignores_generator_order(cache, family, n):
+    # the orbit census, the oracle of the census, walks its orbits with
+    # the generators in the order given
+    group = cache.group(family, n)
     expected = census(cache.classes(family, n))
-    gens = list(cache.group(family, n).handle.gens)
+    gens = list(whole_group(group).gens)
     shuffled = gens[:]
     random.Random(7).shuffle(shuffled)
     for order in (gens[::-1], shuffled):
-        group = CoxeterGroup(CoxeterType.irreducible(family, n))
-        group.handle = SubgroupHandle.from_gens(group.n_points, order)
-        assert census(enumerate_involution_classes(group)) == expected
+        assert census(enumerate_by_orbits(group, order)) == expected
 
 
 def artifact_bytes(group, classes, profiles):
@@ -157,16 +163,13 @@ def artifact_bytes(group, classes, profiles):
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_analyze_artifacts_ignore_generator_order(cache, family, n, data):
-    # the census's per-generator masks and the profiles' generating sets
-    # both come from these generators
-    expected = artifact_bytes(
-        cache.group(family, n), cache.classes(family, n), cache.profiles(family, n)
-    )
-    gens = list(cache.group(family, n).handle.gens)
+    # the orbit census's per-generator masks come from these generators,
+    # and the profiles built on its classes give the same bytes
+    group = cache.group(family, n)
+    expected = artifact_bytes(group, cache.classes(family, n), cache.profiles(family, n))
+    gens = list(whole_group(group).gens)
     for order in (gens[::-1], data.draw(st.permutations(gens))):
-        group = CoxeterGroup(CoxeterType.irreducible(family, n))
-        group.handle = SubgroupHandle.from_gens(group.n_points, order)
-        classes = enumerate_involution_classes(group)
+        classes = enumerate_by_orbits(group, order)
         assert artifact_bytes(group, classes, profiles_for_group(group, classes)) == expected
 
 
@@ -196,8 +199,9 @@ def test_moved_line_memo_maps_keys_as_the_root_permutation_does(cache, family, n
         return sum(1 << position(g[l]) for l in subset)
 
     rng = random.Random(10)
-    assert len(action.generators) == len(group.handle.gens)
-    for g, (keep, moved, table) in zip(group.handle.gens, action.generators):
+    gens = whole_group(group).gens
+    assert len(action.generators) == len(gens)
+    for g, (keep, moved, table) in zip(gens, action.generators):
         stays = [l for l in lines if position(g[l]) == position(l)]
         assert moved == full ^ sum(1 << position(l) for l in stays)
         assert keep == full ^ moved

@@ -7,9 +7,8 @@ from coxcent.perms import (
     identity,
     inverse,
     is_identity,
-    is_involution,
 )
-from oracles import perm_order
+from oracles import is_involution, perm_order
 
 perms = st.permutations(range(8)).map(tuple)
 

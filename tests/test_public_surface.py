@@ -20,7 +20,6 @@ PACKAGE = ROOT / "src" / "coxcent"
 # Names the dead-name guard allows with no caller outside the tests.
 TEST_ONLY = {
     "canonical_gamma": "the acceptance tests compare gamma labels with it",
-    "is_involution": "the tests use it as a helper",
 }
 
 

@@ -21,7 +21,7 @@ from coxcent.rootsys import (
 )
 from coxcent.structure import reflection_subgroup_type
 from linalg import identity, mat_sub, matrix_of_perm, rank
-from oracles import perm_order
+from oracles import perm_order, whole_group
 
 
 def _rs(family, n):
@@ -326,7 +326,7 @@ def test_mod2_mode_gate():
 )
 def test_reflection_count_by_exhaustion(family, n):
     group = CoxeterGroup(CoxeterType.irreducible(family, n))
-    gens = group.handle.gens
+    gens = whole_group(group).gens
     ident = group.identity
     seen = {ident}
     queue = [ident]
@@ -351,10 +351,10 @@ def test_reflection_count_by_exhaustion(family, n):
 
 def test_dihedral_model_structure():
     m = DihedralModel(7)
-    s0, s1 = m.generators()
+    s0, s1 = (m.reflection_perm(a) for a in m.simple)
     assert is_identity(compose(s0, s0))
     assert perm_order(compose(s0, s1)) == 7
-    h = SubgroupHandle.from_gens(m.n_roots, m.generators())
+    h = SubgroupHandle.from_gens(m.n_roots, [s0, s1])
     assert h.order() == 14
     assert m.degree_of(s0) == 1
 
@@ -370,7 +370,7 @@ def test_dihedral_reflections_match_the_rotation_formula(m):
 
 def test_dihedral_half_turn_degree_2():
     m = DihedralModel(8)
-    h = SubgroupHandle.from_gens(m.n_roots, m.generators())
+    h = SubgroupHandle.from_gens(m.n_roots, [m.reflection_perm(a) for a in m.simple])
     assert h.order() == 16
     assert m.degree_of(tuple(m.neg)) == 2
     # orthogonality exists only for even m
@@ -393,4 +393,4 @@ def test_group_order_from_the_type_matches_schreier_sims(cache, family, n):
     # CoxeterGroup.order reads |W| off the Coxeter type; the oracle is the
     # stabilizer chain of the simple reflections' root permutations
     group = cache.group(family, n)
-    assert group.handle.order() == group.order
+    assert whole_group(group).order() == group.order
