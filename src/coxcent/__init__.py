@@ -1,7 +1,8 @@
 """Exact computation of involution centralizers in finite Coxeter groups.
 
 The package builds every finite irreducible Coxeter group on exact
-arithmetic (Q, or Q(sqrt5) for the icosahedral types), enumerates its
+integer arithmetic (root coordinates in Z, or in Z[phi] with
+phi = (1 + sqrt5) / 2 for the icosahedral types), enumerates its
 conjugacy classes of involutions, computes the full centralizer structure
 of each class, and checks the results against embedded reference tables.
 """

@@ -1,11 +1,15 @@
 """Root systems and Coxeter data for every finite irreducible type.
 
-Roots are stored as coordinate tuples in the simple-root basis: integer
-tuples for the crystallographic types, Scalar tuples over Q(sqrt5) for H3
-and H4.  The full root set is generated by closing the simple roots under
-the simple reflections, then frozen in a deterministic order (height, then
-lexicographic coordinates), so every downstream artifact is reproducible
-byte for byte.
+Roots are stored as integer coordinate tuples in the simple-root basis.
+A crystallographic type has one int per coordinate.  On H3 and H4 every
+coordinate lies in Z[phi], phi = (1 + sqrt5) / 2, and is stored as two ints
+(a, b) for a + b*phi, so a root is a flat tuple of 2 * rank ints
+(J. E. Humphreys, Reflection Groups and Coxeter Groups, 1990, 2.13); the
+`width` of a RootSystem is the number of ints per coordinate.  The full
+root set is generated by closing the simple roots under the simple
+reflections, then frozen in a deterministic order (height, then
+lexicographic coordinates, both as real numbers), so every downstream
+artifact is reproducible byte for byte.
 
 I2(m) is deliberately not realized by vectors: general m would need
 Q(cos pi/m) arithmetic, while everything the dihedral tables require is
@@ -14,12 +18,10 @@ visible on the abstract 2m-point root circle (see :class:`DihedralModel`).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from .coxtype import CoxeterType
 from .perms import Perm, conjugate, identity
-from .scalars import GOLDEN, Scalar
 
 
 class CapabilityError(ValueError):
@@ -31,39 +33,34 @@ DEFAULT_MAX_RANK = 12
 # its time grows faster than m^2 beyond (m = 4096 did not finish in 150 s).
 MAX_DIHEDRAL_M = 1024
 
-# Dynkin data, 0-based Bourbaki numbering: (edges with exact inner product
-# of the two simple roots, squared lengths of the simple roots).
-_MINUS_GOLDEN = -GOLDEN
+# a + b*phi is keyed as the integer a*F40 + b*F41 (Fibonacci numbers), which
+# is F40 (a + b*phi) + b*psi^40 with psi = (1 - sqrt5) / 2, |psi^40| < 5e-9.
+# A nonzero a + b*phi with |a|, |b| < 2 * 10^6 has |a + b*phi| > 10^-7, as
+# its norm a^2 + ab - b^2 is a nonzero integer, so the keys of two
+# coordinates with |a|, |b| < 10^6 order exactly as their real values.
+_F40_F41 = (102334155, 165580141)
 
 
-def _dynkin_data(family: str, n: int):
-    two = Fraction(2)
-    if family == "A":
-        return [(i, i + 1, Fraction(-1)) for i in range(n - 1)], [two] * n
-    if family == "B":
-        norms = [two] * (n - 1) + [Fraction(1)]
-        return [(i, i + 1, Fraction(-1)) for i in range(n - 1)], norms
-    if family == "D":
-        edges = [(i, i + 1, Fraction(-1)) for i in range(n - 2)]
-        edges.append((n - 3, n - 1, Fraction(-1)))
-        return edges, [two] * n
-    if family == "E":
-        chain = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)][: n - 2]
-        edges = [(i, j, Fraction(-1)) for i, j in chain + [(1, 3)]]
-        return edges, [two] * n
-    if family == "F":
-        edges = [
-            (0, 1, Fraction(-1)),
-            (1, 2, Fraction(-1)),
-            (2, 3, Fraction(-1, 2)),
-        ]
-        return edges, [two, two, Fraction(1), Fraction(1)]
+def _dynkin_data(family: str, n: int) -> dict[tuple[int, int], tuple]:
+    """The bonds of the diagram, 0-based Bourbaki numbering: (i, j) maps to
+    the Cartan entries (<alpha_i, alpha_j^vee>, <alpha_j, alpha_i^vee>),
+    each a pair (a, b) for a + b*phi."""
+    if family in ("A", "B", "F", "H"):
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif family == "D":
+        edges = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+    elif family == "E":
+        edges = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)][: n - 2] + [(1, 3)]
+    else:
+        raise CapabilityError(f"no root datum for {family}{n}")
+    bonds = {e: ((-1, 0), (-1, 0)) for e in edges}
+    if family == "B":  # alpha_(n-1) is short
+        bonds[n - 2, n - 1] = ((-2, 0), (-1, 0))
+    if family == "F":  # alpha_2 and alpha_3 are short
+        bonds[1, 2] = ((-2, 0), (-1, 0))
     if family == "H":
-        edges = [(0, 1, _MINUS_GOLDEN)] + [
-            (i, i + 1, Scalar(-1)) for i in range(1, n - 1)
-        ]
-        return edges, [Scalar(2)] * n
-    raise CapabilityError(f"no root datum for {family}{n}")
+        bonds[0, 1] = ((0, -1), (0, -1))
+    return bonds
 
 
 class RootSystem:
@@ -73,42 +70,42 @@ class RootSystem:
         (family, n) = ctype.components[0]
         self.ctype = ctype
         self.rank = n
-        edges, norms = _dynkin_data(family, n)
-        self.crystallographic = family != "H"
+        # the one choice of field: ints per coordinate, 1 over Z, 2 over Z[phi]
+        self.width = w = 2 if family == "H" else 1
+        self.crystallographic = w == 1
 
-        gram = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                gram[i][j] = norms[i] if i == j else (Scalar(0) if family == "H" else Fraction(0))
-        for i, j, prod in edges:
-            gram[i][j] = prod
-            gram[j][i] = prod
-        self.gram = tuple(tuple(row) for row in gram)
-
-        # refl[i][j] = <alpha_i, alpha_j^vee> = 2 g(i,j) / g(j,j): the Cartan
-        # matrix in the crystallographic case, where it is integral.
-        refl = [
-            [2 * gram[i][j] / gram[j][j] for j in range(n)] for i in range(n)
-        ]
-        if self.crystallographic:
-            assert all(x.denominator == 1 for row in refl for x in row)
-            refl = [[int(x) for x in row] for row in refl]
-            self.cartan = tuple(tuple(row) for row in refl)
-        else:
-            self.cartan = None
-        # s_i(v) = v - (sum_j v_j refl[j][i]) alpha_i: column i's nonzero
-        # entries, the diagonal 2 among them
-        self._columns = tuple(
-            tuple((j, refl[j][i]) for j in range(n) if refl[j][i]) for i in range(n)
+        cartan = [[(2, 0) if i == j else (0, 0) for j in range(n)] for i in range(n)]
+        for (i, j), (a_ij, a_ji) in _dynkin_data(family, n).items():
+            cartan[i][j], cartan[j][i] = a_ij, a_ji
+        self.cartan = (
+            tuple(tuple(a for a, _ in row) for row in cartan)
+            if self.crystallographic
+            else None
         )
+        # s_i(v) = v - c alpha_i with c = sum_j v_j <alpha_j, alpha_i^vee>.
+        # Reflection i keeps, for each flat coordinate t of alpha_i, the
+        # nonzero coefficients of part t of c on the flat coordinates, as
+        # (a + b phi)(p + q phi) = (ap + bq) + (aq + bp + bq) phi; over Z only
+        # the first part and a, p are there.
+        rows = []
+        for i in range(n):
+            parts: list[list[tuple[int, int]]] = [[] for _ in range(w)]
+            for j in range(n):
+                p, q = cartan[j][i]
+                for t, coeffs in enumerate(((p, q), (q, p + q))[:w]):
+                    parts[t].extend(
+                        (j * w + s, x) for s, x in enumerate(coeffs[:w]) if x
+                    )
+            rows.append(tuple((i * w + t, tuple(row)) for t, row in enumerate(parts)))
+        self._rows = tuple(rows)
 
-        zero = 0 if self.crystallographic else Scalar(0)
-        one = 1 if self.crystallographic else Scalar(1)
         simple_coords = [
-            tuple(one if k == i else zero for k in range(n)) for i in range(n)
+            tuple(int(k == i * w) for k in range(n * w)) for i in range(n)
         ]
         images = self._close(simple_coords)
-        self.roots = tuple(sorted(images, key=lambda v: (sum(v[1:], v[0]), v)))
+        self.roots = tuple(
+            sorted(images, key=lambda v: (sum(key := self.real_key(v)), key))
+        )
         self.index = index = {v: i for i, v in enumerate(self.roots)}
         self.n_roots = len(self.roots)
         self._simple_perms = tuple(
@@ -118,17 +115,24 @@ class RootSystem:
             self.index[tuple(-c for c in v)] for v in self.roots
         )
         self.simple = tuple(self.index[v] for v in simple_coords)
-        self.positive = tuple(
-            i for i, v in enumerate(self.roots) if sum(v[1:], v[0]) > zero
-        )
+        # a root's coordinates are all >= 0 or all <= 0, and over Z[phi] so
+        # are all the ints of its flat tuple
+        self.positive = tuple(i for i, v in enumerate(self.roots) if sum(v) > 0)
         self.highest = self.positive[-1]
-        self._norms = [None] * self.n_roots
-        self._gram_rows: dict[int, tuple] = {}
+
+    def real_key(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        """One int per coordinate of the flat vector v, ordered as the real
+        coordinates are: the coordinates themselves over Z, and over Z[phi]
+        the keys of `_F40_F41`."""
+        if self.width == 1:
+            return v
+        f40, f41 = _F40_F41
+        return tuple(a * f40 + b * f41 for a, b in zip(v[::2], v[1::2]))
 
     def _apply_simple(self, i: int, v: tuple) -> tuple:
-        c = sum(v[j] * x for j, x in self._columns[i])
         out = list(v)
-        out[i] = v[i] - c
+        for t, row in self._rows[i]:
+            out[t] -= sum([v[k] * x for k, x in row])
         return tuple(out)
 
     def _close(self, simple_coords) -> dict[tuple, tuple]:
@@ -146,24 +150,7 @@ class RootSystem:
                     queue.append(w)
         return images
 
-    # -- inner products ---------------------------------------------------
-
-    def gram_row(self, i: int) -> tuple:
-        row = self._gram_rows.get(i)
-        if row is None:
-            v = self.roots[i]
-            row = tuple(
-                sum(v[j] * self.gram[j][k] for j in range(self.rank))
-                for k in range(self.rank)
-            )
-            self._gram_rows[i] = row
-        return row
-
-    def product(self, i: int, j: int):
-        """Invariant inner product of roots i and j."""
-        gi = self.gram_row(i)
-        w = self.roots[j]
-        return sum(gi[k] * w[k] for k in range(self.rank))
+    # -- orthogonality and lengths ----------------------------------------
 
     def orthogonal(self, i: int, j: int) -> bool:
         # s_i(beta) = beta - 2 (beta, alpha_i) / (alpha_i, alpha_i) alpha_i,
@@ -171,14 +158,20 @@ class RootSystem:
         # orthogonal: one lookup in place of a dot product over the field
         return self._reflection_perms[i][j] == j
 
-    def norm(self, i: int):
-        if self._norms[i] is None:
-            self._norms[i] = self.product(i, i)
-        return self._norms[i]
+    @cached_property
+    def _long_roots(self) -> frozenset[int]:
+        """The W-orbit of the highest root, which is long: every long root."""
+        orbit = {self.highest}
+        queue = [self.highest]
+        for r in queue:
+            for s in self._simple_perms:
+                if s[r] not in orbit:
+                    orbit.add(s[r])
+                    queue.append(s[r])
+        return frozenset(orbit)
 
     def is_long(self, i: int) -> bool:
-        longest = max(self.norm(s) for s in self.simple)
-        return self.norm(i) == longest
+        return i in self._long_roots
 
     # -- reflections ------------------------------------------------------
 
@@ -210,10 +203,11 @@ class RootSystem:
     def degree_of(self, perm: Perm) -> int:
         """dim of the (-1)-eigenspace of an involution: its eigenvalues are
         +-1, so the degree is (rank - trace) / 2.  Column k of its matrix in
-        the simple-root basis is the image of simple root k."""
-        trace = sum(self.roots[perm[s]][k] for k, s in enumerate(self.simple))
-        if isinstance(trace, Scalar):  # Q(sqrt5): an involution's trace is an integer
-            trace = int(trace.a)
+        the simple-root basis is the image of simple root k.  The trace is
+        an integer, so over Z[phi] the phi parts cancel and the first ints of
+        the diagonal entries sum to it."""
+        w = self.width
+        trace = sum(self.roots[perm[s]][k * w] for k, s in enumerate(self.simple))
         return (self.rank - trace) // 2
 
     # -- lattice / mod-2 machinery -----------------------------------------

@@ -114,25 +114,6 @@ def _primitive(vec: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x // g for x in vec) if g != 1 else vec
 
 
-def _canonical_direction(vec):
-    """The representative of the ray of a nonzero Scalar vector whose first
-    nonzero coordinate is +-1."""
-    lead = next((x for x in vec if x), None)
-    if lead is None:
-        raise ValueError("zero vector has no direction")
-    if lead.sign() < 0:
-        lead = -lead
-    scale = lead.inverse()
-    return tuple(scale * x for x in vec)
-
-
-def _is_positive_direction(vec) -> bool:
-    for x in vec:
-        if x:
-            return x > 0
-    raise ValueError("zero vector has no direction")
-
-
 def _projection_entries(group: CoxeterGroup, u: Perm, side: str):
     """(r, u(r)) for every root r with a degree-<=2 involution j of G_u that
     acts on V_u^side as a reflection: u(r) = -r (side "-") or u(r) = r (side
@@ -157,12 +138,17 @@ def _projection_reflections(
     themselves and an entry's normal to the normal of its image: the
     reflection in normal i sends normal k to the normal of j_i(rep_k),
     where j_i is the j of i's first entry and rep_k is k's first entry.
+
+    A direction is keyed by the primitive vector of its flat int tuple.
+    Over Z[phi] (H3, H4) two normals on one ray are equal: all roots have
+    one length, so their squared length ratio is 1 or 2, and sqrt2 is not
+    in Q(sqrt5).  Were it not so, one direction would get two keys, and
+    `tilde_side`'s root count would reject the projection.
     """
-    roots, neg = group.root_system.roots, group.neg
+    rs, neg = group.root_system, group.neg
+    roots = rs.roots
     sign = 1 if side == "+" else -1
-    canonical = (
-        _primitive if group.root_system.crystallographic else _canonical_direction
-    )
+    zero = (0,) * rs.rank
     index: dict[tuple, int] = {}
     vectors: list[tuple] = []
     reps: list[int] = []
@@ -171,7 +157,7 @@ def _projection_reflections(
         raw = roots[r]
         if ur != r and ur != neg[r]:
             raw = tuple(a + sign * b for a, b in zip(raw, roots[ur]))
-        v = canonical(raw)
+        v = _primitive(raw)
         k = index.get(v)
         if k is None:
             k = index[v] = len(vectors)
@@ -180,7 +166,7 @@ def _projection_reflections(
         root_vec[r] = k
     perms = {}
     for k, (v, r) in enumerate(zip(vectors, reps)):
-        if not _is_positive_direction(v):
+        if rs.real_key(v) < zero:  # its first nonzero coordinate is negative
             continue
         j = group.reflection_perm(r)
         if u[r] != r and u[r] != neg[r]:
@@ -698,34 +684,25 @@ def class_property_suite(data: ClassData) -> list[CheckResult]:
 
 def check_extended_diagram(group: CoxeterGroup) -> list[CheckResult]:
     """Check 3.3: the fixed-line parabolic of the lowest-root reflection is
-    the parabolic on the simple roots not adjacent to it."""
+    the parabolic on the simple roots not adjacent to it.
+
+    The roots of the parabolic W_Y are the roots whose sign its longest
+    element w_0^Y flips: it sends the positive roots of W_Y to negative
+    ones and permutes the other positive roots (Humphreys, 1.8 and 1.10)."""
     rs = group.root_system
     subject = str(group.ctype)
     y = extended_diagram_Y(rs)
     s0 = rs.highest
     perm = group.reflection_perm(s0)
     fixed_roots = {r for r in range(group.n_points) if perm[r] == r}
-    y_simple = [rs.simple[c] for c in sorted(y)]
-    parabolic = _parabolic_root_closure(group, y_simple)
+    w0 = group.parabolics.longest(sum(1 << c for c in y))
+    positive = group._line_set
+    parabolic = {
+        r for r in range(group.n_points) if (r in positive) != (w0[r] in positive)
+    }
     status = "pass" if fixed_roots == parabolic else "fail"
     ctype = reflection_subgroup_type(group, fixed_roots)
     return [CheckResult("3.3", subject, status, f"Y of type {ctype}")]
-
-
-def _parabolic_root_closure(group: CoxeterGroup, seed_lines) -> set[int]:
-    """Roots of the parabolic generated by the given simple reflections."""
-    roots = set()
-    frontier = [x for l in seed_lines for x in (l, group.neg[l])]
-    roots.update(frontier)
-    perms = [group.reflection_perm(l) for l in seed_lines]
-    while frontier:
-        r = frontier.pop()
-        for p in perms:
-            y = p[r]
-            if y not in roots:
-                roots.add(y)
-                frontier.append(y)
-    return roots
 
 
 def run_property_suite(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from coxcent.perms import Perm
-from coxcent.scalars import ONE, ZERO, Scalar
+from scalars import ONE, ZERO, Scalar, lift
 
 Vector = tuple[Scalar, ...]
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -146,10 +146,8 @@ def solve(m: Matrix, rhs: Vector) -> Vector:
 def matrix_of_perm(rs, perm: Perm) -> Matrix:
     """The matrix on V of the element of the root system `rs` that permutes
     the root indices by `perm`: column k is the image of simple root k."""
-    cols = [rs.roots[perm[s]] for s in rs.simple]
-    return tuple(
-        tuple(Scalar.of(cols[c][r]) for c in range(rs.rank)) for r in range(rs.rank)
-    )
+    cols = [lift(rs.roots[perm[s]], rs.width) for s in rs.simple]
+    return tuple(zip(*cols))
 
 
 @dataclass

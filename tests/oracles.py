@@ -3,12 +3,14 @@ of a permutation, whether it is an involution, membership in a
 stabilizer chain by sifting, a point orbit by plain BFS, the action of a
 permutation on a point, the normalizer of a reflection subgroup as the
 stabilizer of its root set (`orbit_stabilizer` on sorted root tuples), the
-involution census by orbits of negated-line sets, and the projections of a
-centralizer as reflection groups on normal vectors closed by reflecting
-them over the field."""
+involution census by orbits of negated-line sets, the Gram matrix of the
+simple roots over Q or Q(sqrt5), and the projections of a centralizer as
+reflection groups on normal vectors closed by reflecting them over the
+field."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from operator import mul
 
@@ -16,11 +18,8 @@ from coxcent.coxtype import RecognitionError, classify_coxeter_graph
 from coxcent.involutions import InvolutionClass, label_class
 from coxcent.permengine import MembershipError, SubgroupHandle, orbit_stabilizer
 from coxcent.perms import Perm, compose, conjugate, is_identity
-from coxcent.structure import (
-    _canonical_direction,
-    _is_positive_direction,
-    _primitive,
-)
+from coxcent.structure import _primitive
+from scalars import GOLDEN, Scalar, lift
 
 
 def whole_group(group) -> SubgroupHandle:
@@ -224,16 +223,115 @@ def enumerate_by_orbits(group, gens=None) -> list[InvolutionClass]:
     return classes
 
 
+# -- the root system over the field ------------------------------------------------
+
+
+def _gram_data(family: str, n: int):
+    """Dynkin data, 0-based Bourbaki numbering: (edges with the exact inner
+    product of the two simple roots, squared lengths of the simple roots)."""
+    one, two, bond = Scalar(1), Scalar(2), Scalar(-1)
+    if family == "A":
+        return [(i, i + 1, bond) for i in range(n - 1)], [two] * n
+    if family == "B":
+        return [(i, i + 1, bond) for i in range(n - 1)], [two] * (n - 1) + [one]
+    if family == "D":
+        edges = [(i, i + 1, bond) for i in range(n - 2)]
+        return edges + [(n - 3, n - 1, bond)], [two] * n
+    if family == "E":
+        chain = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)][: n - 2]
+        return [(i, j, bond) for i, j in chain + [(1, 3)]], [two] * n
+    if family == "F":
+        edges = [(0, 1, bond), (1, 2, bond), (2, 3, Scalar(Fraction(-1, 2)))]
+        return edges, [two, two, one, one]
+    if family == "H":
+        edges = [(0, 1, -GOLDEN)] + [(i, i + 1, bond) for i in range(1, n - 1)]
+        return edges, [two] * n
+    raise ValueError(f"no Gram data for {family}{n}")
+
+
+def gram_matrix(rs) -> tuple[tuple[Scalar, ...], ...]:
+    """The Gram matrix of the simple roots of `rs`, over Q or Q(sqrt5)."""
+    family, n = rs.ctype.components[0]
+    edges, norms = _gram_data(family, n)
+    gram = [[norms[i] if i == j else Scalar(0) for j in range(n)] for i in range(n)]
+    for i, j, prod in edges:
+        gram[i][j] = gram[j][i] = prod
+    return tuple(map(tuple, gram))
+
+
+def field_product(gram, x, y):
+    """The inner product of two Scalar vectors under `gram`."""
+    n = len(gram)
+    return sum((x[j] * gram[j][k] * y[k] for j in range(n) for k in range(n)), Scalar(0))
+
+
+def field_roots(rs) -> tuple[tuple[Scalar, ...], ...]:
+    """The roots of `rs` lifted to Scalars, in the order of `rs.roots`."""
+    return tuple(lift(v, rs.width) for v in rs.roots)
+
+
+def closed_roots(rs) -> tuple[tuple[Scalar, ...], ...]:
+    """The roots closed from the simple roots by the field formula
+    s_i(v) = v - 2 (v, alpha_i) / (alpha_i, alpha_i) alpha_i, sorted by
+    height, then by coordinates, as real numbers."""
+    gram = gram_matrix(rs)
+    n = len(gram)
+    simple = [tuple(Scalar(int(k == i)) for k in range(n)) for i in range(n)]
+    seen = set(simple)
+    queue = list(simple)
+    for v in queue:
+        for i, alpha in enumerate(simple):
+            c = 2 * field_product(gram, v, alpha) / gram[i][i]
+            w = tuple(x - c * a for x, a in zip(v, alpha))
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return tuple(sorted(seen, key=lambda v: (sum(v, Scalar(0)), v)))
+
+
 # -- projections by closing normal vectors over the field --------------------------
 
 
+def _canonical_direction(vec):
+    """The representative of the ray of a nonzero Scalar vector whose first
+    nonzero coordinate is +-1."""
+    lead = next((x for x in vec if x), None)
+    if lead is None:
+        raise ValueError("zero vector has no direction")
+    if lead.sign() < 0:
+        lead = -lead
+    scale = lead.inverse()
+    return tuple(scale * x for x in vec)
+
+
+def _is_positive_direction(vec) -> bool:
+    for x in vec:
+        if x:
+            return x > 0
+    raise ValueError("zero vector has no direction")
+
+
+def vector_roots(rs) -> tuple:
+    """The roots as the projection oracle's vectors, in the field of
+    `invariant_form`: int tuples over Z, Scalar tuples over Q(sqrt5)."""
+    return rs.roots if rs.width == 1 else field_roots(rs)
+
+
+def field_direction(rs, v) -> tuple:
+    """The oracle's representative of the ray of a flat int vector of `rs`:
+    the vector itself over Z (where the oracle keeps primitive int
+    vectors), its lift's canonical direction over Z[phi]."""
+    return v if rs.width == 1 else _canonical_direction(lift(v, 2))
+
+
 def invariant_form(rs) -> tuple:
-    """An invariant form in the field of the root coordinates: 2 * gram,
+    """An invariant form in the field of the oracle's vectors: 2 * gram,
     which is integral, as ints for the crystallographic types (squared
     lengths 4 and 2, bonds -2 and -1); gram itself over Q(sqrt5) for H."""
-    if not rs.crystallographic:
-        return rs.gram
-    return tuple(tuple(int(2 * x) for x in row) for row in rs.gram)
+    gram = gram_matrix(rs)
+    if rs.width == 2:
+        return gram
+    return tuple(tuple(int((2 * x).a) for x in row) for row in gram)
 
 
 class _VectorReflectionGroup:
@@ -327,8 +425,10 @@ class _VectorReflectionGroup:
 
 def projection_normals(group, u: Perm, side: str) -> list[tuple]:
     """The generating normals of the projection of G_u to V_u^side: roots
-    on that side, and root +- u(root) for the orthogonally swapped lines."""
+    on that side, and root +- u(root) for the orthogonally swapped lines,
+    as int vectors over Z and as Scalar vectors over Q(sqrt5)."""
     rs = group.root_system
+    roots = vector_roots(rs)
     neg = group.neg
     normals = []
     for l in group.lines:
@@ -338,13 +438,13 @@ def projection_normals(group, u: Perm, side: str) -> list[tuple]:
                 continue
             if v != l and not group.orthogonal(l, group.line_of(v)):
                 continue
-            normals.append(tuple(a + b for a, b in zip(rs.roots[l], rs.roots[v])))
+            normals.append(tuple(a + b for a, b in zip(roots[l], roots[v])))
         else:
             if v == l:
                 continue
             if v != neg[l] and not group.orthogonal(l, group.line_of(v)):
                 continue
-            normals.append(tuple(a - b for a, b in zip(rs.roots[l], rs.roots[v])))
+            normals.append(tuple(a - b for a, b in zip(roots[l], roots[v])))
     return normals
 
 

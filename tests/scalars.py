@@ -1,10 +1,13 @@
-"""Exact scalars: rationals with an optional sqrt(5) part.
+"""Exact scalars: rationals with an optional sqrt(5) part, an oracle for
+the tests.
 
-Every geometric quantity in the package is a :class:`Scalar`, so linear
-algebra over the two base fields (Q for the crystallographic types, Q(sqrt5)
-for H3 and H4) runs without any floating point.  Values are immutable and
-hashable; the fraction parts are always kept reduced with positive
-denominator, which `fractions.Fraction` guarantees.
+The package keeps root coordinates as ints, one per coordinate over Z and
+a pair (a, b) for a + b*phi over Z[phi] (H3, H4).  The tests lift them to
+:class:`Scalar` (`lift`), so linear algebra over the two base fields (Q for
+the crystallographic types, Q(sqrt5) for H3 and H4) runs without any
+floating point.  Values are immutable and hashable; the fraction parts are
+always kept reduced with positive denominator, which `fractions.Fraction`
+guarantees.
 """
 
 from __future__ import annotations
@@ -146,3 +149,11 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 # The golden ratio (1 + sqrt 5) / 2, ubiquitous in the H3/H4 geometry.
 GOLDEN = Scalar(Fraction(1, 2), Fraction(1, 2))
+
+
+def lift(v: tuple[int, ...], width: int) -> tuple[Scalar, ...]:
+    """A flat int vector as Scalars: one int per coordinate (width 1), or a
+    pair (a, b) per coordinate standing for a + b*phi (width 2)."""
+    if width == 1:
+        return tuple(map(Scalar, v))
+    return tuple(Scalar(a) + b * GOLDEN for a, b in zip(v[::2], v[1::2]))

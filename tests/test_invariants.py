@@ -157,7 +157,7 @@ def test_matrix_and_permutation_actions_agree(cache):
     # applying the matrix of an element to a root vector lands on the root
     # at the permuted index
     from linalg import mat_vec
-    from coxcent.scalars import Scalar
+    from scalars import lift
 
     for family, n in [("B", 3), ("H", 3)]:
         group = cache.group(family, n)
@@ -166,8 +166,8 @@ def test_matrix_and_permutation_actions_agree(cache):
             perm = rs.reflection_perm(line)
             m = matrix_of_perm(rs, perm)
             for r in range(0, rs.n_roots, 5):
-                image = mat_vec(m, tuple(Scalar.of(c) for c in rs.roots[r]))
-                expected = tuple(Scalar.of(c) for c in rs.roots[perm[r]])
+                image = mat_vec(m, lift(rs.roots[r], rs.width))
+                expected = lift(rs.roots[perm[r]], rs.width)
                 assert image == expected
 
 

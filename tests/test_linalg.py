@@ -17,7 +17,7 @@ from linalg import (
     rank,
     solve,
 )
-from coxcent.scalars import Scalar
+from scalars import Scalar
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 

@@ -1,7 +1,8 @@
 """The package's surface: the top-level names are exactly what the README
-and the benchmark import, the README's example runs, and every function,
+and the benchmark import, the README's example runs, every function,
 class and method in `src/coxcent/` is referenced by the package outside
-its definition, or named by the benchmark or by the README."""
+its definition, or named by the benchmark or by the README, and the
+command-line entry point loads no rational or decimal arithmetic."""
 
 from __future__ import annotations
 
@@ -9,7 +10,10 @@ import ast
 import contextlib
 import importlib.util
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import coxcent
@@ -117,3 +121,17 @@ def test_every_definition_is_referenced_outside_its_definitions():
         unreferenced
     )
     assert set(TEST_ONLY) <= set(spans), "an exception names no definition"
+
+
+def test_cli_import_loads_no_rational_arithmetic():
+    # root coordinates are ints over Z or Z[phi]; Fraction and the Scalar
+    # oracle belong to the tests
+    code = (
+        "import sys, coxcent.cli; "
+        "print(sorted({'fractions', 'decimal', 'coxcent.scalars'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,8 @@ from __future__ import annotations
 from operator import mul
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coxcent.cli import ALL_SMALL
 from coxcent.coxtype import CoxeterType
@@ -21,7 +23,17 @@ from coxcent.rootsys import (
 )
 from coxcent.structure import reflection_subgroup_type
 from linalg import identity, mat_sub, matrix_of_perm, rank
-from oracles import perm_order, whole_group
+from oracles import (
+    closed_roots,
+    field_product,
+    field_roots,
+    gram_matrix,
+    invariant_form,
+    perm_order,
+    vector_roots,
+    whole_group,
+)
+from scalars import Scalar, lift
 
 
 def _rs(family, n):
@@ -57,15 +69,15 @@ def test_roots_closed_under_negation_and_reflections():
         assert sorted(p) == list(range(rs.n_roots))
 
 
-def _field_reflection_perm(rs, line):
+def _field_reflection_perm(gram, roots, index, line):
     # s_alpha(v) = v - 2 (v, alpha) / (alpha, alpha) alpha on the coordinates
-    galpha = rs.gram_row(line)
-    nn = rs.norm(line)
-    alpha = rs.roots[line]
+    alpha = roots[line]
+    galpha = tuple(field_product(gram, alpha, e) for e in identity(len(gram)))
+    nn = field_product(gram, alpha, alpha)
     images = []
-    for v in rs.roots:
+    for v in roots:
         c = 2 * sum(g * x for g, x in zip(galpha, v)) / nn
-        images.append(rs.index[tuple(x - c * a for x, a in zip(v, alpha))])
+        images.append(index[tuple(x - c * a for x, a in zip(v, alpha))])
     return tuple(images)
 
 
@@ -75,10 +87,62 @@ def _field_reflection_perm(rs, line):
 )
 def test_reflection_perms_match_the_field_formula(family, n):
     # reflection_perm conjugates simple reflections; the oracle computes
-    # every root's reflection in Fraction or Q(sqrt5) arithmetic
+    # every root's reflection in Q or Q(sqrt5) arithmetic
     rs = _rs(family, n)
+    gram, roots = gram_matrix(rs), field_roots(rs)
+    index = {v: i for i, v in enumerate(roots)}
     for i in range(rs.n_roots):
-        assert rs.reflection_perm(i) == _field_reflection_perm(rs, i), i
+        assert rs.reflection_perm(i) == _field_reflection_perm(gram, roots, index, i), i
+
+
+@pytest.mark.parametrize(
+    "family,n", [("A", 4), ("B", 4), ("D", 5), ("F", 4), ("H", 3), ("H", 4)]
+)
+def test_integer_closure_matches_the_field_closure(family, n):
+    # the package closes the roots over Z or Z[phi] and sorts them by an
+    # integer key; the oracle closes them over Q or Q(sqrt5) from the Gram
+    # matrix and sorts them as Scalars, so the order is pinned root by root
+    rs = _rs(family, n)
+    roots = field_roots(rs)
+    assert closed_roots(rs) == roots
+    assert rs.positive == tuple(
+        i for i, v in enumerate(roots) if sum(v, Scalar(0)) > 0
+    )
+    # a positive root has every int of its flat tuple >= 0
+    assert all(min(rs.roots[i]) >= 0 for i in rs.positive)
+
+
+# a + b*phi with b = -F(k), a = F(k+1): within about phi^-k of 0, of both signs
+_NEAR_ZERO = [(832040, -514229), (-832040, 514229), (514229, -317811), (-514229, 317811)]
+_COORD = st.tuples(
+    st.integers(-(10**6) + 1, 10**6 - 1), st.integers(-(10**6) + 1, 10**6 - 1)
+)
+
+
+@settings(max_examples=300)
+@example(x=(1, -1), y=(0, 0))  # 1 - phi < 0
+@example(x=(-1, 1), y=(0, 0))  # phi - 1 > 0
+@example(x=(-2, 1), y=(-1, 0))  # phi - 2 < -1
+@given(x=st.one_of(_COORD, st.sampled_from(_NEAR_ZERO)), y=_COORD)
+def test_real_key_orders_as_scalar_sign(x, y):
+    # real_key orders Z[phi] coordinates as their real values, which
+    # Scalar.sign decides exactly
+    h3 = _rs("H", 3)
+    kx, ky = (h3.real_key(c + (0, 0, 0, 0))[0] for c in (x, y))
+    (sx,), (sy,) = (lift(c, 2) for c in (x, y))
+    assert (kx > 0) - (kx < 0) == sx.sign()
+    assert (kx > ky) - (kx < ky) == (sx - sy).sign()
+
+
+@pytest.mark.parametrize("family,n", [("B", 4), ("F", 4), ("E", 6), ("H", 3)])
+def test_long_roots_have_the_longest_norm(family, n):
+    # is_long reads the W-orbit of the highest root; the oracle compares
+    # squared lengths under the Gram matrix
+    rs = _rs(family, n)
+    gram = gram_matrix(rs)
+    norms = [field_product(gram, v, v) for v in field_roots(rs)]
+    longest = max(norms)
+    assert [rs.is_long(i) for i in range(rs.n_roots)] == [x == longest for x in norms]
 
 
 def test_positive_system_is_nonnegative_and_sum_closed():
@@ -136,26 +200,26 @@ def test_degree_from_trace_matches_rank(cache, family, n):
 @pytest.mark.parametrize("family,n", [("B", 4), ("F", 4), ("E", 6), ("H", 3)])
 def test_orthogonal_matches_gram_product(family, n):
     rs = _rs(family, n)
+    gram = gram_matrix(rs)
     if rs.crystallographic:
         # twice the Gram matrix is integral: squared lengths 4 and 2, bonds
         # -2 and -1
-        assert all((2 * x).denominator == 1 for row in rs.gram for x in row)
+        assert all(not (2 * x).b and (2 * x).a.denominator == 1 for row in gram for x in row)
+    roots = field_roots(rs)
     for i in range(rs.n_roots):
         for j in range(rs.n_roots):
-            assert rs.orthogonal(i, j) == (rs.product(i, j) == 0)
+            assert rs.orthogonal(i, j) == (field_product(gram, roots[i], roots[j]) == 0)
 
 
 def _form_rows(rs):
     # row i: the pairings of root i with the simple roots under an invariant
-    # form in the field of the coordinates: 2 * gram as ints, or gram for H
-    form = (
-        tuple(tuple(int(2 * x) for x in row) for row in rs.gram)
-        if rs.crystallographic
-        else rs.gram
-    )
+    # form in the field of the oracle's vectors: 2 * gram as ints, or gram
+    # for H on the lifted roots
+    form = invariant_form(rs)
+    roots = vector_roots(rs)
     return tuple(
-        tuple(sum(map(mul, v, col)) for col in zip(*form)) for v in rs.roots
-    )
+        tuple(sum(map(mul, v, col)) for col in zip(*form)) for v in roots
+    ), roots
 
 
 @pytest.mark.parametrize("family,n", ALL_SMALL)
@@ -169,10 +233,10 @@ def test_orthogonal_matches_the_form_rows(family, n):
             for j in range(rs.n_roots):
                 assert rs.orthogonal(i, j) == (p[j] == j), (i, j)
         return
-    rows = _form_rows(rs)
+    rows, roots = _form_rows(rs)
     for i in range(rs.n_roots):
         for j in range(rs.n_roots):
-            expected = not sum(map(mul, rows[i], rs.roots[j]))
+            expected = not sum(map(mul, rows[i], roots[j]))
             assert rs.orthogonal(i, j) == expected, (i, j)
 
 
@@ -241,9 +305,15 @@ def test_rank_bound_capability_error():
 
 
 def mod2_form(rs, i: int, j: int) -> int:
-    """Pairing (root_i . root_j^vee) mod 2."""
-    pairing = 2 * rs.product(i, j) / rs.norm(j)
-    return int(pairing) % 2
+    """Pairing (root_i . root_j^vee) = 2 (root_i, root_j) / (root_j, root_j)
+    mod 2, under the integral form 2 * gram."""
+    form = invariant_form(rs)
+
+    def dot(x, y):
+        return sum(map(mul, (sum(map(mul, x, col)) for col in zip(*form)), y))
+
+    x, y = rs.roots[i], rs.roots[j]
+    return 2 * dot(x, y) // dot(y, y) % 2
 
 
 def test_e7_mod2_form_alternating_nondegenerate():

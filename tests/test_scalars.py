@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coxcent.scalars import GOLDEN, Scalar
+from scalars import GOLDEN, Scalar
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 scalars = st.builds(Scalar, rationals, rationals)

@@ -13,14 +13,11 @@ from coxcent import structure
 from coxcent.coxtype import CoxeterType
 from coxcent.permengine import BSGS, SubgroupHandle
 from coxcent.perms import compose, conjugate, inverse
-from coxcent.scalars import Scalar
 from coxcent.structure import (
     CHECK_NAMES,
     RecognitionError,
     ViolationError,
-    _canonical_direction,
     _compute_class_data,
-    _is_positive_direction,
     _projection_reflections,
     centralizer,
     check_complement,
@@ -35,17 +32,22 @@ from coxcent.structure import (
 )
 from linalg import matrix_of_perm
 from oracles import (
+    _canonical_direction,
+    _is_positive_direction,
     _VectorReflectionGroup,
     closed_projection,
     contains,
+    field_direction,
     invariant_form,
     line_action,
     line_key_orbit,
     normalizer_of_reflection_subgroup,
     orbit_stabilizer,
     projection_normals,
+    vector_roots,
     whole_group,
 )
+from scalars import Scalar, lift
 
 
 def test_centralizer_of_identity_is_group(cache):
@@ -211,7 +213,8 @@ def test_projection_reflections_match_the_arithmetic(cache, family, n):
         for side in "+-":
             normals = projection_normals(group, cls.rep, side)
             closure, ctype, order = closed_projection(form, normals)
-            vectors, perms = _projection_reflections(group, cls.rep, side)
+            flat, perms = _projection_reflections(group, cls.rep, side)
+            vectors = [field_direction(rs, v) for v in flat]
             assert sorted(vectors) == sorted(closure.order_list)
             assert set(perms) == {
                 k for k, v in enumerate(vectors) if _is_positive_direction(v)
@@ -223,7 +226,8 @@ def test_projection_reflections_match_the_arithmetic(cache, family, n):
             t = tilde_side(group, cls.rep, side, order)
             assert (t.ctype, t.order) == (ctype, order)
     # from the simple roots alone the oracle's closure is the root system
-    whole = _VectorReflectionGroup(form, [rs.roots[s] for s in rs.simple])
+    roots = vector_roots(rs)
+    whole = _VectorReflectionGroup(form, [roots[s] for s in rs.simple])
     assert len(whole.order_list) == rs.n_roots
 
 
@@ -321,18 +325,20 @@ def test_tilde_side_on_a_line_matches_the_vector_path(cache):
     assert sides == 28
 
 
-@pytest.mark.parametrize("family,n", [("B", 4), ("D", 5), ("F", 4), ("E", 6)])
+@pytest.mark.parametrize(
+    "family,n", [("B", 4), ("D", 5), ("F", 4), ("E", 6), ("H", 3), ("H", 4)]
+)
 def test_tilde_integer_path_matches_scalar_path(cache, family, n):
-    # the oracle on the same form and normals lifted to Scalar takes the
-    # Q(sqrt5) path, the reference for the primitive-integer vectors
+    # tilde_side keys the normals by primitive vectors over Z or Z[phi]; the
+    # oracle on the same form and normals as Scalars takes the Q(sqrt5) path
     group = cache.group(family, n)
-    form = invariant_form(group.root_system)
-    lifted_form = tuple(tuple(Scalar.of(x) for x in row) for row in form)
+    rs = group.root_system
+    form = invariant_form(rs)
 
-    def lift(v):
+    def to_scalars(v):
         return tuple(Scalar.of(x) for x in v)
 
-    int_fields, scalar_fields = set(), set()
+    scalar_form = tuple(map(to_scalars, form))
     # tilde_side's bound is the class's |G_u| / |G_u^opp|, a true upper bound
     for cls, p in zip(cache.classes(family, n), cache.profiles(family, n)):
         for side, bound in (
@@ -341,19 +347,21 @@ def test_tilde_integer_path_matches_scalar_path(cache, family, n):
         ):
             normals = projection_normals(group, cls.rep, side)
             vectors, _ = _projection_reflections(group, cls.rep, side)
-            _, int_type, int_order = closed_projection(form, normals)
-            lifted, scalar_type, scalar_order = closed_projection(
-                lifted_form, [lift(v) for v in normals]
+            scalar_run = closed_projection(
+                scalar_form, [to_scalars(v) for v in normals]
             )
-            int_fields.update(type(x) for v in vectors for x in v)
-            scalar_fields.update(type(x) for v in lifted.order_list for x in v)
-            assert {_canonical_direction(lift(v)) for v in vectors} == set(
+            # over Q(sqrt5) the form and the normals are Scalars already
+            field_run = (
+                closed_projection(form, normals) if rs.crystallographic else scalar_run
+            )
+            lifted, scalar_type, scalar_order = scalar_run
+            _, int_type, int_order = field_run
+            assert {_canonical_direction(lift(v, rs.width)) for v in vectors} == set(
                 lifted.order_list
             )
             t = tilde_side(group, cls.rep, side, bound)
             assert (t.ctype, t.order) == (int_type, int_order)
             assert (t.ctype, t.order) == (scalar_type, scalar_order)
-    assert int_fields == {int} and scalar_fields == {Scalar}
 
 
 def test_a_family_tilde_types(cache):
