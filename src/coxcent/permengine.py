@@ -190,17 +190,6 @@ class BSGS:
                     return min(at, len(self.base) - 1)
         return None
 
-    def elements(self, limit: int | None = None) -> list[Perm]:
-        """Every group element, in deterministic transversal order."""
-        total = self.order()
-        if limit is not None and total > limit:
-            raise MembershipError(f"group of order {total} exceeds limit {limit}")
-        result = [self._id]
-        for lvl in range(len(self.base) - 1, -1, -1):
-            trans = [inverse(t) for t in self.tinv[lvl].values()]
-            result = [compose(h, t) for h in result for t in trans]
-        return result
-
 
 # Product-replacement state: at least this many slots, a fixed seed, and
 # the run of trivial sifts after which a bounded chain stops sifting them.
@@ -254,9 +243,6 @@ class SubgroupHandle:
 
     def order(self) -> int:
         return self.bsgs().order()
-
-    def elements(self, limit: int | None = 100_000) -> list[Perm]:
-        return self.bsgs().elements(limit)
 
 
 # -- orbits and stabilizers ----------------------------------------------------
@@ -522,11 +508,6 @@ class QuotientGroup:
             else:
                 return y
 
-    @property
-    def reps(self) -> list[Perm]:
-        """The elements of N, one per coset, the identity first."""
-        return self.handle.elements()
-
 
 def quotient_action(group: SubgroupHandle, reflections: dict[int, Perm]):
     return QuotientGroup(group, reflections)
@@ -567,7 +548,7 @@ def _orbits(handle: SubgroupHandle) -> list[list[int]]:
     return orbits
 
 
-def _restricted_order(handle: SubgroupHandle, points: list[int]) -> int:
+def restricted_order(handle: SubgroupHandle, points: list[int]) -> int:
     """The order of the group induced on a union of orbits."""
     index = {p: i for i, p in enumerate(points)}
     gens = [tuple(index[g[p]] for p in points) for g in handle.gens]
@@ -593,11 +574,11 @@ def fingerprint(handle: SubgroupHandle) -> StructureLabel:
     r = 1
     while factorial(r) <= order:
         if factorial(r) == order and any(
-            _restricted_order(handle, o1) == order for o1 in by_size.get(r, ())
+            restricted_order(handle, o1) == order for o1 in by_size.get(r, ())
         ):
             return StructureLabel("sym", r, order)
         if r >= 2 and 2 * factorial(r) == order and any(
-            _restricted_order(handle, o1 + o2) == order
+            restricted_order(handle, o1 + o2) == order
             for o1 in by_size.get(r, ())
             for o2 in by_size.get(2, ())
             if o2 is not o1

@@ -136,17 +136,24 @@ class RootSystem:
         return tuple(out)
 
     def _close(self, simple_coords) -> dict[tuple, tuple]:
-        """Every root, mapped to its images under s_0, ..., s_(rank-1)."""
+        """Every root, mapped to its images under s_0, ..., s_(rank-1).
+
+        The queue holds one root of each pair +-v: s_i(-v) = -s_i(v), so
+        the images of -v are the negated images of v."""
+        def negated(v: tuple) -> tuple:
+            return tuple(-c for c in v)
+
         images: dict[tuple, tuple] = {}
-        seen = set(simple_coords)
         queue = list(simple_coords)
+        seen = {*queue, *map(negated, queue)}
         while queue:
             v = queue.pop()
             row = tuple(self._apply_simple(i, v) for i in range(self.rank))
             images[v] = row
-            for w in (*row, tuple(-c for c in v)):
+            images[negated(v)] = tuple(map(negated, row))
+            for w in row:
                 if w not in seen:
-                    seen.add(w)
+                    seen.update((w, negated(w)))
                     queue.append(w)
         return images
 

@@ -1,12 +1,14 @@
 """Oracles for the tests: the whole group as a subgroup handle, the order
 of a permutation, whether it is an involution, membership in a
-stabilizer chain by sifting, a point orbit by plain BFS, the action of a
-permutation on a point, the normalizer of a reflection subgroup as the
-stabilizer of its root set (`orbit_stabilizer` on sorted root tuples), the
-involution census by orbits of negated-line sets, the Gram matrix of the
-simple roots over Q or Q(sqrt5), and the projections of a centralizer as
-reflection groups on normal vectors closed by reflecting them over the
-field."""
+stabilizer chain by sifting, every element of a group listed from its
+chain, checks 2.7/2.8 by a scan of G_u^- for each element of the
+reflection quotient's complement, a point orbit by plain BFS, the action
+of a permutation on a point, the normalizer of a reflection subgroup as
+the stabilizer of its root set (`orbit_stabilizer` on sorted root
+tuples), the involution census by orbits of negated-line sets, the Gram
+matrix of the simple roots over Q or Q(sqrt5), and the projections of a
+centralizer as reflection groups on normal vectors closed by reflecting
+them over the field."""
 
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ from operator import mul
 from coxcent.coxtype import RecognitionError, classify_coxeter_graph
 from coxcent.involutions import InvolutionClass, label_class
 from coxcent.permengine import MembershipError, SubgroupHandle, orbit_stabilizer
-from coxcent.perms import Perm, compose, conjugate, is_identity
-from coxcent.structure import _primitive
+from coxcent.perms import Perm, compose, conjugate, identity, inverse, is_identity
+from coxcent.structure import CheckResult, _primitive, _subject
 from scalars import GOLDEN, Scalar, lift
 
 
@@ -59,6 +61,60 @@ def contains(group, g: Perm) -> bool:
         raise MembershipError("degree mismatch")
     residue, _ = chain.sift(g)
     return is_identity(residue)
+
+
+def elements(group, limit: int | None = None) -> list[Perm]:
+    """Every element of a SubgroupHandle or a BSGS, in deterministic
+    transversal order, the identity first; MembershipError above `limit`."""
+    chain = group.bsgs() if isinstance(group, SubgroupHandle) else group
+    total = chain.order()
+    if limit is not None and total > limit:
+        raise MembershipError(f"group of order {total} exceeds limit {limit}")
+    result = [identity(chain.n)]
+    for lvl in range(len(chain.base) - 1, -1, -1):
+        trans = [inverse(t) for t in chain.tinv[lvl].values()]
+        result = [compose(h, t) for h in result for t in trans]
+    return result
+
+
+def out_injectivity_by_scan(data, limit: int) -> list[CheckResult]:
+    """Checks 2.7 and 2.8 by explicit coset scan, listing G_u^- (up to
+    `limit` elements) and the complement N of the reflection part.
+
+    For each nontrivial element of N, one per nontrivial coset, no element
+    of G_u^- may induce the same conjugation on G_u^-; otherwise the
+    element times an inverse inner piece would centralize G_u^- without
+    lying in it."""
+    subject = _subject(data)
+    if data.quotient is None:
+        return [
+            CheckResult("2.7", subject, "pass", "trivial quotient"),
+            CheckResult("2.8", subject, "pass", "trivial quotient"),
+        ]
+    minus_handle = SubgroupHandle.from_gens(
+        data.group.n_points,
+        [data.group.reflection_perm(l) for l in data.minus_lines],
+    )
+    minus_elements = elements(minus_handle, limit)
+    minus_gens = minus_handle.gens
+    offenders = []
+    for i, rep in enumerate(elements(data.quotient.handle)):
+        if i == 0:
+            continue
+        conj_rep = [conjugate(x, rep) for x in minus_gens]
+        for z in minus_elements:
+            if all(conjugate(x, z) == c for x, c in zip(minus_gens, conj_rep)):
+                offenders.append(i)
+                break
+    if not offenders:
+        return [
+            CheckResult("2.7", subject, "pass"),
+            CheckResult("2.8", subject, "pass"),
+        ]
+    return [
+        CheckResult("2.7", subject, "fail", f"cosets {offenders} act innerly"),
+        CheckResult("2.8", subject, "fail", f"cosets {offenders} centralize"),
+    ]
 
 
 def point_orbit(gens, seed: int) -> list[int]:

@@ -15,6 +15,7 @@ from coxcent.group import CoxeterGroup
 from coxcent.involutions import enumerate_involution_classes, normal_form
 from coxcent.permengine import SubgroupHandle, ViolationError, conjugacy_class_set
 from coxcent.perms import compose
+from oracles import elements as list_elements
 from oracles import enumerate_by_orbits, line_action, line_key_orbit, whole_group
 
 
@@ -116,7 +117,7 @@ def test_components_and_loops_match_brute_force(cache, family, n):
     # the component of K is {w(K)} among the subsets, and the loops
     # generate N_K = {w : w(K) = K}, as Brink and Howlett prove
     group = cache.group(family, n)
-    elements = whole_group(group).elements()
+    elements = list_elements(whole_group(group))
     groupoid = group.parabolics
     for k in range(groupoid.full + 1):
         images = [_image(group, g, k) for g in elements]

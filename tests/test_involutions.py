@@ -15,7 +15,7 @@ from coxcent.involutions import (
 )
 from coxcent.perms import compose
 from coxcent.rootsys import signed_permutation
-from oracles import is_involution, whole_group
+from oracles import elements, is_involution, whole_group
 
 
 def census(cache, family, n):
@@ -33,7 +33,7 @@ def test_negated_root_sets_identify_involutions(cache, family, n):
     # the enumeration counts a class by the orbit of its negated-root set,
     # which is only right if u -> Phi_u^- is injective on involutions
     group = cache.group(family, n)
-    involutions = [g for g in whole_group(group).elements() if is_involution(g)]
+    involutions = [g for g in elements(whole_group(group)) if is_involution(g)]
     keys = {negated_root_set(group, u) for u in involutions}
     assert len(keys) == len(involutions)
     assert sum(c.size for c in cache.classes(family, n)) == len(involutions)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxcent import structure
+from coxcent.cli import ALL_SMALL
 from coxcent.coxtype import CoxeterType
 from coxcent.permengine import BSGS, SubgroupHandle
 from coxcent.perms import compose, conjugate, inverse
@@ -23,6 +25,7 @@ from coxcent.structure import (
     check_complement,
     check_extended_diagram,
     check_normalizer,
+    check_out_injectivity,
     check_order_identities,
     check_theorem_1_1,
     lines_with_negatives,
@@ -37,12 +40,14 @@ from oracles import (
     _VectorReflectionGroup,
     closed_projection,
     contains,
+    elements as list_elements,
     field_direction,
     invariant_form,
     line_action,
     line_key_orbit,
     normalizer_of_reflection_subgroup,
     orbit_stabilizer,
+    out_injectivity_by_scan,
     projection_normals,
     vector_roots,
     whole_group,
@@ -134,8 +139,8 @@ def test_early_stopped_centralizer_chain_is_complete(cache, family, n):
         probes = list(gens)
         probes += [compose(g, h) for g in gens for h in handle.gens]
         if fresh.order() <= limit:
-            elements = fresh.elements(limit=limit)
-            assert sorted(chain.elements(limit=limit)) == sorted(elements)
+            elements = list_elements(fresh, limit=limit)
+            assert sorted(list_elements(chain, limit=limit)) == sorted(elements)
             probes += elements
         for x in probes:
             assert contains(chain, x) == contains(fresh, x) == (compose(x, u) == compose(u, x))
@@ -589,10 +594,59 @@ def test_complement_check_fails_without_an_involution_class(cache, family, n, la
         j for j in data.involutions() if all(j[a] in positive for a in positive)
     ]
     for j in fixers:
-        n_class = {conjugate(j, y) for y in q.reps}
+        n_class = {conjugate(j, y) for y in list_elements(q.handle)}
         kept = [x for x in data.involutions() if x not in n_class]
         result = check_complement(replace(data, deg2_involutions=kept))
         assert result.status == "fail", (label, result.detail)
+
+
+@pytest.mark.parametrize("family,n", [*ALL_SMALL, ("A", 9), ("B", 8), ("D", 8)])
+def test_out_injectivity_agrees_with_the_scan(cache, family, n):
+    # checks 2.7/2.8 test N's faithfulness on the minus lines; the oracle
+    # lists G_u^- and scans it for each element of N
+    group = cache.group(family, n)
+    for cls in cache.classes(family, n):
+        if cls.mirror_of is not None:
+            continue
+        data = _compute_class_data(group, cls)
+        if data.profile.minus_order > structure.SKIP_MINUS_ORDER:
+            continue
+        got = check_out_injectivity(data)
+        want = out_injectivity_by_scan(data, structure.SKIP_MINUS_ORDER)
+        assert [(r.name, r.subject, r.status) for r in got] == [
+            (r.name, r.subject, r.status) for r in want
+        ]
+
+
+@pytest.mark.parametrize("family, n, label", [("D", 7, "2,1,2"), ("B", 4, "0,0,2")])
+def test_out_injectivity_fails_on_a_complement_that_centralizes(cache, family, n, label):
+    # The reflection in a plus line fixes every minus root, so adding it to
+    # N gives a larger group with the same action on the minus lines.
+    group = cache.group(family, n)
+    cls = next(c for c in cache.classes(family, n) if c.label == label)
+    data = _compute_class_data(group, cls)
+    q = data.quotient
+    assert q.size > 1 and data.plus_lines
+    assert {r.status for r in check_out_injectivity(data)} == {"pass"}
+    handle = SubgroupHandle.from_gens(
+        group.n_points, [*q.handle.gens, group.reflection_perm(data.plus_lines[0])]
+    )
+    assert handle.order() > q.size
+    fake = replace(data, quotient=SimpleNamespace(handle=handle, size=handle.order()))
+    scan = out_injectivity_by_scan(fake, structure.SKIP_MINUS_ORDER)
+    for results in (check_out_injectivity(fake), scan):
+        assert [(r.name, r.status) for r in results] == [("2.7", "fail"), ("2.8", "fail")]
+
+
+def test_out_injectivity_skips_a_minus_part_over_the_bound(cache):
+    # the golden theorems artifacts record these rows as skipped
+    group = cache.group("D", 7)
+    cls = next(c for c in cache.classes("D", 7) if c.degree == 6)
+    results = check_out_injectivity(_compute_class_data(group, cls))
+    assert [(r.name, r.status, r.detail) for r in results] == [
+        ("2.7", "skipped", "|G-| = 23040 over bound"),
+        ("2.8", "skipped", "|G-| = 23040 over bound"),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -719,7 +773,7 @@ def test_e6_deg2_projection_by_exhaustive_restriction(cache):
 
     group = cache.group("E", 6)
     cls = next(c for c in cache.classes("E", 6) if c.degree == 2)
-    elements = centralizer(group, cls.rep, class_size=cls.size).elements(limit=200)
+    elements = list_elements(centralizer(group, cls.rep, class_size=cls.size), limit=200)
     assert len(elements) == 192
     rs = group.root_system
     m_u = matrix_of_perm(rs, cls.rep)
