@@ -29,6 +29,7 @@ from .tables import (
     class_csv,
     class_json,
     diff_report,
+    load_fixture,
     verify_type,
 )
 
@@ -69,8 +70,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_type(args) -> CoxeterType:
-    """The type named on the command line; E8 only with --large."""
+    """The type named on the command line; E8 only with --large.  A --rank
+    or --m that the type does not take is refused, not ignored."""
     t = args.type
+    if args.rank is not None and t not in FAMILY_TYPES:
+        raise UsageError(f"--rank applies to A/B/D, not {t}")
+    if args.m is not None and t != "I2":
+        raise UsageError(f"--m applies to I2, not {t}")
     if t == "E8" and not args.large:
         raise CapabilityError("E8 is gated behind --large (expect minutes, not seconds)")
     try:
@@ -114,6 +120,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.all and (args.type or args.rank is not None or args.m is not None):
+        raise UsageError("--all takes no --type, --rank or --m")
+    if args.fixtures:
+        load_fixture(args.fixtures)  # a bad file fails even where no type reads it
     if args.all:
         targets = [CoxeterType([c]) for c in ALL_SMALL]
         if args.large:

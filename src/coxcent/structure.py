@@ -32,9 +32,8 @@ says why its bound is one.  N's chain is left unbounded.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import tee
 from math import gcd
 
 from .coxtype import CoxeterType, RecognitionError
@@ -71,8 +70,8 @@ def centralizer(
 ) -> SubgroupHandle:
     """The centralizer of an involution, as a subgroup handle.
 
-    It is the subgroup generated by `seeds`, the degree-<=2 centralizing
-    involutions (built here, one at a time, unless the caller has them),
+    It is the subgroup generated by the degree-<=2 centralizing
+    involutions, built here one at a time (tests replace them by `seeds`),
     whose order must be the target |G| / |class|.  Falling short raises
     ViolationError: by Theorem 1.1 those involutions generate C(u).  The
     handle's generators are the seeds the chain kept.
@@ -273,31 +272,19 @@ class CentralizerProfile:
 class ClassData:
     """Per-class computations behind a profile, built once per class and
     read by the checks; the class itself and its quotient structure are on
-    the profile."""
+    the profile.  `centralizer_gens` are the seeds `centralizer` kept."""
 
     group: CoxeterGroup
     plus_lines: list[int]
     minus_lines: list[int]
     quotient: QuotientGroup | None
     profile: CentralizerProfile
-    seeds: Iterator[Perm]  # the degree-<=2 involutions of G_u, see `involutions`
-    deg2_involutions: list[Perm] | None = None
-
-    def involutions(self) -> list[Perm]:
-        """The degree-<=2 involutions of G_u, listed on first use: only the
-        checks read them all.  `seeds` continues the sequence the
-        centralizer read a prefix of, so no seed is built twice."""
-        if self.deg2_involutions is None:
-            self.deg2_involutions = list(self.seeds)
-        return self.deg2_involutions
+    centralizer_gens: list[Perm]
 
 
 def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
     u = cls.rep
-    # the centralizer reads a prefix of the seeds, which the tee keeps for
-    # `ClassData.involutions`
-    seeds, later = tee(group.centralizer_involutions_deg_le_2(u))
-    g_u = centralizer(group, u, cls.size, seeds)
+    g_u = centralizer(group, u, cls.size)
     plus_lines, minus_lines = group.fixed_lines(u), group.negated_lines(u)
     gu_order = g_u.order()
     quotient, gamma_label, gamma_order = gamma(
@@ -349,7 +336,7 @@ def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
         minus_lines=minus_lines,
         quotient=quotient,
         profile=profile,
-        seeds=later,
+        centralizer_gens=g_u.gens,
     )
 
 
@@ -396,21 +383,21 @@ class CheckResult:
 
 def check_theorem_1_1(data: ClassData) -> CheckResult:
     """The quotient of G_u by its reflection part is generated by the images
-    of the degree-<=2 involutions of G_u."""
+    of the degree-<=2 involutions of G_u, built one at a time: the chain on
+    their images stops reading them once it reaches |Gamma|."""
     name = "1.1"
     subject = _subject(data)
     if data.quotient is None:
         return CheckResult(name, subject, "pass", "reflection quotient trivial")
     q = data.quotient
-    neg = data.group.neg
+    u, neg = data.profile.cls.rep, data.group.neg
     stable = data.plus_lines + data.minus_lines
     # An involution j of degree <= 2 that negates a root c of G1 lies in G1,
     # so it descends to the identity: j is s_c, or -1 on a plane whose roots
     # hold c and a root c' orthogonal to c, which u keeps as it keeps c and
     # the plane, and then j = s_c s_c'.
-    outside = (
-        j for j in data.involutions() if all(j[l] != neg[l] for l in stable)
-    )
+    involutions = data.group.centralizer_involutions_deg_le_2(u)
+    outside = (j for j in involutions if all(j[l] != neg[l] for l in stable))
     # the images lie in N, so |N| = |Gamma| bounds the group they generate
     span = BSGS(q.handle.n_points, map(q.image, outside), bound=q.size)
     if span.order() == q.size:
@@ -496,14 +483,15 @@ def check_normalizer(data: ClassData) -> CheckResult:
     by two containments.
 
     The normalizer is the stabilizer of the minus part's set of roots.
-    C(u) lies in it when each of the degree-<=2 involutions, which generate
-    C(u) (the centralizer's chain reached |C(u)| on them), maps that set
-    onto itself.  The normalizer lies in C(u) when u negates every one of
-    the lines and is the product of the reflections in pairwise orthogonal
-    lines of the set: then the set spans V_u^-, and whatever keeps V_u^-
-    keeps its orthogonal complement and commutes with u.  The lines are
-    chosen greedily; for u's own minus part any maximal choice is such a
-    product, as -1 on its span lies in its reflection group.
+    C(u) lies in it when each of `centralizer_gens` maps that set onto
+    itself: `centralizer` proved that they commute with u and that its
+    chain on them reached |G| / |class| = |C(u)|, so they generate C(u).
+    The normalizer lies in C(u) when u negates every one of the lines and
+    is the product of the reflections in pairwise orthogonal lines of the
+    set: then the set spans V_u^-, and whatever keeps V_u^- keeps its
+    orthogonal complement and commutes with u.  The lines are chosen
+    greedily; for u's own minus part any maximal choice is such a product,
+    as -1 on its span lies in its reflection group.
     """
     name = "2.3"
     subject = _subject(data)
@@ -511,7 +499,7 @@ def check_normalizer(data: ClassData) -> CheckResult:
     u = data.profile.cls.rep
     minus = lines_with_negatives(group, data.minus_lines)
     movers = sum(
-        1 for j in data.involutions() if any(j[r] not in minus for r in minus)
+        1 for j in data.centralizer_gens if any(j[r] not in minus for r in minus)
     )
     w = u
     chosen: list[int] = []
@@ -620,6 +608,7 @@ def check_complement(data: ClassData) -> CheckResult:
     quotient's representatives (B. Brink and R. B. Howlett, Invent. Math.
     136, 1999).  The check passes iff the degree-<=2 involutions of G_u
     that fix Phi1+ generate a group of order |Gamma|, that is, all of N.
+    They are built one at a time, and their chain stops reading at |Gamma|.
     """
     name = "2.4"
     subject = _subject(data)
@@ -627,11 +616,10 @@ def check_complement(data: ClassData) -> CheckResult:
         return CheckResult(name, subject, "pass", "trivial quotient")
     q = data.quotient
     positive = q.positive
-    fixers = [
-        j for j in data.involutions() if all(j[a] in positive for a in positive)
-    ]
+    involutions = data.group.centralizer_involutions_deg_le_2(data.profile.cls.rep)
+    fixers = (j for j in involutions if all(j[a] in positive for a in positive))
     # the fixers lie in N, so |N| = |Gamma| bounds the group they generate
-    order = SubgroupHandle.from_gens(data.group.n_points, fixers, q.size).order()
+    order = BSGS(data.group.n_points, fixers, q.size).order()
     if order == q.size:
         return CheckResult(name, subject, "pass")
     return CheckResult(

@@ -174,18 +174,45 @@ def test_mirror_check_failure(monkeypatch, tmp_path, capsys):
     assert "centralizers of u and -u differ" in capsys.readouterr().err
 
 
+# A3 compares against its closed form, yet a --fixtures file is read
+FIXTURE_TYPES = [["--type", "H3"], ["--type", "A", "--rank", "3"]]
+
+
 def test_missing_fixture_file_is_usage_error(capsys):
-    assert run(["verify", "--type", "H3", "--fixtures", "/nonexistent/f.json"]) == 3
-    assert "io error" in capsys.readouterr().err
+    for type_args in FIXTURE_TYPES:
+        assert run(["verify", *type_args, "--fixtures", "/nonexistent/f.json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("io error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--type", "E6", "--rank", "9"],
+        ["theorems", "--type", "I2", "--m", "5", "--rank", "2"],
+        ["verify", "--type", "A", "--rank", "3", "--m", "5"],
+        ["analyze", "--type", "F4", "--m", "5"],
+        ["verify", "--all", "--type", "E6"],
+        ["verify", "--all", "--rank", "3"],
+        ["verify", "--all", "--m", "5"],
+    ],
+)
+def test_ignored_flags_are_usage_errors(argv, capsys):
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
 
 
 def test_malformed_fixture_file_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"tables": ')
-    assert run(["verify", "--type", "H3", "--fixtures", str(bad)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("fixture error:") and "not valid JSON" in err
-    assert err.count("\n") == 1
+    for type_args in FIXTURE_TYPES:
+        assert run(["verify", *type_args, "--fixtures", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fixture error:") and "not valid JSON" in err
+        assert err.count("\n") == 1
 
 
 def test_fixture_without_the_table_is_usage_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from coxcent import structure
 from coxcent.cli import ALL_SMALL
 from coxcent.coxtype import CoxeterType
+from coxcent.group import CoxeterGroup
+from coxcent.involutions import enumerate_involution_classes
 from coxcent.permengine import BSGS, SubgroupHandle
 from coxcent.perms import compose, conjugate, inverse
 from coxcent.structure import (
@@ -86,6 +89,10 @@ def test_centralizer_from_the_reflections_alone_is_a_violation(monkeypatch, cach
     # the stable lines generate only G1: the chain falls short of its bound,
     # so Schreier verification completes it, and the order it proves is a
     # violation.
+    group = cache.group("B", 4)
+    # the census runs unbounded chains of its own, so it is built before the
+    # counter is installed
+    cls = next(c for c in cache.classes("B", 4) if c.label == "0,0,2")
     fallbacks = []
     real = BSGS._verify_from
 
@@ -94,8 +101,6 @@ def test_centralizer_from_the_reflections_alone_is_a_violation(monkeypatch, cach
         return real(chain, start, bound)
 
     monkeypatch.setattr(BSGS, "_verify_from", counting)
-    group = cache.group("B", 4)
-    cls = next(c for c in cache.classes("B", 4) if c.label == "0,0,2")
     u = cls.rep
     reflections = [group.reflection_perm(l) for l in group.stable_lines(u)]
     with pytest.raises(ViolationError, match="disagrees with the class size"):
@@ -395,7 +400,7 @@ def test_normalizer_check_needs_generators_inside_the_normalizer(cache):
             if compose(s, u) != compose(u, s)
         )
         result = check_normalizer(
-            replace(data, deg2_involutions=data.involutions() + [stranger])
+            replace(data, centralizer_gens=data.centralizer_gens + [stranger])
         )
         assert result.status == "fail" and "move the minus roots" in result.detail
 
@@ -555,6 +560,22 @@ def test_property_suite_clean_on_samples(cache):
         ]
 
 
+def test_property_suite_lists_no_involutions():
+    # the checks read the centralizer's kept generators, or stream the
+    # degree-<=2 involutions into a bounded chain; listing them all for
+    # checks 1.1, 2.3 and 2.4 peaked at 5.5 MB here
+    group = CoxeterGroup(CoxeterType.irreducible("B", 10))
+    classes = enumerate_involution_classes(group)
+    tracemalloc.start()
+    try:
+        results = run_property_suite(group, classes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.status != "fail" for r in results)
+    assert peak < 2_000_000
+
+
 def test_gamma_labels_match_family_expectations(cache):
     # B_n: Sym_b; A_{n-1}: Sym_d; D case (iv): Sym_b x C2
     for p in cache.profiles("B", 5):
@@ -581,7 +602,9 @@ def test_d7_exhibits_elementary_abelian_quotient(cache):
 
 
 @pytest.mark.parametrize("family, n, label", [("D", 7, "2,1,2"), ("B", 4, "0,0,2")])
-def test_complement_check_fails_without_an_involution_class(cache, family, n, label):
+def test_complement_check_fails_without_an_involution_class(
+    monkeypatch, cache, family, n, label
+):
     # Dropping the involutions of one N-class, N the stabilizer of the
     # positive system, leaves the rest generating a proper subgroup of N.
     group = cache.group(family, n)
@@ -590,13 +613,15 @@ def test_complement_check_fails_without_an_involution_class(cache, family, n, la
     q = data.quotient
     assert q.size > 1 and check_complement(data).status == "pass"
     positive = q.positive
-    fixers = [
-        j for j in data.involutions() if all(j[a] in positive for a in positive)
-    ]
+    involutions = list(group.centralizer_involutions_deg_le_2(cls.rep))
+    fixers = [j for j in involutions if all(j[a] in positive for a in positive)]
     for j in fixers:
         n_class = {conjugate(j, y) for y in list_elements(q.handle)}
-        kept = [x for x in data.involutions() if x not in n_class]
-        result = check_complement(replace(data, deg2_involutions=kept))
+        kept = [x for x in involutions if x not in n_class]
+        monkeypatch.setattr(
+            group, "centralizer_involutions_deg_le_2", lambda u, kept=kept: iter(kept)
+        )
+        result = check_complement(data)
         assert result.status == "fail", (label, result.detail)
 
 
