@@ -78,7 +78,7 @@ def _parse_type(args) -> CoxeterType:
     if args.m is not None and t != "I2":
         raise UsageError(f"--m applies to I2, not {t}")
     if t == "E8" and not args.large:
-        raise CapabilityError("E8 is gated behind --large (expect minutes, not seconds)")
+        raise CapabilityError("E8 is gated behind --large")
     try:
         if t in FIXED_TYPES:
             return CoxeterType.irreducible(*FIXED_TYPES[t])
@@ -122,8 +122,8 @@ def cmd_analyze(args) -> int:
 def cmd_verify(args) -> int:
     if args.all and (args.type or args.rank is not None or args.m is not None):
         raise UsageError("--all takes no --type, --rank or --m")
-    if args.fixtures:
-        load_fixture(args.fixtures)  # a bad file fails even where no type reads it
+    # parsed once, so a bad file fails even where no type reads it
+    fixture = load_fixture(args.fixtures)
     if args.all:
         targets = [CoxeterType([c]) for c in ALL_SMALL]
         if args.large:
@@ -133,7 +133,7 @@ def cmd_verify(args) -> int:
     reports = []
     status = EXIT_OK
     for ctype in targets:
-        expect, diffs = verify_type(ctype, args.fixtures, args.max_rank)
+        expect, diffs = verify_type(ctype, args.fixtures, args.max_rank, fixture)
         report = diff_report(ctype, diffs)
         report["rows_compared"] = len(expect)
         reports.append(report)
@@ -166,7 +166,7 @@ def cmd_theorems(args) -> int:
             "degree": p.cls.degree,
             "label": p.cls.label,
             "gamma_structure": str(p.gamma_structure),
-            "gamma_order": p.gamma_order,
+            "gamma_order": p.gamma_structure.order,
         }
         for p in profiles
     ]

@@ -29,8 +29,8 @@ class CapabilityError(ValueError):
 
 
 DEFAULT_MAX_RANK = 12
-# I2(m) for m up to this bound: `analyze` takes about 10 s at m = 1024, and
-# its time grows faster than m^2 beyond (m = 4096 did not finish in 150 s).
+# I2(m) for m up to this bound: `analyze` takes about 0.7 s and 50 MB at
+# m = 1024 (one process, 2-vCPU VM); it keeps m reflections of 2m points.
 MAX_DIHEDRAL_M = 1024
 
 # a + b*phi is keyed as the integer a*F40 + b*F41 (Fibonacci numbers), which

@@ -33,7 +33,7 @@ says why its bound is one.  N's chain is left unbounded.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .coxtype import CoxeterType, RecognitionError
@@ -97,12 +97,6 @@ def centralizer(
 
 
 # -- projections to the two eigenspaces ----------------------------------------------
-
-
-@dataclass
-class TildeResult:
-    ctype: CoxeterType
-    order: int  # order of the reflection subgroup of the projection
 
 
 def _primitive(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -181,8 +175,9 @@ def _projection_reflections(
 
 def tilde_side(
     group: CoxeterGroup, u: Perm, side: str, expected_order: int
-) -> TildeResult:
-    """The projection of G_u to GL(V_u^side) as a recognized reflection group.
+) -> CoxeterType:
+    """The Coxeter type of the projection of G_u to GL(V_u^side),
+    recognized as a reflection group.
 
     Its reflections come from the degree-<=2 involutions of G_u (see
     `_projection_entries`).  On all of V, u = +-1 and the projection is W.
@@ -204,47 +199,43 @@ def tilde_side(
     deg = group.degree(u)
     dim = deg if side == "-" else rank - deg
     if dim == rank:
-        ctype, order = group.ctype, group.order
-    elif dim <= 1:
+        return group.ctype
+    if dim <= 1:
         if next(_projection_entries(group, u, side), None) is None:
-            ctype, order = CoxeterType.trivial(), 1
-        else:
-            ctype, order = CoxeterType.irreducible("A", 1), 2
-    else:
-        vectors, perms = _projection_reflections(group, u, side)
-        order = SubgroupHandle.from_gens(
-            len(vectors), list(perms.values()), expected_order
-        ).order()
-        ctype = recognize(list(perms), perms.__getitem__)
-        if (
-            ctype.root_count() != len(vectors)
-            or ctype.order() != order
-            or order > expected_order
-        ):
-            raise RecognitionError(
-                f"projection classified as {ctype} but orders disagree"
-            )
-    return TildeResult(ctype, order)
+            return CoxeterType.trivial()
+        return CoxeterType.irreducible("A", 1)
+    vectors, perms = _projection_reflections(group, u, side)
+    order = SubgroupHandle.from_gens(
+        len(vectors), list(perms.values()), expected_order
+    ).order()
+    ctype = recognize(list(perms), perms.__getitem__)
+    if (
+        ctype.root_count() != len(vectors)
+        or ctype.order() != order
+        or order > expected_order
+    ):
+        raise RecognitionError(f"projection classified as {ctype} but orders disagree")
+    return ctype
 
 
 def gamma(
     group_handle: SubgroupHandle, reflections: dict[int, Perm]
-) -> tuple[QuotientGroup | None, StructureLabel, int]:
+) -> tuple[QuotientGroup, StructureLabel]:
     """The quotient of a centralizer by its reflection part, with its
-    structure label and order.
+    structure label, whose order is the quotient's size.
 
     The reflection part is given as for `quotient_action`: the reflection
     of every root of its positive system Phi1+.  The quotient is realized as
     the complement N = Stab(Phi1+) acting on the roots, a trivial quotient
     included, so its order |N| comes from N's stabilizer chain, independent
     of the reflection part's type; normality is checked by the quotient.
-    The label is proved from N's orbits (`fingerprint`).  The quotient is
-    returned only when nontrivial.
+    The label is proved from N's orbits (`fingerprint`); a trivial
+    quotient is Sym_1.
     """
     q = quotient_action(group_handle, reflections)
     if q.size == 1:
-        return None, StructureLabel("sym", 1, 1), 1
-    return q, fingerprint(q.handle), q.size
+        return q, StructureLabel("sym", 1, 1)
+    return q, fingerprint(q.handle)
 
 
 # -- the full profile ------------------------------------------------------------------
@@ -252,6 +243,11 @@ def gamma(
 
 @dataclass
 class CentralizerProfile:
+    """The invariants of an involution class: |G_u|, the Coxeter types of
+    G_u^-, G_u^+ and of the projections of G_u to V_u^-, V_u^+, and the
+    label of Gamma.  Every other order is read off these: |Gamma| is
+    `gamma_structure.order`, |G1| is `order` over it."""
+
     cls: InvolutionClass
     order: int
     minus_type: CoxeterType
@@ -259,12 +255,6 @@ class CentralizerProfile:
     plus_type: CoxeterType
     tilde_plus_type: CoxeterType
     gamma_structure: StructureLabel
-    gamma_order: int
-    minus_order: int
-    plus_order: int
-    tilde_minus_order: int
-    tilde_plus_order: int
-    g1_order: int
     mirrored: bool = False
 
 
@@ -277,7 +267,7 @@ class ClassData:
     group: CoxeterGroup
     plus_lines: list[int]
     minus_lines: list[int]
-    quotient: QuotientGroup | None
+    quotient: QuotientGroup
     profile: CentralizerProfile
     centralizer_gens: list[Perm]
 
@@ -287,15 +277,11 @@ def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
     g_u = centralizer(group, u, cls.size)
     plus_lines, minus_lines = group.fixed_lines(u), group.negated_lines(u)
     gu_order = g_u.order()
-    quotient, gamma_label, gamma_order = gamma(
+    quotient, gamma_label = gamma(
         g_u, {l: group.reflection_perm(l) for l in plus_lines + minus_lines}
     )
-    family = group.ctype.components[0][0]
-    if gamma_label.kind == "other" or (
-        gamma_label.kind == "sym_x_c2" and family != "D"
-    ):
-        # a quotient outside {Sym_r} (or {Sym_r, Sym_r x C2} in type D)
-        # would falsify the structure theory; abort rather than tabulate it
+    if not _gamma_allowed(group, gamma_label):
+        # a quotient outside the structure theory: abort rather than tabulate it
         raise ViolationError(
             f"unexpected reflection-quotient structure {gamma_label} for "
             f"{group.ctype} degree {cls.degree}"
@@ -306,11 +292,10 @@ def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
     minus_type = reflection_subgroup_type(
         group, lines_with_negatives(group, minus_lines)
     )
-    plus_order, minus_order = plus_type.order(), minus_type.order()
-    expected = (gu_order // minus_order, gu_order // plus_order)
+    expected = (gu_order // minus_type.order(), gu_order // plus_type.order())
     tilde_plus = tilde_side(group, u, "+", expected[0])
     tilde_minus = tilde_side(group, u, "-", expected[1])
-    if (tilde_plus.order, tilde_minus.order) != expected:
+    if (tilde_plus.order(), tilde_minus.order()) != expected:
         raise ViolationError(
             f"a projection of the centralizer (class degree {cls.degree}, "
             f"label {cls.label!r}) is not generated by its reflections"
@@ -319,16 +304,10 @@ def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
         cls=cls,
         order=gu_order,
         minus_type=minus_type,
-        tilde_minus_type=tilde_minus.ctype,
+        tilde_minus_type=tilde_minus,
         plus_type=plus_type,
-        tilde_plus_type=tilde_plus.ctype,
+        tilde_plus_type=tilde_plus,
         gamma_structure=gamma_label,
-        gamma_order=gamma_order,
-        minus_order=minus_order,
-        plus_order=plus_order,
-        tilde_minus_order=tilde_minus.order,
-        tilde_plus_order=tilde_plus.order,
-        g1_order=gu_order // gamma_order,
     )
     return ClassData(
         group=group,
@@ -345,20 +324,13 @@ def _mirror_profile(
 ) -> CentralizerProfile:
     """The profile of -u from that of u: -1 is central, so the two share
     their centralizer, with the eigenspace sides swapped."""
-    return CentralizerProfile(
+    return replace(
+        source,
         cls=cls,
-        order=source.order,
         minus_type=source.plus_type,
         tilde_minus_type=source.tilde_plus_type,
         plus_type=source.minus_type,
         tilde_plus_type=source.tilde_minus_type,
-        gamma_structure=source.gamma_structure,
-        gamma_order=source.gamma_order,
-        minus_order=source.plus_order,
-        plus_order=source.minus_order,
-        tilde_minus_order=source.tilde_plus_order,
-        tilde_plus_order=source.tilde_minus_order,
-        g1_order=source.g1_order,
         mirrored=True,
     )
 
@@ -387,9 +359,9 @@ def check_theorem_1_1(data: ClassData) -> CheckResult:
     their images stops reading them once it reaches |Gamma|."""
     name = "1.1"
     subject = _subject(data)
-    if data.quotient is None:
-        return CheckResult(name, subject, "pass", "reflection quotient trivial")
     q = data.quotient
+    if q.size == 1:
+        return CheckResult(name, subject, "pass", "reflection quotient trivial")
     u, neg = data.profile.cls.rep, data.group.neg
     stable = data.plus_lines + data.minus_lines
     # An involution j of degree <= 2 that negates a root c of G1 lies in G1,
@@ -425,34 +397,31 @@ def check_order_identities(data: ClassData) -> list[CheckResult]:
     are the orders of the sides' Coxeter types."""
     p = data.profile
     subject = _subject(data)
-    ok_21b = (
-        p.g1_order * p.gamma_order == p.order
-        and p.g1_order == p.plus_order * p.minus_order
+    gu, gamma_order = p.order, p.gamma_structure.order
+    g1, plus, minus = gu // gamma_order, p.plus_type.order(), p.minus_type.order()
+    tilde_minus, tilde_plus = p.tilde_minus_type.order(), p.tilde_plus_type.order()
+    ok_21b = g1 * gamma_order == gu and g1 == plus * minus
+    ok_25 = (
+        gu == minus * tilde_plus
+        and gu == plus * tilde_minus
+        and tilde_minus == minus * gamma_order
+        and tilde_plus == plus * gamma_order
     )
-    results = [
+    return [
         CheckResult(
             "2.1b",
             subject,
             "pass" if ok_21b else "fail",
-            f"|G1|={p.g1_order} |G+|={p.plus_order} |G-|={p.minus_order}",
-        )
-    ]
-    ok_25 = (
-        p.order == p.minus_order * p.tilde_plus_order
-        and p.order == p.plus_order * p.tilde_minus_order
-        and p.tilde_minus_order == p.minus_order * p.gamma_order
-        and p.tilde_plus_order == p.plus_order * p.gamma_order
-    )
-    results.append(
+            f"|G1|={g1} |G+|={plus} |G-|={minus}",
+        ),
         CheckResult(
             "2.5",
             subject,
             "pass" if ok_25 else "fail",
-            f"|Gu|={p.order} sides=({p.minus_order},{p.plus_order}) "
-            f"tilde=({p.tilde_minus_order},{p.tilde_plus_order}) gamma={p.gamma_order}",
-        )
-    )
-    return results
+            f"|Gu|={gu} sides=({minus},{plus}) "
+            f"tilde=({tilde_minus},{tilde_plus}) gamma={gamma_order}",
+        ),
+    ]
 
 
 def check_cube_generation(data: ClassData) -> CheckResult:
@@ -521,10 +490,11 @@ def check_tilde_reflection_generated(data: ClassData) -> list[CheckResult]:
     subject = _subject(data)
     p = data.profile
     out = []
-    for side, order, expected in (
-        ("-", p.tilde_minus_order, p.order // p.plus_order),
-        ("+", p.tilde_plus_order, p.order // p.minus_order),
+    for side, tilde, opposite in (
+        ("-", p.tilde_minus_type, p.plus_type),
+        ("+", p.tilde_plus_type, p.minus_type),
     ):
+        order, expected = tilde.order(), p.order // opposite.order()
         out.append(
             CheckResult(
                 "2.9",
@@ -581,8 +551,8 @@ def check_out_injectivity(data: ClassData) -> list[CheckResult]:
     both checks pass iff N's restriction to the minus lines has order |N|.
     """
     subject = _subject(data)
-    q, minus_order = data.quotient, data.profile.minus_order
-    if q is None:
+    q, minus_order = data.quotient, data.profile.minus_type.order()
+    if q.size == 1:
         status, details = "pass", ["trivial quotient"] * 2
     elif minus_order > SKIP_MINUS_ORDER:
         status, details = "skipped", [f"|G-| = {minus_order} over bound"] * 2
@@ -612,9 +582,9 @@ def check_complement(data: ClassData) -> CheckResult:
     """
     name = "2.4"
     subject = _subject(data)
-    if data.quotient is None:
-        return CheckResult(name, subject, "pass", "trivial quotient")
     q = data.quotient
+    if q.size == 1:
+        return CheckResult(name, subject, "pass", "trivial quotient")
     positive = q.positive
     involutions = data.group.centralizer_involutions_deg_le_2(data.profile.cls.rep)
     fixers = (j for j in involutions if all(j[a] in positive for a in positive))
@@ -630,18 +600,21 @@ def check_complement(data: ClassData) -> CheckResult:
     )
 
 
+def _gamma_allowed(group: CoxeterGroup, label: StructureLabel) -> bool:
+    """Whether Gamma's label is one the structure theory allows: Sym_r, or
+    Sym_r x C2 in type D."""
+    return label.kind == "sym" or (
+        label.kind == "sym_x_c2" and group.ctype.components[0][0] == "D"
+    )
+
+
 def check_gamma_structure(data: ClassData) -> CheckResult:
     """Check 1.2: the quotient is symmetric, or symmetric x C2 in type D
     only."""
-    name = "1.2"
-    subject = _subject(data)
     label = data.profile.gamma_structure
-    family = data.group.ctype.components[0][0]
-    if label.kind == "sym":
-        return CheckResult(name, subject, "pass", str(label))
-    if label.kind == "sym_x_c2" and family == "D":
-        return CheckResult(name, subject, "pass", str(label))
-    return CheckResult(name, subject, "fail", f"structure {label}")
+    if _gamma_allowed(data.group, label):
+        return CheckResult("1.2", _subject(data), "pass", str(label))
+    return CheckResult("1.2", _subject(data), "fail", f"structure {label}")
 
 
 # every name a CheckResult of run_property_suite can carry

@@ -140,15 +140,19 @@ def _bucket_rows(entries) -> list[TableRow]:
     return sorted(rows, key=TableRow.key)
 
 
-def expected_rows(ctype: CoxeterType, fixture_path=None) -> list[TableRow]:
-    """The reference table for an irreducible type."""
+def expected_rows(
+    ctype: CoxeterType, fixture_path=None, fixture: dict | None = None
+) -> list[TableRow]:
+    """The reference table for an irreducible type.  `fixture` is the
+    parsed content of `fixture_path`, read here when not given."""
     family, n = ctype.components[0]
     if family in ("A", "B", "D") and not (family == "A" and n == 1):
         return _model_rows(family, n)
     if family in ("I", "G"):
         m = 6 if family == "G" else n
         return _dihedral_rows(m)
-    fixture = load_fixture(fixture_path)
+    if fixture is None:
+        fixture = load_fixture(fixture_path)
     try:
         return _fixture_rows(fixture["tables"][str(ctype)])
     except (KeyError, TypeError) as exc:
@@ -272,7 +276,7 @@ def class_json(analysis: Analysis) -> str:
                 "tilde_g_plus": str(p.tilde_plus_type),
                 "gamma": printed_gamma(group, p),
                 "gamma_structure": str(p.gamma_structure),
-                "gamma_order": p.gamma_order,
+                "gamma_order": p.gamma_structure.order,
                 "representative": rep_word,
             }
         )
@@ -287,12 +291,15 @@ def class_json(analysis: Analysis) -> str:
 
 
 def verify_type(
-    ctype: CoxeterType, fixture_path=None, max_rank: int = DEFAULT_MAX_RANK
+    ctype: CoxeterType,
+    fixture_path=None,
+    max_rank: int = DEFAULT_MAX_RANK,
+    fixture: dict | None = None,
 ) -> tuple[list[TableRow], list[RowDiff]]:
     """The reference rows of a type and their differences from the
     computed rows.  The reference is read first, so a bad fixture fails
     before any computation."""
-    expect = expected_rows(ctype, fixture_path)
+    expect = expected_rows(ctype, fixture_path, fixture)
     analysis = analyze(ctype, max_rank=max_rank)
     got = computed_rows(analysis.group, analysis.profiles)
     return expect, compare_rows(expect, got)

@@ -86,7 +86,7 @@ def out_injectivity_by_scan(data, limit: int) -> list[CheckResult]:
     element times an inverse inner piece would centralize G_u^- without
     lying in it."""
     subject = _subject(data)
-    if data.quotient is None:
+    if data.quotient.size == 1:
         return [
             CheckResult("2.7", subject, "pass", "trivial quotient"),
             CheckResult("2.8", subject, "pass", "trivial quotient"),

@@ -17,8 +17,6 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 import coxcent
 from coxcent.classicmodels import canonical_gamma, predicted_rows
 from coxcent.coxtype import CoxeterType
@@ -79,9 +77,8 @@ def test_criterion_2_e7_table(cache):
     print(f"criterion 2: E7 table exact in {time.time() - t0:.1f}s")
 
 
-@pytest.mark.large
 def test_criterion_3_e8_table():
-    """All 10 E8 rows including the rectangle/tetrahedron split (gated)."""
+    """All 10 E8 rows including the rectangle/tetrahedron split."""
     t0 = time.time()
     expect, diffs = verify_type(CoxeterType.irreducible("E", 8))
     assert diffs == []
@@ -233,7 +230,6 @@ def test_criterion_6_e8_chain():
     print("criterion 6: chains E6->A5->A3->A1->1 and E8->E7->D6->A1xD4->{D4,A1^4}")
 
 
-@pytest.mark.large
 def test_criterion_6_e8_property_suite(cache):
     t0 = time.time()
     group = cache.group("E", 8)
@@ -241,7 +237,7 @@ def test_criterion_6_e8_property_suite(cache):
     failures = [r for r in results if r.status == "fail"]
     assert failures == []
     assert [r for r in results if r.status == "not_determined"] == []
-    print(f"criterion 6 (large): E8 suite, {len(results)} checks, "
+    print(f"criterion 6: E8 suite, {len(results)} checks, "
           f"zero violations in {time.time() - t0:.1f}s")
 
 

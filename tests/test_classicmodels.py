@@ -109,8 +109,8 @@ def test_engine_matches_brute_force_d4(cache):
         inv = tuple(map(int, p.cls.label.rstrip("+-").split(",")))
         bc = brute[inv]
         assert p.order == bc.centralizer_order
-        assert p.g1_order == bc.reflection_part_order
-        assert p.gamma_order == bc.gamma_order
+        assert p.order // p.gamma_structure.order == bc.reflection_part_order
+        assert p.gamma_structure.order == bc.gamma_order
         if inv == (0, 0, 2):
             split_total += p.cls.size
     assert split_total == brute[(0, 0, 2)].size * 2

@@ -228,6 +228,26 @@ def test_fixture_without_the_table_is_usage_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_verify_parses_the_fixture_once(monkeypatch, tmp_path, capsys):
+    # every fixture type of `verify --all --large` reads one parsed file
+    from coxcent import tables
+
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps(tables.load_fixture()))
+    parses = []
+
+    def counted(path=None):
+        parses.append(path)
+        return real(path)
+
+    real = tables.load_fixture
+    monkeypatch.setattr(tables, "load_fixture", counted)
+    monkeypatch.setattr(cli, "load_fixture", counted)
+    assert run(["verify", "--all", "--large", "--fixtures", str(fixture)]) == 0
+    assert "E8: ok" in capsys.readouterr().out
+    assert parses == [str(fixture)]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -78,12 +78,12 @@ def test_gamma_wrapper(cache):
 
     g_u = centralizer(group, cls.rep, class_size=cls.size)
     g1 = {l: group.reflection_perm(l) for l in group.stable_lines(cls.rep)}
-    q, label, order = gamma(g_u, g1)
-    assert order == 2 and str(label) == "Sym2"
+    q, label = gamma(g_u, g1)
+    assert label.order == 2 and str(label) == "Sym2"
     assert q is not None and q.size == 2
     # trivial quotient path
-    q0, label0, order0 = gamma(SubgroupHandle.from_gens(group.n_points, g1.values()), g1)
-    assert q0 is None and order0 == 1 and str(label0) == "Sym1"
+    q0, label0 = gamma(SubgroupHandle.from_gens(group.n_points, g1.values()), g1)
+    assert q0.size == 1 and label0.order == 1 and str(label0) == "Sym1"
 
 
 def test_e6_reflection_count_by_exhaustion(cache):

@@ -457,7 +457,7 @@ def test_signed_permutation_extraction():
 
 
 @pytest.mark.parametrize(
-    "family,n", list(ALL_SMALL) + [pytest.param("E", 8, marks=pytest.mark.large)]
+    "family,n", list(ALL_SMALL) + [("E", 8)]
 )
 def test_group_order_from_the_type_matches_schreier_sims(cache, family, n):
     # CoxeterGroup.order reads |W| off the Coxeter type; the oracle is the

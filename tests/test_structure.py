@@ -16,7 +16,7 @@ from coxcent.cli import ALL_SMALL
 from coxcent.coxtype import CoxeterType
 from coxcent.group import CoxeterGroup
 from coxcent.involutions import enumerate_involution_classes
-from coxcent.permengine import BSGS, SubgroupHandle
+from coxcent.permengine import BSGS, StructureLabel, SubgroupHandle
 from coxcent.perms import compose, conjugate, inverse
 from coxcent.structure import (
     CHECK_NAMES,
@@ -27,6 +27,7 @@ from coxcent.structure import (
     centralizer,
     check_complement,
     check_extended_diagram,
+    check_gamma_structure,
     check_normalizer,
     check_out_injectivity,
     check_order_identities,
@@ -162,13 +163,13 @@ def test_tilde_bound_below_the_order_is_a_recognition_error(cache, family, n):
     sides = 0
     for cls, p in zip(cache.classes(family, n), cache.profiles(family, n)):
         for side, dim, true in (
-            ("-", cls.degree, p.tilde_minus_order),
-            ("+", n - cls.degree, p.tilde_plus_order),
+            ("-", cls.degree, p.tilde_minus_type.order()),
+            ("+", n - cls.degree, p.tilde_plus_type.order()),
         ):
             if not 1 < dim < n:
                 continue
             sides += 1
-            assert tilde_side(group, cls.rep, side, true).order == true
+            assert tilde_side(group, cls.rep, side, true).order() == true
             for bound in sorted({1, true // 2, true - 1}):
                 with pytest.raises(RecognitionError, match="orders disagree"):
                     tilde_side(group, cls.rep, side, bound)
@@ -234,7 +235,7 @@ def test_projection_reflections_match_the_arithmetic(cache, family, n):
                     closure.reflect(w, vectors[k]) for w in vectors
                 ]
             t = tilde_side(group, cls.rep, side, order)
-            assert (t.ctype, t.order) == (ctype, order)
+            assert (t, t.order()) == (ctype, order)
     # from the simple roots alone the oracle's closure is the root system
     roots = vector_roots(rs)
     whole = _VectorReflectionGroup(form, [roots[s] for s in rs.simple])
@@ -302,16 +303,27 @@ def test_h4_profile_row_degree_2(cache):
     assert str(p.tilde_minus_type) == "B2"
     assert str(p.plus_type) == "A1^2"
     assert str(p.tilde_plus_type) == "B2"
-    assert p.gamma_order == 2
+    assert p.gamma_structure.order == 2
     assert p.order == 32
 
 
 def test_tilde_orders_are_reflection_subgroup_orders(cache):
     for family, n in [("E", 6), ("H", 4)]:
         for p in cache.profiles(family, n):
-            assert p.tilde_minus_order == p.order // p.plus_order
-            assert p.tilde_plus_order == p.order // p.minus_order
-            assert p.tilde_minus_order == p.tilde_minus_type.order() or p.tilde_minus_type == CoxeterType.trivial()
+            assert p.tilde_minus_type.order() == p.order // p.plus_type.order()
+            assert p.tilde_plus_type.order() == p.order // p.minus_type.order()
+        # the recognized type's order is the order of the group its
+        # reflections generate, counted by a chain with no bound
+        group = cache.group(family, n)
+        for cls, p in zip(cache.classes(family, n), cache.profiles(family, n)):
+            for side, dim, ctype in (
+                ("-", cls.degree, p.tilde_minus_type),
+                ("+", n - cls.degree, p.tilde_plus_type),
+            ):
+                if 1 < dim < n:
+                    vectors, perms = _projection_reflections(group, cls.rep, side)
+                    handle = SubgroupHandle.from_gens(len(vectors), list(perms.values()))
+                    assert handle.order() == ctype.order()
 
 
 def test_tilde_side_on_a_line_matches_the_vector_path(cache):
@@ -331,7 +343,7 @@ def test_tilde_side_on_a_line_matches_the_vector_path(cache):
                 normals = projection_normals(group, cls.rep, side)
                 _, ctype, order = closed_projection(form, normals)
                 t = tilde_side(group, cls.rep, side, order)
-                assert (t.ctype, t.order) == (ctype, order), (family, n, cls.label)
+                assert (t, t.order()) == (ctype, order), (family, n, cls.label)
     assert sides == 28
 
 
@@ -352,8 +364,8 @@ def test_tilde_integer_path_matches_scalar_path(cache, family, n):
     # tilde_side's bound is the class's |G_u| / |G_u^opp|, a true upper bound
     for cls, p in zip(cache.classes(family, n), cache.profiles(family, n)):
         for side, bound in (
-            ("+", p.order // p.minus_order),
-            ("-", p.order // p.plus_order),
+            ("+", p.order // p.minus_type.order()),
+            ("-", p.order // p.plus_type.order()),
         ):
             normals = projection_normals(group, cls.rep, side)
             vectors, _ = _projection_reflections(group, cls.rep, side)
@@ -370,8 +382,8 @@ def test_tilde_integer_path_matches_scalar_path(cache, family, n):
                 lifted.order_list
             )
             t = tilde_side(group, cls.rep, side, bound)
-            assert (t.ctype, t.order) == (int_type, int_order)
-            assert (t.ctype, t.order) == (scalar_type, scalar_order)
+            assert (t, t.order()) == (int_type, int_order)
+            assert (t, t.order()) == (scalar_type, scalar_order)
 
 
 def test_a_family_tilde_types(cache):
@@ -581,7 +593,7 @@ def test_gamma_labels_match_family_expectations(cache):
     for p in cache.profiles("B", 5):
         a, a_fixed, b = map(int, p.cls.label.split(","))
         assert p.gamma_structure.kind == "sym"
-        assert p.gamma_order == __import__("math").factorial(b)
+        assert p.gamma_structure.order == __import__("math").factorial(b)
     for p in cache.profiles("A", 5):
         assert p.gamma_structure.kind == "sym"
     from coxcent.classicmodels import canonical_gamma
@@ -598,7 +610,30 @@ def test_d7_exhibits_elementary_abelian_quotient(cache):
     profiles = cache.profiles("D", 7)
     p = next(q for q in profiles if q.cls.label == "2,1,2")
     assert str(p.gamma_structure) == "C2xC2"
-    assert p.gamma_order == 4
+    assert p.gamma_structure.order == 4
+
+
+def test_gamma_rule_allows_sym_x_c2_in_type_d_only(monkeypatch, cache):
+    # Sym3 x C2 is allowed in type D alone: outside it the profile build
+    # aborts, and check 1.2 fails a profile that carries the label
+    label = StructureLabel("sym_x_c2", 3, 12)
+    built = {}
+    for family, n, cls_label in [("B", 4, "0,0,2"), ("D", 5, "0,1,2")]:
+        group = cache.group(family, n)
+        cls = next(c for c in cache.classes(family, n) if c.label == cls_label)
+        data = _compute_class_data(group, cls)
+        assert data.quotient.size > 1
+        profile = replace(data.profile, gamma_structure=label)
+        built[family] = replace(data, profile=profile)
+    result = check_gamma_structure(built["B"])
+    assert (result.status, result.detail) == ("fail", "structure Sym3xC2")
+    result = check_gamma_structure(built["D"])
+    assert (result.status, result.detail) == ("pass", "Sym3xC2")
+    monkeypatch.setattr(structure, "fingerprint", lambda handle: label)
+    cls = built["B"].profile.cls
+    message = "^unexpected reflection-quotient structure Sym3xC2 for B4 degree 2$"
+    with pytest.raises(ViolationError, match=message):
+        _compute_class_data(cache.group("B", 4), cls)
 
 
 @pytest.mark.parametrize("family, n, label", [("D", 7, "2,1,2"), ("B", 4, "0,0,2")])
@@ -634,7 +669,7 @@ def test_out_injectivity_agrees_with_the_scan(cache, family, n):
         if cls.mirror_of is not None:
             continue
         data = _compute_class_data(group, cls)
-        if data.profile.minus_order > structure.SKIP_MINUS_ORDER:
+        if data.profile.minus_type.order() > structure.SKIP_MINUS_ORDER:
             continue
         got = check_out_injectivity(data)
         want = out_injectivity_by_scan(data, structure.SKIP_MINUS_ORDER)
@@ -698,7 +733,7 @@ def test_quotient_is_the_stabilizer_of_the_positive_system(cache, family, n):
             group_order=g_u.order(),
         )
         assert q.size == stab.order(), (family, n, cls.label)
-        assert q.size == _compute_class_data(group, cls).profile.gamma_order
+        assert q.size == _compute_class_data(group, cls).profile.gamma_structure.order
         w1 = SubgroupHandle.from_gens(group.n_points, reflections.values())
         for g in g_u.gens:
             y = q.image(g)
