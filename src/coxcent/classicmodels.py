@@ -6,14 +6,13 @@ the generic engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from .coxtype import CoxeterType
 
 
-@dataclass(frozen=True)
-class PredictedProfile:
+class PredictedProfile(NamedTuple):
     degree: int
     label: str
     order: int

@@ -29,8 +29,6 @@ of the complementary degree through u -> -u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .group import CoxeterGroup, lines_with_negatives, reflection_subgroup_type
 from .permengine import (
     QuotientGroup,
@@ -42,15 +40,18 @@ from .perms import Perm, compose, is_identity
 from .rootsys import signed_permutation
 
 
-@dataclass(eq=False)
 class InvolutionClass:
-    """One conjugacy class of involutions."""
+    """One conjugacy class of involutions.  Equal only to itself: the label
+    is set after enumeration, and the class keys per-class maps."""
 
-    rep: Perm
-    degree: int
-    size: int
-    label: str = ""
-    mirror_of: "InvolutionClass | None" = field(default=None, repr=False)
+    def __init__(
+        self, rep: Perm, degree: int, size: int, label: str = "", mirror_of=None
+    ):
+        self.rep = rep
+        self.degree = degree
+        self.size = size
+        self.label = label
+        self.mirror_of: InvolutionClass | None = mirror_of
 
 
 # -- cubes ----------------------------------------------------------------------

@@ -21,10 +21,10 @@ verification.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from math import factorial, prod
+from typing import NamedTuple
 
 from .perms import Perm, compose, identity, inverse, is_identity
 
@@ -214,17 +214,17 @@ def _random_elements(gens: list[Perm], n_points: int):
         yield acc
 
 
-@dataclass
 class SubgroupHandle:
     """A subgroup given by generators, with a lazily built stabilizer chain.
 
     `_bound`, when set, is a proven upper bound for the subgroup's order,
     passed to the chain (see BSGS)."""
 
-    n_points: int
-    gens: list[Perm] = field(default_factory=list)
-    _bsgs: BSGS | None = None
-    _bound: int | None = None
+    def __init__(self, n_points: int, gens: list[Perm], _bsgs=None, _bound=None):
+        self.n_points = n_points
+        self.gens = gens
+        self._bsgs: BSGS | None = _bsgs
+        self._bound: int | None = _bound
 
     @staticmethod
     def from_gens(n_points: int, gens, bound: int | None = None) -> "SubgroupHandle":
@@ -301,9 +301,7 @@ def orbit_stabilizer(
                     break
     if target is not None and stab.order() != target:
         raise MembershipError("stabilizer chain failed to reach its order")
-    handle = SubgroupHandle(n_points, collected)
-    handle._bsgs = stab
-    return order, handle
+    return order, SubgroupHandle(n_points, collected, stab)
 
 
 # -- Howlett's groupoid on the subsets of the simple roots ------------------------
@@ -516,8 +514,7 @@ def quotient_action(group: SubgroupHandle, reflections: dict[int, Perm]):
 # -- structure labels from orbits ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureLabel:
+class StructureLabel(NamedTuple):
     """Canonical structure of a small quotient group."""
 
     kind: str  # "sym" | "sym_x_c2" | "other"

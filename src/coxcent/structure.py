@@ -33,8 +33,8 @@ says why its bound is one.  N's chain is left unbounded.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
 from math import gcd
+from typing import NamedTuple
 
 from .coxtype import CoxeterType, RecognitionError
 from .group import (
@@ -241,8 +241,7 @@ def gamma(
 # -- the full profile ------------------------------------------------------------------
 
 
-@dataclass
-class CentralizerProfile:
+class CentralizerProfile(NamedTuple):
     """The invariants of an involution class: |G_u|, the Coxeter types of
     G_u^-, G_u^+ and of the projections of G_u to V_u^-, V_u^+, and the
     label of Gamma.  Every other order is read off these: |Gamma| is
@@ -258,18 +257,26 @@ class CentralizerProfile:
     mirrored: bool = False
 
 
-@dataclass
 class ClassData:
     """Per-class computations behind a profile, built once per class and
     read by the checks; the class itself and its quotient structure are on
     the profile.  `centralizer_gens` are the seeds `centralizer` kept."""
 
-    group: CoxeterGroup
-    plus_lines: list[int]
-    minus_lines: list[int]
-    quotient: QuotientGroup
-    profile: CentralizerProfile
-    centralizer_gens: list[Perm]
+    def __init__(
+        self,
+        group: CoxeterGroup,
+        plus_lines: list[int],
+        minus_lines: list[int],
+        quotient: QuotientGroup,
+        profile: CentralizerProfile,
+        centralizer_gens: list[Perm],
+    ):
+        self.group = group
+        self.plus_lines = plus_lines
+        self.minus_lines = minus_lines
+        self.quotient = quotient
+        self.profile = profile
+        self.centralizer_gens = centralizer_gens
 
 
 def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
@@ -324,8 +331,7 @@ def _mirror_profile(
 ) -> CentralizerProfile:
     """The profile of -u from that of u: -1 is central, so the two share
     their centralizer, with the eigenspace sides swapped."""
-    return replace(
-        source,
+    return source._replace(
         cls=cls,
         minus_type=source.plus_type,
         tilde_minus_type=source.tilde_plus_type,
@@ -345,8 +351,7 @@ def profiles_for_group(
 # -- checks ------------------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     subject: str
     status: str  # "pass" | "fail" | "skipped"

@@ -12,8 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .classicmodels import predicted_rows
 from .coxtype import CoxeterType, factored
@@ -37,8 +37,7 @@ CSV_HEADER = [
 ]
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     degree: int
     labels: tuple[str, ...]
     classes: int
@@ -186,8 +185,7 @@ def computed_rows(
     )
 
 
-@dataclass
-class RowDiff:
+class RowDiff(NamedTuple):
     key: tuple
     column: str
     expected: object
@@ -226,8 +224,7 @@ def compare_rows(
 # -- analysis artifacts -------------------------------------------------------------
 
 
-@dataclass
-class Analysis:
+class Analysis(NamedTuple):
     group: CoxeterGroup
     classes: list[InvolutionClass]
     profiles: list[CentralizerProfile]

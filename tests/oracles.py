@@ -8,10 +8,12 @@ the stabilizer of its root set (`orbit_stabilizer` on sorted root
 tuples), the involution census by orbits of negated-line sets, the Gram
 matrix of the simple roots over Q or Q(sqrt5), and the projections of a
 centralizer as reflection groups on normal vectors closed by reflecting
-them over the field."""
+them over the field; and a copy of a plain-class record with some fields
+set."""
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -22,6 +24,17 @@ from coxcent.permengine import MembershipError, SubgroupHandle, orbit_stabilizer
 from coxcent.perms import Perm, compose, conjugate, identity, inverse, is_identity
 from coxcent.structure import CheckResult, _primitive, _subject
 from scalars import GOLDEN, Scalar, lift
+
+
+def with_fields(record, **changes):
+    """A shallow copy of `record` (an InvolutionClass, ClassData or other
+    plain-class record) with `changes` set on it; `record` is unchanged."""
+    out = copy.copy(record)
+    for name, value in changes.items():
+        if not hasattr(out, name):
+            raise AttributeError(f"{type(record).__name__} has no field {name!r}")
+        setattr(out, name, value)
+    return out
 
 
 def whole_group(group) -> SubgroupHandle:

@@ -151,14 +151,13 @@ def test_mirror_check_failure(monkeypatch, tmp_path, capsys):
     # a mirrored class whose size contradicts its source's centralizer order:
     # `theorems` reports a failed "mirror" row in a written report, while
     # `analyze`, which has no report to carry it, stops with a violation
-    import dataclasses
-
     from coxcent import involutions, tables
+    from oracles import with_fields
 
     def tampered(group):
         classes = involutions.enumerate_involution_classes(group)
         k = next(k for k, c in enumerate(classes) if c.mirror_of is not None)
-        classes[k] = dataclasses.replace(classes[k], size=2 * classes[k].size)
+        classes[k] = with_fields(classes[k], size=2 * classes[k].size)
         return classes
 
     monkeypatch.setattr(cli, "enumerate_involution_classes", tampered)

@@ -2,7 +2,8 @@
 and the benchmark import, the README's example runs, every function,
 class and method in `src/coxcent/` is referenced by the package outside
 its definition, or named by the benchmark or by the README, and the
-command-line entry point loads no rational or decimal arithmetic."""
+command-line entry point loads no rational or decimal arithmetic, nor
+`dataclasses` and the `inspect` it imports."""
 
 from __future__ import annotations
 
@@ -123,15 +124,23 @@ def test_every_definition_is_referenced_outside_its_definitions():
     assert set(TEST_ONLY) <= set(spans), "an exception names no definition"
 
 
-def test_cli_import_loads_no_rational_arithmetic():
-    # root coordinates are ints over Z or Z[phi]; Fraction and the Scalar
-    # oracle belong to the tests
-    code = (
-        "import sys, coxcent.cli; "
-        "print(sorted({'fractions', 'decimal', 'coxcent.scalars'} & set(sys.modules)))"
-    )
+def _loaded_by_cli_import(*modules: str) -> list[str]:
+    """The names among `modules` that a fresh `import coxcent.cli` loads."""
+    code = f"import sys, coxcent.cli; print(*sorted(set({modules!r}) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.split()
+
+
+def test_cli_import_loads_no_rational_arithmetic():
+    # root coordinates are ints over Z or Z[phi]; Fraction and the Scalar
+    # oracle belong to the tests
+    assert _loaded_by_cli_import("fractions", "decimal", "coxcent.scalars") == []
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the records are NamedTuples and plain classes: generating dataclass
+    # code costs every process `dataclasses`, `inspect`, `ast` and `dis`
+    assert _loaded_by_cli_import("dataclasses", "inspect") == []

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import tracemalloc
 import weakref
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -15,7 +14,7 @@ from coxcent import structure
 from coxcent.cli import ALL_SMALL
 from coxcent.coxtype import CoxeterType
 from coxcent.group import CoxeterGroup
-from coxcent.involutions import enumerate_involution_classes
+from coxcent.involutions import InvolutionClass, enumerate_involution_classes
 from coxcent.permengine import BSGS, StructureLabel, SubgroupHandle
 from coxcent.perms import compose, conjugate, inverse
 from coxcent.structure import (
@@ -23,6 +22,7 @@ from coxcent.structure import (
     RecognitionError,
     ViolationError,
     _compute_class_data,
+    _mirror_profile,
     _projection_reflections,
     centralizer,
     check_complement,
@@ -55,6 +55,7 @@ from oracles import (
     projection_normals,
     vector_roots,
     whole_group,
+    with_fields,
 )
 from scalars import Scalar, lift
 
@@ -412,7 +413,7 @@ def test_normalizer_check_needs_generators_inside_the_normalizer(cache):
             if compose(s, u) != compose(u, s)
         )
         result = check_normalizer(
-            replace(data, centralizer_gens=data.centralizer_gens + [stranger])
+            with_fields(data, centralizer_gens=data.centralizer_gens + [stranger])
         )
         assert result.status == "fail" and "move the minus roots" in result.detail
 
@@ -446,7 +447,7 @@ def test_normalizer_check_needs_the_minus_part_of_u(cache):
     profile = data.profile
     pair = line_action(group).key(minus_lines[:1])
     pair_order = group.order // len(line_key_orbit(line_action(group), pair))
-    data.profile = replace(profile, order=pair_order)
+    data.profile = profile._replace(order=pair_order)
     result = check_normalizer(data)
     assert result.status == "fail" and "does not determine u" in result.detail
     # nor with a line that u does not negate put after its own, which leaves
@@ -460,7 +461,7 @@ def test_normalizer_check_needs_the_minus_part_of_u(cache):
     data.minus_lines = minus_lines + [extra]
     roots = line_action(group).key(data.minus_lines)
     order = group.order // len(line_key_orbit(line_action(group), roots))
-    data.profile = replace(profile, order=order)
+    data.profile = profile._replace(order=order)
     result = check_normalizer(data)
     assert result.status == "fail" and "does not determine u" in result.detail
     data.profile = profile
@@ -623,8 +624,8 @@ def test_gamma_rule_allows_sym_x_c2_in_type_d_only(monkeypatch, cache):
         cls = next(c for c in cache.classes(family, n) if c.label == cls_label)
         data = _compute_class_data(group, cls)
         assert data.quotient.size > 1
-        profile = replace(data.profile, gamma_structure=label)
-        built[family] = replace(data, profile=profile)
+        profile = data.profile._replace(gamma_structure=label)
+        built[family] = with_fields(data, profile=profile)
     result = check_gamma_structure(built["B"])
     assert (result.status, result.detail) == ("fail", "structure Sym3xC2")
     result = check_gamma_structure(built["D"])
@@ -692,7 +693,7 @@ def test_out_injectivity_fails_on_a_complement_that_centralizes(cache, family, n
         group.n_points, [*q.handle.gens, group.reflection_perm(data.plus_lines[0])]
     )
     assert handle.order() > q.size
-    fake = replace(data, quotient=SimpleNamespace(handle=handle, size=handle.order()))
+    fake = with_fields(data, quotient=SimpleNamespace(handle=handle, size=handle.order()))
     scan = out_injectivity_by_scan(fake, structure.SKIP_MINUS_ORDER)
     for results in (check_out_injectivity(fake), scan):
         assert [(r.name, r.status) for r in results] == [("2.7", "fail"), ("2.8", "fail")]
@@ -791,8 +792,8 @@ def test_profile_is_invariant_under_conjugating_the_representative(cache, data):
     g = group.identity
     for s in word:
         g = compose(g, s)
-    moved = replace(cls, rep=conjugate(cls.rep, g))
-    assert replace(_compute_class_data(group, moved).profile, cls=cls) == profile
+    moved = with_fields(cls, rep=conjugate(cls.rep, g))
+    assert _compute_class_data(group, moved).profile._replace(cls=cls) == profile
 
 
 def test_e6_chain(cache):
@@ -809,6 +810,34 @@ def test_mirrored_profiles_swap_sides(cache):
     assert by_deg[3].minus_type == by_deg[1].plus_type
     assert by_deg[3].plus_type == by_deg[1].minus_type
     assert by_deg[3].order == by_deg[1].order
+
+
+def test_mirror_profile_swaps_the_sides(cache):
+    # B5's degree-2 class 0,1,2 has four distinct side types, A1^2, B2,
+    # A1^3 and A1xB2; its mirror -u has degree 3
+    source = next(p for p in cache.profiles("B", 5) if p.cls.label == "0,1,2")
+    target = next(c for c in cache.classes("B", 5) if c.mirror_of is source.cls)
+    mirror = _mirror_profile(target, source)
+    sides = ("minus_type", "tilde_minus_type", "plus_type", "tilde_plus_type")
+    assert len({str(getattr(source, side)) for side in sides}) == 4
+    assert [getattr(mirror, side) for side in sides] == [
+        source.plus_type,
+        source.tilde_plus_type,
+        source.minus_type,
+        source.tilde_minus_type,
+    ]
+    assert mirror.cls is target and mirror.mirrored and not source.mirrored
+    assert (mirror.order, mirror.gamma_structure) == (source.order, source.gamma_structure)
+
+
+def test_profiles_are_immutable_and_classes_compare_by_identity(cache):
+    profile = cache.profiles("B", 3)[1]
+    with pytest.raises(AttributeError):
+        profile.order = 1
+    cls = profile.cls
+    twin = InvolutionClass(cls.rep, cls.degree, cls.size, cls.label, cls.mirror_of)
+    assert twin != cls
+    assert len({cls: 0, twin: 1}) == 2
 
 
 def test_sub_dihedral_recognition():

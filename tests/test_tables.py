@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import tracemalloc
 
+import pytest
+
 from coxcent.coxtype import CoxeterType
 from coxcent.tables import (
     CSV_HEADER,
@@ -62,12 +64,16 @@ def test_compare_rows_reports_differences(cache):
     got = computed_rows(analysis.group, analysis.profiles)
     assert compare_rows(expect, got) == []
     # tamper with one column
-    import dataclasses
-
-    tampered = [dataclasses.replace(expect[1], gamma="7")] + expect[:1] + expect[2:]
+    tampered = [expect[1]._replace(gamma="7")] + expect[:1] + expect[2:]
     diffs = compare_rows(tampered, got)
     assert len(diffs) == 1
     assert diffs[0].column == "gamma"
+
+
+def test_table_rows_are_immutable():
+    row = expected_rows(CoxeterType.irreducible("H", 3))[1]
+    with pytest.raises(AttributeError):
+        row.gamma = "7"
 
 
 def test_a11_rows_match_the_model(cache):
