@@ -205,16 +205,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"coxcent {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_type=True):
-        if with_type:
-            p.add_argument(
-                "--type",
-                required=False,
-                choices=list(FAMILY_TYPES) + list(FIXED_TYPES) + ["I2"],
-                help="irreducible type",
-            )
-            p.add_argument("--rank", type=int, help="rank for families A/B/D")
-            p.add_argument("--m", type=int, help="m for I2(m)")
+    def common(p):
+        p.add_argument(
+            "--type",
+            required=False,
+            choices=list(FAMILY_TYPES) + list(FIXED_TYPES) + ["I2"],
+            help="irreducible type",
+        )
+        p.add_argument("--rank", type=int, help="rank for families A/B/D")
+        p.add_argument("--m", type=int, help="m for I2(m)")
         p.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
         p.add_argument("--out", help="directory for output artifacts")
         large = p.add_mutually_exclusive_group()

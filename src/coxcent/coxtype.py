@@ -118,11 +118,6 @@ class CoxeterType:
     def is_irreducible(self) -> bool:
         return len(self.components) == 1
 
-    def is_crystallographic(self) -> bool:
-        return all(
-            f in ("A", "B", "D", "E", "F", "G") for f, _ in self.components
-        )
-
     def rank(self) -> int:
         return sum(2 if f == "I" else n for f, n in self.components)
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 from .group import CoxeterGroup, lines_with_negatives, reflection_subgroup_type
 from .permengine import (
     QuotientGroup,
-    SubgroupHandle,
     ViolationError,
     conjugacy_class_set,
 )
@@ -225,8 +224,7 @@ def _class_size(group: CoxeterGroup, k: int, loops: list[Perm]) -> int:
     for lines in (plus, minus):
         order *= reflection_subgroup_type(group, lines_with_negatives(group, lines)).order()
     quotient = QuotientGroup(
-        SubgroupHandle.from_gens(group.n_points, loops),
-        {l: group.reflection_perm(l) for l in plus + minus},
+        group.n_points, loops, {l: group.reflection_perm(l) for l in plus + minus}
     )
     order *= quotient.size
     if group.order % order:

@@ -133,11 +133,12 @@ class BSGS:
         return prod(map(len, self.tinv))
 
     def add_generator(self, g: Perm) -> bool:
-        """Sift g into a complete chain and verify; returns True if the
-        group grew."""
+        """Sift g into a complete chain and verify; returns True, and keeps
+        g, if the group grew."""
         residue, lvl = self.sift(g)
         if is_identity(residue):
             return False
+        self.kept.append(g)
         self._insert(residue, lvl)
         self._verify_from(lvl, None)
         return True
@@ -215,34 +216,22 @@ def _random_elements(gens: list[Perm], n_points: int):
 
 
 class SubgroupHandle:
-    """A subgroup given by generators, with a lazily built stabilizer chain.
+    """A subgroup as its stabilizer chain; `gens`, the generators the chain
+    kept, generate it."""
 
-    `_bound`, when set, is a proven upper bound for the subgroup's order,
-    passed to the chain (see BSGS)."""
-
-    def __init__(self, n_points: int, gens: list[Perm], _bsgs=None, _bound=None):
-        self.n_points = n_points
-        self.gens = gens
-        self._bsgs: BSGS | None = _bsgs
-        self._bound: int | None = _bound
+    def __init__(self, chain: BSGS):
+        self.n_points = chain.n
+        self.gens = chain.kept
+        self.chain = chain
 
     @staticmethod
     def from_gens(n_points: int, gens, bound: int | None = None) -> "SubgroupHandle":
-        seen = set()
-        unique = []
-        for g in gens:
-            if g not in seen and not is_identity(g):
-                seen.add(g)
-                unique.append(g)
-        return SubgroupHandle(n_points, unique, _bound=bound)
-
-    def bsgs(self) -> BSGS:
-        if self._bsgs is None:
-            self._bsgs = BSGS(self.n_points, self.gens, self._bound)
-        return self._bsgs
+        """The subgroup the generators generate; `bound`, when set, is a
+        proven upper bound for its order (see BSGS)."""
+        return SubgroupHandle(BSGS(n_points, gens, bound))
 
     def order(self) -> int:
-        return self.bsgs().order()
+        return self.chain.order()
 
 
 # -- orbits and stabilizers ----------------------------------------------------
@@ -283,7 +272,6 @@ def orbit_stabilizer(
         target = group_order // len(order)
 
     stab = BSGS(n_points)  # unbounded: this is the tests' oracle
-    collected: list[Perm] = []
     done = target == 1  # a trivial stabilizer needs no scan
     for x in order:
         if done:
@@ -295,13 +283,12 @@ def orbit_stabilizer(
             if is_identity(schreier):
                 continue
             if stab.add_generator(schreier):
-                collected.append(schreier)
                 if target is not None and stab.order() == target:
                     done = True
                     break
     if target is not None and stab.order() != target:
         raise MembershipError("stabilizer chain failed to reach its order")
-    return order, SubgroupHandle(n_points, collected, stab)
+    return order, SubgroupHandle(stab)
 
 
 # -- Howlett's groupoid on the subsets of the simple roots ------------------------
@@ -472,15 +459,17 @@ class QuotientGroup:
     simple root a of Phi1+ has y(a) outside Phi1+, replace y by s_a y (s_a
     first, then y), which sends one root fewer of Phi1+ out of Phi1+.
     `image`, the descent, is the quotient map onto N; `handle` is N,
-    generated by the descents of the group's generators, and `size` = |N|
-    is the order of its stabilizer chain on the roots.
+    generated by the descents of the group's generators, each distinct
+    generator descended once, and `size` = |N| is the order of its
+    stabilizer chain on the roots.
     """
 
-    def __init__(self, group: SubgroupHandle, reflections: dict[int, Perm]):
+    def __init__(self, n_points: int, gens, reflections: dict[int, Perm]):
+        gens = list(dict.fromkeys(gens))
         positive = frozenset(reflections)
         roots = positive | {s[a] for a, s in reflections.items()}
         # g normalizes W1 when it maps Phi1 onto itself: g^-1 s_a g = s_(g(a))
-        if any(g[r] not in roots for g in group.gens for r in roots):
+        if any(g[r] not in roots for g in gens for r in roots):
             raise ValueError("subgroup is not normal")
         self.positive = positive
         self._simple = [
@@ -490,9 +479,7 @@ class QuotientGroup:
         ]
         # unbounded: N's only upper bound comes from the Coxeter types, and
         # check 2.1b compares |N| with them as an independent count
-        self.handle = SubgroupHandle.from_gens(
-            group.n_points, [self.image(g) for g in group.gens]
-        )
+        self.handle = SubgroupHandle.from_gens(n_points, [self.image(g) for g in gens])
         self.size = self.handle.order()
 
     def image(self, y: Perm) -> Perm:
@@ -508,7 +495,7 @@ class QuotientGroup:
 
 
 def quotient_action(group: SubgroupHandle, reflections: dict[int, Perm]):
-    return QuotientGroup(group, reflections)
+    return QuotientGroup(group.n_points, group.gens, reflections)
 
 
 # -- structure labels from orbits ------------------------------------------------

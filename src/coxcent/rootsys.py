@@ -248,7 +248,6 @@ class DihedralModel:
     """
 
     crystallographic = False
-    cartan = None
     rank = 2
 
     def __init__(self, m: int):

@@ -93,7 +93,7 @@ def centralizer(
         raise ViolationError("a centralizer seed does not commute with u")
     if chain.order() != target:
         raise ViolationError("centralizer order disagrees with the class size")
-    return SubgroupHandle(group.n_points, chain.kept, chain)
+    return SubgroupHandle(chain)
 
 
 # -- projections to the two eigenspaces ----------------------------------------------
@@ -205,9 +205,7 @@ def tilde_side(
             return CoxeterType.trivial()
         return CoxeterType.irreducible("A", 1)
     vectors, perms = _projection_reflections(group, u, side)
-    order = SubgroupHandle.from_gens(
-        len(vectors), list(perms.values()), expected_order
-    ).order()
+    order = SubgroupHandle.from_gens(len(vectors), perms.values(), expected_order).order()
     ctype = recognize(list(perms), perms.__getitem__)
     if (
         ctype.root_count() != len(vectors)
@@ -674,7 +672,7 @@ def run_property_suite(
     order.  When `profiles` is a list, each class's profile is appended to
     it, so the profiles and the checks share one build of each class."""
     results: list[CheckResult] = []
-    if group.ctype.is_crystallographic() and not group.is_dihedral:
+    if group.geometry.crystallographic:
         results.extend(check_extended_diagram(group))
     built = _class_pipeline(group, classes, results)
     if profiles is not None:

@@ -69,7 +69,7 @@ def perm_order(p: Perm) -> int:
 def contains(group, g: Perm) -> bool:
     """Whether g lies in a SubgroupHandle or a BSGS: g sifts to the
     identity through the stabilizer chain."""
-    chain = group.bsgs() if isinstance(group, SubgroupHandle) else group
+    chain = group.chain if isinstance(group, SubgroupHandle) else group
     if len(g) != chain.n:
         raise MembershipError("degree mismatch")
     residue, _ = chain.sift(g)
@@ -79,7 +79,7 @@ def contains(group, g: Perm) -> bool:
 def elements(group, limit: int | None = None) -> list[Perm]:
     """Every element of a SubgroupHandle or a BSGS, in deterministic
     transversal order, the identity first; MembershipError above `limit`."""
-    chain = group.bsgs() if isinstance(group, SubgroupHandle) else group
+    chain = group.chain if isinstance(group, SubgroupHandle) else group
     total = chain.order()
     if limit is not None and total > limit:
         raise MembershipError(f"group of order {total} exceeds limit {limit}")

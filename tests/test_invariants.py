@@ -173,7 +173,7 @@ def test_matrix_and_permutation_actions_agree(cache):
 
 def test_bsgs_invariants(cache):
     group = cache.group("D", 4)
-    chain = whole_group(group).bsgs()
+    chain = whole_group(group).chain
     product = 1
     for orbit in chain.tinv:
         product *= len(orbit)

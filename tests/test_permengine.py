@@ -12,6 +12,7 @@ from coxcent.group import CoxeterGroup
 from coxcent.permengine import (
     BSGS,
     MembershipError,
+    QuotientGroup,
     SubgroupHandle,
     fingerprint,
     orbit_stabilizer,
@@ -154,6 +155,45 @@ def test_trivial_generators():
     assert contains(h, identity(5))
 
 
+def test_handle_is_its_chain_on_the_kept_generators():
+    # the identity and a repeat sift to the identity, so the chain keeps
+    # neither, and what it keeps generates the group the raw list does
+    group, gens = coxeter_gens("B", 3)
+    e = identity(group.n_points)
+    raw = [e, gens[0], gens[1], gens[0], e, gens[2], gens[1]]
+    h = SubgroupHandle.from_gens(group.n_points, raw)
+    assert h.gens is h.chain.kept
+    assert e not in h.gens and len(set(h.gens)) == len(h.gens)
+    assert h.order() == BSGS(group.n_points, raw).order() == group.order
+
+
+def test_orbit_stabilizer_handle_keeps_generators_of_its_chain():
+    group, gens = coxeter_gens("B", 3)
+    for seed in group.lines[:4]:
+        _, stab = orbit_stabilizer(
+            group.n_points, gens, seed, act_on_point, group_order=group.order
+        )
+        assert stab.gens is stab.chain.kept
+        assert BSGS(group.n_points, stab.gens).order() == stab.order()
+
+
+def test_quotient_descends_each_distinct_generator_once(monkeypatch):
+    group, gens = coxeter_gens("B", 3)
+    shorts = [l for l in group.lines if not group.geometry.is_long(l)]
+    normal = {l: group.reflection_perm(l) for l in shorts}
+    real = QuotientGroup.image
+    calls = []
+
+    def counted(self, y):
+        calls.append(y)
+        return real(self, y)
+
+    monkeypatch.setattr(QuotientGroup, "image", counted)
+    q = QuotientGroup(group.n_points, gens + gens, normal)
+    assert sorted(calls) == sorted(set(gens))
+    assert q.size == 6
+
+
 def test_elements_enumeration():
     group, gens = coxeter_gens("B", 3)
     handle = whole_group(group)
@@ -288,6 +328,6 @@ def test_fingerprint_needs_a_faithful_orbit():
 def test_bsgs_determinism():
     group1, _ = coxeter_gens("D", 4)
     group2, _ = coxeter_gens("D", 4)
-    b1, b2 = whole_group(group1).bsgs(), whole_group(group2).bsgs()
+    b1, b2 = whole_group(group1).chain, whole_group(group2).chain
     assert b1.base == b2.base
     assert [sorted(t) for t in b1.tinv] == [sorted(t) for t in b2.tinv]

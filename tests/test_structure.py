@@ -138,7 +138,7 @@ def test_early_stopped_centralizer_chain_is_complete(cache, family, n):
             continue
         u = cls.rep
         handle = centralizer(group, u, cls.size)
-        chain = handle.bsgs()
+        chain = handle.chain
         fresh = BSGS(group.n_points, handle.gens)
         assert chain.order() == fresh.order() == group.order // cls.size
         sifted["stopped"] += sum(map(len, chain._checked))
