@@ -92,39 +92,16 @@ class CoxeterGroup:
         neg = self.neg
         return [l for l in self.lines if u[l] == neg[l]]
 
-    def stable_lines(self, u: Perm) -> list[int]:
-        """Lines preserved by u; their reflections are the reflections
-        commuting with u."""
-        neg = self.neg
-        return [l for l in self.lines if u[l] == l or u[l] == neg[l]]
-
-    def centralizer_involutions_deg_le_2(self, u: Perm) -> Iterator[Perm]:
-        """Every involution of degree <= 2 in the centralizer of u, built
-        one at a time, so a caller that needs only some of them builds no
-        more.
-
-        Degree 1: reflections in u-stable lines.  Degree 2: products of two
-        orthogonal reflections whose line pair is preserved by u, either
-        linewise (two stable lines) or swapped (a line and the line of its
-        image).  Pairs come in the order of their positions in `lines`,
-        which ascend.
-        """
-        neg = self.neg
-        stable_lines = self.stable_lines(u)
-        for l in stable_lines:
-            yield self.reflection_perm(l)
-        n_stable = 0
-        for la in self.lines:
-            ua = u[la]
-            if ua == la or ua == neg[la]:
-                n_stable += 1
-                partners = stable_lines[n_stable:]
-            else:
-                lb = self.line_of(ua)
-                partners = (lb,) if lb > la else ()
-            for lb in partners:
-                if self.orthogonal(la, lb):
-                    yield compose(self.reflection_perm(la), self.reflection_perm(lb))
+    def swapped_pairs(self, u: Perm) -> Iterator[Perm]:
+        """s_a s_b for each line a that u maps onto a line b > a orthogonal
+        to it, in ascending a, built one at a time.  With the reflections
+        in the lines u fixes or negates they generate C(u) (Theorem 1.1):
+        its other degree-<=2 involutions are products of two of those
+        reflections."""
+        for a in self.lines:
+            b = self.line_of(u[a])
+            if b > a and self.orthogonal(a, b):
+                yield compose(self.reflection_perm(a), self.reflection_perm(b))
 
 
 # -- reflection subgroups of the ambient group ------------------------------------

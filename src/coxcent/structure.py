@@ -32,6 +32,7 @@ says why its bound is one.  N's chain is left unbounded.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable
 from math import gcd
 from typing import NamedTuple
@@ -70,10 +71,13 @@ def centralizer(
 ) -> SubgroupHandle:
     """The centralizer of an involution, as a subgroup handle.
 
-    It is the subgroup generated by the degree-<=2 centralizing
-    involutions, built here one at a time (tests replace them by `seeds`),
-    whose order must be the target |G| / |class|.  Falling short raises
-    ViolationError: by Theorem 1.1 those involutions generate C(u).  The
+    It is the subgroup generated by the reflections in the lines u fixes or
+    negates, which generate G1 = G_u^+ x G_u^-, then the swapped pairs
+    s_a s_u(a) (`CoxeterGroup.swapped_pairs`), built one at a time (tests
+    replace them by `seeds`), whose order must be the target
+    |G| / |class|.  Falling short raises ViolationError: by Theorem 1.1
+    the degree-<=2 involutions of C(u) generate it, and those left out,
+    products of two orthogonal stable reflections, lie in G1.  The
     handle's generators are the seeds the chain kept.
 
     The target bounds the chain: the census reads the class size as
@@ -87,7 +91,9 @@ def centralizer(
         raise ViolationError("class size does not divide the group order")
     target = group.order // class_size
     if seeds is None:
-        seeds = group.centralizer_involutions_deg_le_2(u)
+        stable = group.fixed_lines(u) + group.negated_lines(u)
+        reflections = map(group.reflection_perm, stable)
+        seeds = itertools.chain(reflections, group.swapped_pairs(u))
     chain = BSGS(group.n_points, seeds, bound=target)
     if any(compose(g, u) != compose(u, g) for g in chain.kept):
         raise ViolationError("a centralizer seed does not commute with u")
@@ -358,7 +364,9 @@ class CheckResult(NamedTuple):
 
 def check_theorem_1_1(data: ClassData) -> CheckResult:
     """The quotient of G_u by its reflection part is generated by the images
-    of the degree-<=2 involutions of G_u, built one at a time: the chain on
+    of the degree-<=2 involutions of G_u.  The reflections in the stable
+    lines, and the products of two of them, lie in G1 and map to 1, so
+    only the swapped pairs are read, built one at a time: the chain on
     their images stops reading them once it reaches |Gamma|."""
     name = "1.1"
     subject = _subject(data)
@@ -367,12 +375,12 @@ def check_theorem_1_1(data: ClassData) -> CheckResult:
         return CheckResult(name, subject, "pass", "reflection quotient trivial")
     u, neg = data.profile.cls.rep, data.group.neg
     stable = data.plus_lines + data.minus_lines
-    # An involution j of degree <= 2 that negates a root c of G1 lies in G1,
-    # so it descends to the identity: j is s_c, or -1 on a plane whose roots
-    # hold c and a root c' orthogonal to c, which u keeps as it keeps c and
-    # the plane, and then j = s_c s_c'.
-    involutions = data.group.centralizer_involutions_deg_le_2(u)
-    outside = (j for j in involutions if all(j[l] != neg[l] for l in stable))
+    # A swapped pair j that negates a root c of G1 lies in G1, so it
+    # descends to the identity: j is -1 on a plane whose roots hold c and a
+    # root c' orthogonal to c, which u keeps as it keeps c and the plane,
+    # and then j = s_c s_c'.
+    pairs = data.group.swapped_pairs(u)
+    outside = (j for j in pairs if all(j[l] != neg[l] for l in stable))
     # the images lie in N, so |N| = |Gamma| bounds the group they generate
     span = BSGS(q.handle.n_points, map(q.image, outside), bound=q.size)
     if span.order() == q.size:
@@ -581,7 +589,9 @@ def check_complement(data: ClassData) -> CheckResult:
     quotient's representatives (B. Brink and R. B. Howlett, Invent. Math.
     136, 1999).  The check passes iff the degree-<=2 involutions of G_u
     that fix Phi1+ generate a group of order |Gamma|, that is, all of N.
-    They are built one at a time, and their chain stops reading at |Gamma|.
+    A reflection in a stable line negates its root, a root of G1, and so
+    does a product of two, so only the swapped pairs can fix Phi1+; they
+    are built one at a time, and their chain stops reading at |Gamma|.
     """
     name = "2.4"
     subject = _subject(data)
@@ -589,8 +599,8 @@ def check_complement(data: ClassData) -> CheckResult:
     if q.size == 1:
         return CheckResult(name, subject, "pass", "trivial quotient")
     positive = q.positive
-    involutions = data.group.centralizer_involutions_deg_le_2(data.profile.cls.rep)
-    fixers = (j for j in involutions if all(j[a] in positive for a in positive))
+    pairs = data.group.swapped_pairs(data.profile.cls.rep)
+    fixers = (j for j in pairs if all(j[a] in positive for a in positive))
     # the fixers lie in N, so |N| = |Gamma| bounds the group they generate
     order = BSGS(data.group.n_points, fixers, q.size).order()
     if order == q.size:

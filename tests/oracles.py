@@ -1,19 +1,20 @@
-"""Oracles for the tests: the whole group as a subgroup handle, the order
-of a permutation, whether it is an involution, membership in a
-stabilizer chain by sifting, every element of a group listed from its
-chain, checks 2.7/2.8 by a scan of G_u^- for each element of the
-reflection quotient's complement, a point orbit by plain BFS, the action
-of a permutation on a point, the normalizer of a reflection subgroup as
-the stabilizer of its root set (`orbit_stabilizer` on sorted root
-tuples), the involution census by orbits of negated-line sets, the Gram
-matrix of the simple roots over Q or Q(sqrt5), and the projections of a
-centralizer as reflection groups on normal vectors closed by reflecting
-them over the field; and a copy of a plain-class record with some fields
-set."""
+"""Oracles for the tests: the whole group as a subgroup handle, every
+degree-<=2 involution of a centralizer, the order of a permutation,
+whether it is an involution, membership in a stabilizer chain by
+sifting, every element of a group listed from its chain, checks 2.7/2.8
+by a scan of G_u^- for each element of the reflection quotient's
+complement, a point orbit by plain BFS, the action of a permutation on a
+point, the normalizer of a reflection subgroup as the stabilizer of its
+root set (`orbit_stabilizer` on sorted root tuples), the involution
+census by orbits of negated-line sets, the Gram matrix of the simple
+roots over Q or Q(sqrt5), and the projections of a centralizer as
+reflection groups on normal vectors closed by reflecting them over the
+field; and a copy of a plain-class record with some fields set."""
 
 from __future__ import annotations
 
 import copy
+from collections.abc import Iterator
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -43,6 +44,34 @@ def whole_group(group) -> SubgroupHandle:
     return SubgroupHandle.from_gens(
         group.n_points, [geometry.reflection_perm(a) for a in geometry.simple]
     )
+
+
+def involutions_deg_le_2(group, u: Perm) -> Iterator[Perm]:
+    """Every involution of degree <= 2 in the centralizer of u, built one
+    at a time.
+
+    Degree 1: reflections in u-stable lines.  Degree 2: products of two
+    orthogonal reflections whose line pair is preserved by u, either
+    linewise (two stable lines) or swapped (a line and the line of its
+    image).  Pairs come in the order of their positions in `lines`, which
+    ascend.
+    """
+    neg = group.neg
+    stable_lines = [l for l in group.lines if u[l] == l or u[l] == neg[l]]
+    for l in stable_lines:
+        yield group.reflection_perm(l)
+    n_stable = 0
+    for la in group.lines:
+        ua = u[la]
+        if ua == la or ua == neg[la]:
+            n_stable += 1
+            partners = stable_lines[n_stable:]
+        else:
+            lb = group.line_of(ua)
+            partners = (lb,) if lb > la else ()
+        for lb in partners:
+            if group.orthogonal(la, lb):
+                yield compose(group.reflection_perm(la), group.reflection_perm(lb))
 
 
 def is_involution(p: Perm) -> bool:

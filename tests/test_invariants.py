@@ -77,7 +77,8 @@ def test_gamma_wrapper(cache):
     from coxcent.structure import centralizer
 
     g_u = centralizer(group, cls.rep, class_size=cls.size)
-    g1 = {l: group.reflection_perm(l) for l in group.stable_lines(cls.rep)}
+    stable = group.fixed_lines(cls.rep) + group.negated_lines(cls.rep)
+    g1 = {l: group.reflection_perm(l) for l in stable}
     q, label = gamma(g_u, g1)
     assert label.order == 2 and str(label) == "Sym2"
     assert q is not None and q.size == 2

@@ -23,6 +23,7 @@ from oracles import (
     act_on_point,
     contains,
     elements,
+    involutions_deg_le_2,
     normalizer_of_reflection_subgroup,
     point_orbit,
     whole_group,
@@ -84,7 +85,7 @@ def _subgroup_generators(cache, family, n):
     for _ in range(6):
         out.append(rng.sample(reflections, rng.randint(1, 4)))
     for cls in cache.classes(family, n):
-        seeds = list(group.centralizer_involutions_deg_le_2(cls.rep))
+        seeds = list(involutions_deg_le_2(group, cls.rep))
         out.append(seeds)
         out.append(rng.sample(seeds, min(len(seeds), rng.randint(1, 3))))
     return group, out
@@ -121,7 +122,7 @@ def test_bounded_chain_reads_generators_only_up_to_its_bound(cache):
     # once the order reaches the bound the remaining generators are unread:
     # here the degree-<=2 involutions of B4, which generate it
     group = cache.group("B", 4)
-    seeds = list(group.centralizer_involutions_deg_le_2(group.identity))
+    seeds = list(involutions_deg_le_2(group, group.identity))
     read = []
 
     def lazily():

@@ -144,3 +144,15 @@ def test_cli_import_loads_no_dataclasses():
     # the records are NamedTuples and plain classes: generating dataclass
     # code costs every process `dataclasses`, `inspect`, `ast` and `dis`
     assert _loaded_by_cli_import("dataclasses", "inspect") == []
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # newer syntax fails at the floor's grammar; newer library calls do not
+    floor = re.search(
+        r'requires-python = ">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text()
+    )
+    assert floor is not None
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(
+            path.read_text(), str(path), feature_version=(3, int(floor.group(1)))
+        )

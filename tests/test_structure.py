@@ -47,6 +47,7 @@ from oracles import (
     elements as list_elements,
     field_direction,
     invariant_form,
+    involutions_deg_le_2,
     line_action,
     line_key_orbit,
     normalizer_of_reflection_subgroup,
@@ -104,7 +105,8 @@ def test_centralizer_from_the_reflections_alone_is_a_violation(monkeypatch, cach
 
     monkeypatch.setattr(BSGS, "_verify_from", counting)
     u = cls.rep
-    reflections = [group.reflection_perm(l) for l in group.stable_lines(u)]
+    stable = group.fixed_lines(u) + group.negated_lines(u)
+    reflections = [group.reflection_perm(l) for l in stable]
     with pytest.raises(ViolationError, match="disagrees with the class size"):
         centralizer(group, u, cls.size, seeds=reflections)
     assert fallbacks == [group.order // cls.size]
@@ -575,8 +577,8 @@ def test_property_suite_clean_on_samples(cache):
 
 def test_property_suite_lists_no_involutions():
     # the checks read the centralizer's kept generators, or stream the
-    # degree-<=2 involutions into a bounded chain; listing them all for
-    # checks 1.1, 2.3 and 2.4 peaked at 5.5 MB here
+    # swapped pairs into a bounded chain; listing every degree-<=2
+    # involution of C(u) for checks 1.1, 2.3 and 2.4 peaked at 5.5 MB here
     group = CoxeterGroup(CoxeterType.irreducible("B", 10))
     classes = enumerate_involution_classes(group)
     tracemalloc.start()
@@ -649,16 +651,66 @@ def test_complement_check_fails_without_an_involution_class(
     q = data.quotient
     assert q.size > 1 and check_complement(data).status == "pass"
     positive = q.positive
-    involutions = list(group.centralizer_involutions_deg_le_2(cls.rep))
+    involutions = list(involutions_deg_le_2(group, cls.rep))
     fixers = [j for j in involutions if all(j[a] in positive for a in positive)]
     for j in fixers:
         n_class = {conjugate(j, y) for y in list_elements(q.handle)}
         kept = [x for x in involutions if x not in n_class]
-        monkeypatch.setattr(
-            group, "centralizer_involutions_deg_le_2", lambda u, kept=kept: iter(kept)
-        )
+        monkeypatch.setattr(group, "swapped_pairs", lambda u, kept=kept: iter(kept))
         result = check_complement(data)
         assert result.status == "fail", (label, result.detail)
+
+
+@pytest.mark.parametrize("family,n", [*ALL_SMALL, ("B", 8), ("D", 8)])
+def test_swapped_pairs_give_the_checks_what_every_involution_gave(cache, family, n):
+    # A stable reflection negates its own root, a root of G1, and so does a
+    # product of two stable reflections, so checks 1.1 and 2.4 dropped them
+    # all from the stream of every degree-<=2 involution of C(u): over the
+    # swapped pairs alone each filter keeps the same involutions in the same
+    # order.  The seeds the centralizer kept generate what that whole
+    # stream generates.
+    group = cache.group(family, n)
+    neg = group.neg
+    for cls in cache.classes(family, n):
+        if cls.mirror_of is not None:
+            continue
+        data = _compute_class_data(group, cls)
+        stable, positive = data.plus_lines + data.minus_lines, data.quotient.positive
+        everything = list(involutions_deg_le_2(group, cls.rep))
+        pairs = list(group.swapped_pairs(cls.rep))
+        for keeps in (
+            lambda j: all(j[l] != neg[l] for l in stable),  # check 1.1
+            lambda j: all(j[a] in positive for a in positive),  # check 2.4
+        ):
+            assert list(filter(keeps, pairs)) == list(filter(keeps, everything))
+        kept = BSGS(group.n_points, data.centralizer_gens).order()
+        assert kept == BSGS(group.n_points, everything).order() == data.profile.order
+
+
+def test_centralizer_reads_the_stable_reflections_and_swapped_pairs_only(
+    monkeypatch, cache
+):
+    # Over D12's classes the centralizer's chains read 911 seeds: the
+    # reflections in the stable lines, then the swapped pairs.  The stream
+    # of every degree-<=2 involution of C(u), with the products of two
+    # stable reflections, read 3,829.
+    group = cache.group("D", 12)
+    classes = [c for c in cache.classes("D", 12) if c.mirror_of is None]
+    read = []
+    real = structure.BSGS
+
+    def counting(n_points, gens=(), bound=None):
+        def lazily():
+            for g in gens:
+                read.append(g)
+                yield g
+
+        return real(n_points, lazily(), bound)
+
+    monkeypatch.setattr(structure, "BSGS", counting)
+    for cls in classes:
+        centralizer(group, cls.rep, cls.size)
+    assert len(read) <= 1_200
 
 
 @pytest.mark.parametrize("family,n", [*ALL_SMALL, ("A", 9), ("B", 8), ("D", 8)])
