@@ -7,7 +7,7 @@ from collections.abc import Iterator
 from functools import cached_property
 
 from .coxtype import CoxeterType, RecognitionError, classify_coxeter_graph
-from .permengine import ParabolicGroupoid
+from .permengine import ParabolicGroupoid, simple_roots
 from .perms import Perm, compose
 from .rootsys import DEFAULT_MAX_RANK, DihedralModel, RootSystem, build_system
 
@@ -111,27 +111,20 @@ def recognize(positive, reflection) -> CoxeterType:
     """Coxeter type of a reflection group, from the positive roots of its
     root set and each one's reflection as a permutation of that set.
 
-    A positive root is simple iff its reflection keeps every other positive
-    root positive (J. E. Humphreys, Reflection Groups and Coxeter Groups,
-    1990, 1.4-1.7); two simple roots a, b bond with the order m of the
+    Two simple roots (`simple_roots`) a, b bond with the order m of the
     product of their reflections, a rotation of order m in their plane,
     whose cycle through a has length m.
     """
-    pos = set(positive)
-    simples = []
-    for a in sorted(pos):
-        pa = reflection(a)
-        if all(pa[b] in pos for b in pos if b != a):
-            simples.append(a)
+    simple = dict(simple_roots(positive, reflection))
 
     def bond(a: int, b: int) -> int:
-        ra, rb = reflection(a), reflection(b)
+        ra, rb = simple[a], simple[b]
         m, x = 1, rb[ra[a]]
         while x != a:
             m, x = m + 1, rb[ra[x]]
         return m
 
-    return classify_coxeter_graph(simples, bond)
+    return classify_coxeter_graph(list(simple), bond)
 
 
 def reflection_subgroup_type(group: CoxeterGroup, rootset) -> CoxeterType:

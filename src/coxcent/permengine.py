@@ -446,6 +446,16 @@ def conjugacy_class_set(
 # -- the reflection quotient ------------------------------------------------------
 
 
+def simple_roots(positive, reflection) -> list[tuple[int, Perm]]:
+    """The simple roots of a positive system, ascending, each with its
+    reflection: a positive root is simple iff its reflection keeps every
+    other positive root positive (J. E. Humphreys, Reflection Groups and
+    Coxeter Groups, 1990, 1.4-1.7)."""
+    pos = frozenset(positive)
+    pairs = ((a, reflection(a)) for a in sorted(pos))
+    return [(a, s) for a, s in pairs if all(s[b] in pos for b in pos if b != a)]
+
+
 class QuotientGroup:
     """The quotient of a group by a normal reflection subgroup W1, realized
     as its complement N, the stabilizer of a positive system, on the roots.
@@ -457,11 +467,12 @@ class QuotientGroup:
     and these y form N = Stab(Phi1+), a complement of W1 (B. Brink and
     R. B. Howlett, Invent. Math. 136, 1999).  Descent reaches y: while a
     simple root a of Phi1+ has y(a) outside Phi1+, replace y by s_a y (s_a
-    first, then y), which sends one root fewer of Phi1+ out of Phi1+.
-    `image`, the descent, is the quotient map onto N; `handle` is N,
-    generated by the descents of the group's generators, each distinct
-    generator descended once, and `size` = |N| is the order of its
-    stabilizer chain on the roots.
+    first, then y), which sends one root fewer of Phi1+ out of Phi1+; it
+    ends at the one such y of the coset, in whatever order the simple
+    roots are tried.  `image`, the descent, is the quotient map onto N;
+    `handle` is N, generated by the descents of the group's generators,
+    each distinct generator descended once, and `size` = |N| is the order
+    of its stabilizer chain on the roots.
     """
 
     def __init__(self, n_points: int, gens, reflections: dict[int, Perm]):
@@ -472,11 +483,7 @@ class QuotientGroup:
         if any(g[r] not in roots for g in gens for r in roots):
             raise ValueError("subgroup is not normal")
         self.positive = positive
-        self._simple = [
-            (a, s)
-            for a, s in reflections.items()
-            if all(s[b] in positive for b in positive if b != a)
-        ]
+        self._simple = simple_roots(positive, reflections.__getitem__)
         # unbounded: N's only upper bound comes from the Coxeter types, and
         # check 2.1b compares |N| with them as an independent count
         self.handle = SubgroupHandle.from_gens(n_points, [self.image(g) for g in gens])

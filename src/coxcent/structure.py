@@ -264,7 +264,11 @@ class CentralizerProfile(NamedTuple):
 class ClassData:
     """Per-class computations behind a profile, built once per class and
     read by the checks; the class itself and its quotient structure are on
-    the profile.  `centralizer_gens` are the seeds `centralizer` kept."""
+    the profile.  `centralizer_gens` are the seeds `centralizer` kept.
+
+    The build raises only where `centralizer` or `tilde_side` cannot go
+    on.  A Gamma label or a projection order that breaks a check is kept
+    as found: checks 1.2 and 2.9 report it, like any other failure."""
 
     def __init__(
         self,
@@ -291,12 +295,6 @@ def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
     quotient, gamma_label = gamma(
         g_u, {l: group.reflection_perm(l) for l in plus_lines + minus_lines}
     )
-    if not _gamma_allowed(group, gamma_label):
-        # a quotient outside the structure theory: abort rather than tabulate it
-        raise ViolationError(
-            f"unexpected reflection-quotient structure {gamma_label} for "
-            f"{group.ctype} degree {cls.degree}"
-        )
     plus_type = reflection_subgroup_type(
         group, lines_with_negatives(group, plus_lines)
     )
@@ -306,11 +304,6 @@ def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
     expected = (gu_order // minus_type.order(), gu_order // plus_type.order())
     tilde_plus = tilde_side(group, u, "+", expected[0])
     tilde_minus = tilde_side(group, u, "-", expected[1])
-    if (tilde_plus.order(), tilde_minus.order()) != expected:
-        raise ViolationError(
-            f"a projection of the centralizer (class degree {cls.degree}, "
-            f"label {cls.label!r}) is not generated by its reflections"
-        )
     profile = CentralizerProfile(
         cls=cls,
         order=gu_order,
@@ -613,19 +606,13 @@ def check_complement(data: ClassData) -> CheckResult:
     )
 
 
-def _gamma_allowed(group: CoxeterGroup, label: StructureLabel) -> bool:
-    """Whether Gamma's label is one the structure theory allows: Sym_r, or
-    Sym_r x C2 in type D."""
-    return label.kind == "sym" or (
-        label.kind == "sym_x_c2" and group.ctype.components[0][0] == "D"
-    )
-
-
 def check_gamma_structure(data: ClassData) -> CheckResult:
     """Check 1.2: the quotient is symmetric, or symmetric x C2 in type D
     only."""
     label = data.profile.gamma_structure
-    if _gamma_allowed(data.group, label):
+    if label.kind == "sym" or (
+        label.kind == "sym_x_c2" and data.group.ctype.components[0][0] == "D"
+    ):
         return CheckResult("1.2", _subject(data), "pass", str(label))
     return CheckResult("1.2", _subject(data), "fail", f"structure {label}")
 
@@ -700,10 +687,12 @@ def _class_pipeline(
     A class's ClassData is built once, and dropped before the next class,
     so at most one is alive at a time.  Classes of degree above n/2 in
     groups containing -1 reuse the profile of their mirror class, which
-    comes earlier, with the two sides swapped (their orders are
-    cross-checked against the class sizes).  When `results` is a list, the
-    checks of each class are appended to it: the full suite for a built
-    class, the order cross-check for a mirrored one.
+    comes earlier, with the two sides swapped; their `mirror` row
+    cross-checks the orders against the class sizes.  A built class gets
+    the full suite when `results` is a list, and otherwise only the checks
+    a printed row rests on: Gamma's label (1.2) and the projection orders
+    (2.9).  With `results`, every row is appended to it; without, the
+    first failed row raises ViolationError naming its check.
     """
     by_rep: dict[InvolutionClass, CentralizerProfile] = {}
     out = []
@@ -712,24 +701,26 @@ def _class_pipeline(
         if source is not None:
             profile = _mirror_profile(cls, source)
             # the shared centralizer must have the order the class size gives
-            consistent = cls.size * source.order == group.order
-            if results is not None:
-                results.append(
-                    CheckResult(
-                        "mirror",
-                        f"{group.ctype} deg {cls.degree}/{cls.label}",
-                        "pass" if consistent else "fail",
-                        "orders consistent with the mirror class",
-                    )
-                )
-            elif not consistent:
-                raise ViolationError("centralizers of u and -u differ in order")
+            if cls.size * source.order == group.order:
+                status, detail = "pass", "orders consistent with the mirror class"
+            else:
+                status, detail = "fail", "centralizers of u and -u differ in order"
+            subject = f"{group.ctype} deg {cls.degree}/{cls.label}"
+            found = [CheckResult("mirror", subject, status, detail)]
         else:
             data = _compute_class_data(group, cls)
             profile = data.profile
             if results is not None:
-                results.extend(class_property_suite(data))
+                found = class_property_suite(data)
+            else:
+                found = [check_gamma_structure(data), *check_tilde_reflection_generated(data)]
             del data  # free it before the next class's data is built
+        if results is not None:
+            results.extend(found)
+        else:
+            for r in found:
+                if r.status == "fail":
+                    raise ViolationError(f"check {r.name} failed on {r.subject}: {r.detail}")
         by_rep[cls] = profile
         out.append(profile)
     return out

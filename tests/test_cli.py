@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from coxcent import cli
+from coxcent import cli, structure
+from coxcent.coxtype import CoxeterType
 from coxcent.rootsys import DEFAULT_MAX_RANK
 
 
@@ -171,6 +172,48 @@ def test_mirror_check_failure(monkeypatch, tmp_path, capsys):
     assert run(["analyze", "--type", "B", "--rank", "3", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "B3.csv").exists()
     assert "centralizers of u and -u differ" in capsys.readouterr().err
+
+
+def _label_check_1_2_rejects(monkeypatch):
+    from coxcent.permengine import StructureLabel
+
+    label = StructureLabel("sym_x_c2", 3, 12)
+    monkeypatch.setattr(structure, "fingerprint", lambda handle: label)
+
+
+def _projection_check_2_9_rejects(monkeypatch):
+    real = structure.tilde_side
+
+    def tilde_side(group, u, side, expected_order):
+        if side == "+" and group.degree(u) == 2:
+            return CoxeterType.trivial()
+        return real(group, u, side, expected_order)
+
+    monkeypatch.setattr(structure, "tilde_side", tilde_side)
+
+
+@pytest.mark.parametrize(
+    "fault, name",
+    [(_label_check_1_2_rejects, "1.2"), (_projection_check_2_9_rejects, "2.9")],
+    ids=["1.2", "2.9"],
+)
+def test_check_broken_while_a_class_is_built(monkeypatch, tmp_path, capsys, fault, name):
+    # a Gamma label or a projection order that breaks its check still builds
+    # the class: `theorems` writes the report with the check failed, and
+    # `analyze` stops with one line naming the check
+    fault(monkeypatch)
+    argv = ["--type", "B", "--rank", "4", "--out", str(tmp_path)]
+    assert run(["theorems", *argv]) == 2
+    doc = json.loads((tmp_path / "theorems_B4.json").read_text())
+    assert "fail" in {c["status"] for c in doc["checks"] if c["name"] == name}
+    assert doc["violations"] > 0
+    capsys.readouterr()
+    assert run(["analyze", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert f"check {name} failed on B4 deg 2/0,0,2" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "B4.csv").exists()
 
 
 # A3 compares against its closed form, yet a --fixtures file is read

@@ -17,6 +17,7 @@ from coxcent.permengine import (
     fingerprint,
     orbit_stabilizer,
     quotient_action,
+    simple_roots,
 )
 from coxcent.perms import compose, identity
 from oracles import (
@@ -193,6 +194,23 @@ def test_quotient_descends_each_distinct_generator_once(monkeypatch):
     q = QuotientGroup(group.n_points, gens + gens, normal)
     assert sorted(calls) == sorted(set(gens))
     assert q.size == 6
+
+
+@pytest.mark.parametrize("family,n", [("A", 3), ("B", 4), ("H", 3), ("I", 8)])
+def test_simple_roots_read_each_reflection_once_in_ascending_order(family, n):
+    # the rule the recognizer and the quotient's descent share: on the
+    # group's own positive roots it finds the simple roots
+    group = CoxeterGroup(CoxeterType([(family, n)]))
+    calls = []
+
+    def reflection(a):
+        calls.append(a)
+        return group.reflection_perm(a)
+
+    simple = simple_roots(reversed(group.lines), reflection)
+    assert calls == sorted(group.lines)
+    assert [a for a, _ in simple] == sorted(group.geometry.simple)
+    assert all(s == group.reflection_perm(a) for a, s in simple)
 
 
 def test_elements_enumeration():

@@ -26,11 +26,13 @@ from coxcent.structure import (
     _projection_reflections,
     centralizer,
     check_complement,
+    check_cube_generation,
     check_extended_diagram,
     check_gamma_structure,
     check_normalizer,
     check_out_injectivity,
     check_order_identities,
+    check_parabolic_chain,
     check_theorem_1_1,
     lines_with_negatives,
     reflection_subgroup_type,
@@ -617,8 +619,9 @@ def test_d7_exhibits_elementary_abelian_quotient(cache):
 
 
 def test_gamma_rule_allows_sym_x_c2_in_type_d_only(monkeypatch, cache):
-    # Sym3 x C2 is allowed in type D alone: outside it the profile build
-    # aborts, and check 1.2 fails a profile that carries the label
+    # Sym3 x C2 is allowed in type D alone: outside it check 1.2 fails a
+    # profile that carries the label, and a profile build with no report
+    # to carry the failure raises it
     label = StructureLabel("sym_x_c2", 3, 12)
     built = {}
     for family, n, cls_label in [("B", 4, "0,0,2"), ("D", 5, "0,1,2")]:
@@ -634,9 +637,59 @@ def test_gamma_rule_allows_sym_x_c2_in_type_d_only(monkeypatch, cache):
     assert (result.status, result.detail) == ("pass", "Sym3xC2")
     monkeypatch.setattr(structure, "fingerprint", lambda handle: label)
     cls = built["B"].profile.cls
-    message = "^unexpected reflection-quotient structure Sym3xC2 for B4 degree 2$"
-    with pytest.raises(ViolationError, match=message):
-        _compute_class_data(cache.group("B", 4), cls)
+    assert _compute_class_data(cache.group("B", 4), cls).profile.gamma_structure == label
+    with pytest.raises(ViolationError) as exc:
+        structure.profiles_for_group(cache.group("B", 4), [cls])
+    assert str(exc.value) == "check 1.2 failed on B4 deg 2/0,0,2: structure Sym3xC2"
+
+
+def _b4_class_data(cache):
+    group = cache.group("B", 4)
+    cls = next(c for c in cache.classes("B", 4) if c.label == "0,0,2")
+    return _compute_class_data(group, cls)
+
+
+def test_theorem_1_1_fails_without_the_swapped_pairs(monkeypatch, cache):
+    # B4 0,0,2 has a quotient of order 2, and check 1.1 reads only the
+    # swapped pairs: with none, no image reaches Gamma
+    data = _b4_class_data(cache)
+    assert data.quotient.size == 2 and check_theorem_1_1(data).status == "pass"
+    monkeypatch.setattr(data.group, "swapped_pairs", lambda u: iter(()))
+    result = check_theorem_1_1(data)
+    assert (result.status, result.detail) == ("fail", "images generate order 1 of 2")
+
+
+def test_cube_check_fails_on_a_fixed_line(cache):
+    # no cube ending at u runs through a line that u fixes
+    data = _b4_class_data(cache)
+    line = data.plus_lines[0]
+    result = check_cube_generation(with_fields(data, minus_lines=data.minus_lines + [line]))
+    assert (result.status, result.detail) == (
+        "fail",
+        f"no orthogonal decomposition through line {line}",
+    )
+
+
+def test_order_identities_fail_on_a_wrong_projection_type(cache):
+    data = _b4_class_data(cache)
+    profile = data.profile._replace(tilde_plus_type=CoxeterType.trivial())
+    rows = check_order_identities(with_fields(data, profile=profile))
+    assert [(r.name, r.status) for r in rows] == [("2.1b", "pass"), ("2.5", "fail")]
+
+
+def test_parabolic_chain_check_fails_without_a_plus_line(cache):
+    data = _b4_class_data(cache)
+    assert data.profile.cls.degree >= 1 and check_parabolic_chain(data).status == "pass"
+    result = check_parabolic_chain(with_fields(data, plus_lines=data.plus_lines[1:]))
+    assert result.status == "fail"
+
+
+def test_extended_diagram_check_fails_on_a_short_y(monkeypatch, cache):
+    group = cache.group("B", 4)
+    assert [r.status for r in check_extended_diagram(group)] == ["pass"]
+    real = structure.extended_diagram_Y
+    monkeypatch.setattr(structure, "extended_diagram_Y", lambda rs: real(rs) - {min(real(rs))})
+    assert [r.status for r in check_extended_diagram(group)] == ["fail"]
 
 
 @pytest.mark.parametrize("family, n, label", [("D", 7, "2,1,2"), ("B", 4, "0,0,2")])
