@@ -1,4 +1,5 @@
-"""Closed-form centralizer profiles for the classical families A, B, D.
+"""Closed-form centralizer profiles for the classical families A, B, D
+and the dihedral family I2(m).
 
 These are formula-level predictions used as an independent oracle against
 the generic engine.
@@ -68,25 +69,47 @@ def predict_profile_A(n: int, d: int) -> PredictedProfile:
     )
 
 
+def _signed_profile(
+    family: str, n: int, a: int, a_fixed: int, b: int, split: str
+) -> PredictedProfile:
+    """The B_n or D_n profile of invariants (a, a', b), as signed
+    permutations of n coordinates.
+
+    G_u^-+ are X_a x A1^b and X_a' x A1^b with X the family.  The minus
+    projection is Y_a x B_b with Y = B, except in D with a' = 0, where it
+    is D_a; the plus side is the mirror image.  Gamma is Sym_b, times C2
+    exactly in D with a, a' > 0.  |G_u| = 2^n a! a'! b!, halved in D
+    unless a = a' = 0, where the class of B_n splits in two.
+    """
+    d = family == "D"
+    if a + a_fixed + 2 * b != n or min(a, a_fixed, b) < 0 or (d and a % 2):
+        raise ValueError(f"({a},{a_fixed},{b}) are not {family}_{n} invariants")
+    both = d and a > 0 and a_fixed > 0
+    order = 2**n * factorial(a) * factorial(a_fixed) * factorial(b)
+    if d and (a or a_fixed):
+        order //= 2
+    group_order = 2**n * factorial(n) // (2 if d else 1)
+    minus_y = "D" if d and a_fixed == 0 else "B"
+    plus_y = "D" if d and a == 0 else "B"
+    return PredictedProfile(
+        degree=a + b,
+        label=f"{a},{a_fixed},{b}{split}",
+        order=order,
+        class_size=group_order // order,
+        minus_type=_t((family, a), *[("A", 1)] * b),
+        tilde_minus_type=_t((minus_y, a), ("B", b)),
+        plus_type=_t((family, a_fixed), *[("A", 1)] * b),
+        tilde_plus_type=_t((plus_y, a_fixed), ("B", b)),
+        gamma_kind="sym_x_c2" if both else "sym",
+        gamma_r=b,
+        gamma_printed=f"{b},2" if both else str(b),
+    )
+
+
 def predict_profile_B(n: int, a: int, a_fixed: int, b: int) -> PredictedProfile:
     """Type B_n, invariants (a, a', b): a negated coordinates, a' fixed
     coordinates, b swapped pairs."""
-    if a + a_fixed + 2 * b != n or min(a, a_fixed, b) < 0:
-        raise ValueError(f"({a},{a_fixed},{b}) are not B_{n} invariants")
-    order = 2**n * factorial(a) * factorial(a_fixed) * factorial(b)
-    return PredictedProfile(
-        degree=a + b,
-        label=f"{a},{a_fixed},{b}",
-        order=order,
-        class_size=factorial(n) // (factorial(a) * factorial(a_fixed) * factorial(b)),
-        minus_type=_t(("B", a), *[("A", 1)] * b),
-        tilde_minus_type=_t(("B", a), ("B", b)),
-        plus_type=_t(("B", a_fixed), *[("A", 1)] * b),
-        tilde_plus_type=_t(("B", a_fixed), ("B", b)),
-        gamma_kind="sym",
-        gamma_r=b,
-        gamma_printed=str(b),
-    )
+    return _signed_profile("B", n, a, a_fixed, b, "")
 
 
 def predict_profile_D(
@@ -95,74 +118,28 @@ def predict_profile_D(
     """Type D_n, invariants (a, a', b) with a even.
 
     For a = a' = 0 there are two classes with the same profile; `split`
-    ("+" or "-") labels them.  The four (a, a') sign patterns give the
-    four table cases, with the reflection quotient picking up an extra
-    order-2 factor exactly when a > 0 and a' > 0.
+    ("+" or "-") labels them.  The four (a, a') sign patterns are the
+    table's cases (i)-(iv).
     """
-    if a + a_fixed + 2 * b != n or min(a, a_fixed, b) < 0 or a % 2:
-        raise ValueError(f"({a},{a_fixed},{b}) are not D_{n} invariants")
     if (a == 0 and a_fixed == 0) != bool(split):
         raise ValueError("split labels apply exactly when a = a' = 0")
-    if a == 0 and a_fixed == 0:  # case (i)
-        order = 2**n * factorial(b)
+    return _signed_profile("D", n, a, a_fixed, b, split)
+
+
+def _dihedral_profiles(m: int) -> list[PredictedProfile]:
+    """I2(m): the identity, the reflections (one class of m for odd m, two
+    of m/2 for even m) and, for even m, -1.  Every centralizer is generated
+    by reflections, so Gamma is trivial."""
+    full, a1, one = _t(("I", m)), _t(("A", 1)), _t()
+
+    def row(degree, size, minus, plus):
         return PredictedProfile(
-            degree=b,
-            label=f"0,0,{b}{split}",
-            order=order,
-            class_size=factorial(n) // (2 * factorial(b)),
-            minus_type=_t(*[("A", 1)] * b),
-            tilde_minus_type=_t(("B", b)),
-            plus_type=_t(*[("A", 1)] * b),
-            tilde_plus_type=_t(("B", b)),
-            gamma_kind="sym",
-            gamma_r=b,
-            gamma_printed=str(b),
+            degree, "", 2 * m // size, size, minus, minus, plus, plus, "sym", 1, "1"
         )
-    order = 2 ** (n - 1) * factorial(a) * factorial(a_fixed) * factorial(b)
-    class_size = factorial(n) // (factorial(a) * factorial(a_fixed) * factorial(b))
-    label = f"{a},{a_fixed},{b}"
-    if a == 0:  # case (ii)
-        return PredictedProfile(
-            degree=b,
-            label=label,
-            order=order,
-            class_size=class_size,
-            minus_type=_t(*[("A", 1)] * b),
-            tilde_minus_type=_t(("B", b)),
-            plus_type=_t(("D", a_fixed), *[("A", 1)] * b),
-            tilde_plus_type=_t(("D", a_fixed), ("B", b)),
-            gamma_kind="sym",
-            gamma_r=b,
-            gamma_printed=str(b),
-        )
-    if a_fixed == 0:  # case (iii)
-        return PredictedProfile(
-            degree=a + b,
-            label=label,
-            order=order,
-            class_size=class_size,
-            minus_type=_t(("D", a), *[("A", 1)] * b),
-            tilde_minus_type=_t(("D", a), ("B", b)),
-            plus_type=_t(*[("A", 1)] * b),
-            tilde_plus_type=_t(("B", b)),
-            gamma_kind="sym",
-            gamma_r=b,
-            gamma_printed=str(b),
-        )
-    # case (iv): a > 0 and a' > 0
-    return PredictedProfile(
-        degree=a + b,
-        label=label,
-        order=order,
-        class_size=class_size,
-        minus_type=_t(("D", a), *[("A", 1)] * b),
-        tilde_minus_type=_t(("B", a), ("B", b)),
-        plus_type=_t(("D", a_fixed), *[("A", 1)] * b),
-        tilde_plus_type=_t(("B", a_fixed), ("B", b)),
-        gamma_kind="sym_x_c2",
-        gamma_r=b,
-        gamma_printed=f"{b},2",
-    )
+
+    if m % 2:
+        return [row(0, 1, one, full), row(1, m, a1, one)]
+    return [row(0, 1, one, full), *[row(1, m // 2, a1, a1)] * 2, row(2, 1, full, one)]
 
 
 def all_invariants_B(n: int):
@@ -178,17 +155,17 @@ def all_invariants_D(n: int):
 
 
 def predicted_rows(family: str, n: int) -> list[PredictedProfile]:
+    """The profile of every class of A_n, B_n, D_n or I2(n)."""
     if family == "A":
         return [predict_profile_A(n + 1, d) for d in range((n + 1) // 2 + 1)]
     if family == "B":
         return [predict_profile_B(n, *inv) for inv in all_invariants_B(n)]
     if family == "D":
-        rows = []
-        for a, a_fixed, b in all_invariants_D(n):
-            if a == 0 and a_fixed == 0:
-                rows.append(predict_profile_D(n, a, a_fixed, b, "+"))
-                rows.append(predict_profile_D(n, a, a_fixed, b, "-"))
-            else:
-                rows.append(predict_profile_D(n, a, a_fixed, b))
-        return rows
+        return [
+            predict_profile_D(n, a, a_fixed, b, split)
+            for a, a_fixed, b in all_invariants_D(n)
+            for split in (("+", "-") if a == a_fixed == 0 else ("",))
+        ]
+    if family == "I":
+        return _dihedral_profiles(n)
     raise ValueError(f"no classical model for family {family}")

@@ -217,6 +217,29 @@ class RootSystem:
         trace = sum(self.roots[perm[s]][k * w] for k, s in enumerate(self.simple))
         return (self.rank - trace) // 2
 
+    @cached_property
+    def _e_frame(self):
+        """For B_n/D_n (`signed_permutation`): every root in the orthonormal
+        basis e_0..e_{n-1}, read off its simple-root coordinates with
+        alpha_c = e_c - e_{c+1} for c < n-1, and alpha_{n-1} = e_{n-1} in
+        B_n, e_{n-2} + e_{n-1} in D_n; and for each j the roots e_j - e_k
+        and e_j + e_k, with k = j + 1, or j - 1 for the last j."""
+        family, n = self.ctype.components[0]
+        coords = []
+        for v in self.roots:
+            e = [v[0]] + [v[r] - v[r - 1] for r in range(1, n)]
+            if family == "D":
+                e[-2] += v[-1]
+            coords.append(tuple(e))
+        index = {c: i for i, c in enumerate(coords)}
+        pairs = []
+        for j in range(n):
+            k = j + 1 if j + 1 < n else j - 1
+            diff = tuple((r == j) - (r == k) for r in range(n))
+            total = tuple((r == j) + (r == k) for r in range(n))
+            pairs.append((index[diff], index[total]))
+        return tuple(coords), tuple(pairs)
+
     # -- lattice / mod-2 machinery -----------------------------------------
 
     def weight_coords(self, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -323,16 +346,6 @@ def extended_diagram_Y(rs: RootSystem) -> frozenset[int]:
 # -- signed-permutation view for the B/D families ----------------------------
 
 
-def _e_coordinates(family: str, v: tuple[int, ...]) -> tuple[int, ...]:
-    """A B_n/D_n root in the orthonormal basis e_0..e_{n-1}, from its
-    simple-root coordinates: alpha_c = e_c - e_{c+1} for c < n-1, and
-    alpha_{n-1} = e_{n-1} in B_n, e_{n-2} + e_{n-1} in D_n."""
-    e = [v[0]] + [v[r] - v[r - 1] for r in range(1, len(v))]
-    if family == "D":
-        e[-2] += v[-1]
-    return tuple(e)
-
-
 def signed_permutation(rs: RootSystem, perm: Perm):
     """Express a B/D group element as a signed permutation of coordinates.
 
@@ -340,21 +353,13 @@ def signed_permutation(rs: RootSystem, perm: Perm):
     off root images: 2 e_j = (e_j - e_k) + (e_j + e_k) for any k != j, and
     both are roots of B_n and D_n.
     """
-    family = rs.ctype.components[0][0]
-    if family not in ("B", "D"):
+    if rs.ctype.components[0][0] not in ("B", "D"):
         raise CapabilityError("signed-permutation form is a B/D feature")
-    coords = [_e_coordinates(family, v) for v in rs.roots]
-    index = {c: i for i, c in enumerate(coords)}
-    n = rs.rank
+    coords, pairs = rs._e_frame
     sigma = []
     signs = []
-    for j in range(n):
-        k = j + 1 if j + 1 < n else j - 1
-        diff = tuple((r == j) - (r == k) for r in range(n))
-        total = tuple((r == j) + (r == k) for r in range(n))
-        image = [
-            x + y for x, y in zip(coords[perm[index[diff]]], coords[perm[index[total]]])
-        ]
+    for diff, total in pairs:
+        image = [x + y for x, y in zip(coords[perm[diff]], coords[perm[total]])]
         moved = [(i, x) for i, x in enumerate(image) if x]
         if len(moved) != 1 or moved[0][1] not in (2, -2):
             raise ValueError("element is not a signed permutation")

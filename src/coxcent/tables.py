@@ -1,10 +1,10 @@
 """Reference tables, computed tables, and the comparison between them.
 
-The fixed exceptional types carry a pinned fixture file; the classical
-families and the dihedral types generate their expected rows from the
-closed-form models.  Comparison happens at printed-row granularity: classes
-of one degree with identical profile columns share a row (the two
-reflection classes of F4, for instance).
+The fixed exceptional types and A1 carry a pinned fixture file; the
+classical families and the dihedral types generate their expected rows
+from the closed-form models of `classicmodels`.  Comparison happens at
+printed-row granularity: classes of one degree with identical profile
+columns share a row (the two reflection classes of F4, for instance).
 """
 
 from __future__ import annotations
@@ -91,29 +91,6 @@ def _fixture_rows(table: dict) -> list[TableRow]:
     ]
 
 
-def _dihedral_rows(m: int) -> list[TableRow]:
-    full = str(CoxeterType([("I", m)]))
-    order = factored(2 * m)
-    rows = [
-        TableRow(0, ("",), 1, 1, order, "1", "1", full, full, "1"),
-    ]
-    if m % 2:
-        rows.append(TableRow(1, ("",), 1, m, "2", "A1", "A1", "1", "1", "1"))
-    else:
-        rows.append(
-            TableRow(1, ("", ""), 2, m // 2, "2^2", "A1", "A1", "A1", "A1", "1")
-        )
-        rows.append(TableRow(2, ("",), 1, 1, order, full, full, "1", "1", "1"))
-    return rows
-
-
-def _model_rows(family: str, rank: int) -> list[TableRow]:
-    return _bucket_rows(
-        (p.label, p.degree, p.class_size, p, p.gamma_printed)
-        for p in predicted_rows(family, rank)
-    )
-
-
 def _type_columns(p) -> tuple[str, ...]:
     """The order and the four type columns of a profile, as printed."""
     return (
@@ -145,11 +122,13 @@ def expected_rows(
     """The reference table for an irreducible type.  `fixture` is the
     parsed content of `fixture_path`, read here when not given."""
     family, n = ctype.components[0]
-    if family in ("A", "B", "D") and not (family == "A" and n == 1):
-        return _model_rows(family, n)
-    if family in ("I", "G"):
-        m = 6 if family == "G" else n
-        return _dihedral_rows(m)
+    if family == "G":
+        family, n = "I", 6
+    if family in ("A", "B", "D", "I") and (family, n) != ("A", 1):
+        return _bucket_rows(
+            (p.label, p.degree, p.class_size, p, p.gamma_printed)
+            for p in predicted_rows(family, n)
+        )
     if fixture is None:
         fixture = load_fixture(fixture_path)
     try:

@@ -15,6 +15,8 @@ from coxcent.classicmodels import (
     predict_profile_D,
     predicted_rows,
 )
+from coxcent.coxtype import CoxeterType
+from coxcent.tables import analyze
 
 
 def test_conventions_collapse_degenerate_factors():
@@ -114,3 +116,37 @@ def test_engine_matches_brute_force_d4(cache):
         if inv == (0, 0, 2):
             split_total += p.cls.size
     assert split_total == brute[(0, 0, 2)].size * 2
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [(family, n) for family in "ABD" for n in range(8, 13)]
+    + [("I", m) for m in (5, 8, 12, 30)],
+)
+def test_engine_matches_the_model_beyond_the_other_oracles(family, n):
+    """Every engine profile equals its closed form, at the ranks above the
+    brute force (rank <= 4) and criterion 4 (rank <= 7), and on I2(m),
+    whose two reflection classes for even m share the label "" (so the
+    profiles are compared as sorted lists)."""
+
+    def columns(p, degree, label, size, gamma):
+        types = (p.minus_type, p.tilde_minus_type, p.plus_type, p.tilde_plus_type)
+        return (degree, label, p.order, size, *map(str, types), gamma)
+
+    engine = sorted(
+        columns(
+            p,
+            p.cls.degree,
+            p.cls.label,
+            p.cls.size,
+            (p.gamma_structure.kind, p.gamma_structure.r),
+        )
+        for p in analyze(CoxeterType([(family, n)])).profiles
+    )
+    model = sorted(
+        columns(
+            p, p.degree, p.label, p.class_size, canonical_gamma(p.gamma_kind, p.gamma_r)
+        )
+        for p in predicted_rows(family, n)
+    )
+    assert engine == model
