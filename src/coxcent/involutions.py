@@ -29,6 +29,8 @@ of the complementary degree through u -> -u.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .group import CoxeterGroup, lines_with_negatives, reflection_subgroup_type
 from .permengine import (
     QuotientGroup,
@@ -56,71 +58,47 @@ class InvolutionClass:
 # -- cubes ----------------------------------------------------------------------
 
 
-def _negated_line_adjacency(group: CoxeterGroup, u: Perm):
-    lines = group.negated_lines(u)
-    ortho = {
-        la: frozenset(
-            lb for lb in lines if lb != la and group.orthogonal(la, lb)
-        )
-        for la in lines
-    }
-    return lines, ortho
+def greedy_cube(
+    group: CoxeterGroup, u: Perm, lines
+) -> tuple[tuple[int, ...], Perm]:
+    """Walk `lines`, keep each line orthogonal to every line kept so far,
+    and return the kept lines, sorted, and u times their reflections.
 
-
-def cube_decompositions(
-    group: CoxeterGroup,
-    u: Perm,
-    *,
-    limit: int | None = None,
-    through: int | None = None,
-) -> list[tuple[int, ...]]:
-    """All sets of pairwise orthogonal lines whose reflections multiply to u.
-
-    Lines are positive-root indices; each cube is a sorted tuple of size
-    deg(u).  `through` restricts to cubes containing that line, `limit`
-    stops the search early.
+    Over u's negated lines, in any order, the product is 1, so the kept
+    lines are a cube of u: deg u pairwise orthogonal lines whose
+    reflections multiply to u.  Let S be a maximal orthogonal set of roots
+    that u negates and w = u prod_{c in S} s_c.  Then w = 1 on V_u^+ and
+    on span S, and w = -1 on V_u^- meet S^perp.  Were that space nonzero,
+    w would be a nontrivial involution, and the roots it negates span its
+    -1 space (Richardson), so one of them would be negated by u and
+    orthogonal to S, against the maximality of S.  So w = 1 and
+    |S| = deg u.
     """
-    d = group.degree(u)
-    if d == 0:
-        return [()] if through is None else []
-    lines, ortho = _negated_line_adjacency(group, u)
-    found: list[tuple[int, ...]] = []
+    kept: list[int] = []
+    w = u
+    for line in lines:
+        if all(group.orthogonal(line, k) for k in kept):
+            kept.append(line)
+            w = compose(w, group.reflection_perm(line))
+    return tuple(sorted(kept)), w
 
-    def leaf(chosen: list[int]):
-        w = u
-        for l in chosen:
-            w = compose(w, group.reflection_perm(l))
-        if is_identity(w):
-            found.append(tuple(sorted(chosen)))
 
-    def search(chosen: list[int], allowed, min_next: int):
-        if limit is not None and len(found) >= limit:
-            return
-        if len(chosen) == d:
-            leaf(chosen)
-            return
-        candidates = sorted(x for x in allowed if x >= min_next)
-        if len(chosen) + len(candidates) < d:
-            return
-        for l in candidates:
-            search(chosen + [l], allowed & ortho[l], l + 1)
-            if limit is not None and len(found) >= limit:
-                return
-
+def first_cube(
+    group: CoxeterGroup, u: Perm, through: int | None = None
+) -> tuple[int, ...]:
+    """The cube `greedy_cube` keeps from u's negated lines in ascending
+    order, `through` first if given; ValueError if u does not negate
+    `through`.  A depth-first search for cubes over the same lines (the
+    tests' `cube_decompositions`) takes this path on its first branch and,
+    by `greedy_cube`'s argument, never backtracks: its first cube is this.
+    """
+    lines = group.negated_lines(u)
     if through is not None:
-        if through not in ortho:
-            return []
-        search([through], ortho[through], 0)
-    else:
-        search([], frozenset(lines), 0)
-    return found
-
-
-def first_cube(group: CoxeterGroup, u: Perm) -> tuple[int, ...]:
-    cubes = cube_decompositions(group, u, limit=1)
-    if not cubes:
+        lines = [through] + [l for l in lines if l != through]
+    cube, w = greedy_cube(group, u, lines)
+    if not is_identity(w):
         raise ValueError("involution admits no orthogonal decomposition")
-    return cubes[0]
+    return cube
 
 
 # -- labels ---------------------------------------------------------------------
@@ -156,8 +134,9 @@ def label_class(group: CoxeterGroup, u: Perm, deg: int) -> str:
         if deg == 1:
             line = group.negated_lines(u)[0]
             return "L" if group.root_system.is_long(line) else "C"
-        if deg == 2:
-            return "2" if len(cube_decompositions(group, u, limit=2)) == 2 else "2'"
+        if deg == 2:  # every orthogonal pair of negated lines is a cube
+            pairs = combinations(group.negated_lines(u), 2)
+            return "2" if sum(group.orthogonal(a, b) for a, b in pairs) >= 2 else "2'"
         if deg == 3:
             return label_class(group, compose(group.neg, u), 1)
         return ""

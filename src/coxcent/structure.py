@@ -44,11 +44,7 @@ from .group import (
     recognize,
     reflection_subgroup_type,
 )
-from .involutions import (
-    InvolutionClass,
-    cube_decompositions,
-    first_cube,
-)
+from .involutions import InvolutionClass, first_cube, greedy_cube
 from .permengine import (
     BSGS,
     QuotientGroup,
@@ -432,7 +428,8 @@ def check_cube_generation(data: ClassData) -> CheckResult:
     """Check 2.1c: the cubes ending at u generate the minus part.
 
     Since every cube lies inside G_u^-, equality holds as soon as every
-    negated line appears in some cube; lines are covered greedily.
+    negated line appears in some cube: `first_cube` through each uncovered
+    line, which `greedy_cube`'s argument shows exists.
     """
     name = "2.1c"
     subject = _subject(data)
@@ -441,13 +438,12 @@ def check_cube_generation(data: ClassData) -> CheckResult:
     uncovered = set(data.minus_lines)
     while uncovered:
         line = min(uncovered)
-        cubes = cube_decompositions(group, u, limit=1, through=line)
-        if not cubes:
+        try:
+            uncovered.difference_update(first_cube(group, u, through=line))
+        except ValueError:
             return CheckResult(
                 name, subject, "fail", f"no orthogonal decomposition through line {line}"
             )
-        for cube in cubes:
-            uncovered.difference_update(cube)
     return CheckResult(name, subject, "pass")
 
 
@@ -462,9 +458,9 @@ def check_normalizer(data: ClassData) -> CheckResult:
     The normalizer lies in C(u) when u negates every one of the lines and
     is the product of the reflections in pairwise orthogonal lines of the
     set: then the set spans V_u^-, and whatever keeps V_u^- keeps its
-    orthogonal complement and commutes with u.  The lines are chosen
-    greedily; for u's own minus part any maximal choice is such a product,
-    as -1 on its span lies in its reflection group.
+    orthogonal complement and commutes with u.  The lines are chosen by
+    `greedy_cube`, whose argument shows that for u's own minus part any
+    maximal choice is such a product.
     """
     name = "2.3"
     subject = _subject(data)
@@ -474,12 +470,7 @@ def check_normalizer(data: ClassData) -> CheckResult:
     movers = sum(
         1 for j in data.centralizer_gens if any(j[r] not in minus for r in minus)
     )
-    w = u
-    chosen: list[int] = []
-    for line in data.minus_lines:
-        if all(group.orthogonal(line, c) for c in chosen):
-            chosen.append(line)
-            w = compose(w, group.reflection_perm(line))
+    _, w = greedy_cube(group, u, data.minus_lines)
     inside = is_identity(w) and all(u[l] == group.neg[l] for l in data.minus_lines)
     if not movers and inside:
         return CheckResult(name, subject, "pass")

@@ -58,37 +58,34 @@ class FixtureError(ValueError):
 
 
 def load_fixture(path=None) -> dict:
-    if path is None:
-        text = (
-            resources.files("coxcent.data")
-            .joinpath("expected_tables.json")
-            .read_text()
-        )
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
+        if path is None:
+            text = (
+                resources.files("coxcent.data")
+                .joinpath("expected_tables.json")
+                .read_text()
+            )
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
         return json.loads(text)
-    except ValueError as exc:
+    except ValueError as exc:  # UnicodeDecodeError included
         raise FixtureError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _fixture_rows(table: dict) -> list[TableRow]:
-    return [
-        TableRow(
-            degree=r["degree"],
-            labels=tuple(r["labels"]),
-            classes=r["classes"],
-            class_size=r["class_size"],
-            order=r["order"],
-            g_minus=r["g_minus"],
-            tilde_g_minus=r["tilde_g_minus"],
-            g_plus=r["g_plus"],
-            tilde_g_plus=r["tilde_g_plus"],
-            gamma=r["gamma"],
-        )
-        for r in table["rows"]
-    ]
+    """A fixture table's rows.  A field of the wrong type raises TypeError:
+    ints for the counts, a list of strings for the labels, else strings."""
+    rows, counts = [], ("degree", "classes", "class_size")
+    for r in table["rows"]:
+        fields = {f: r[f] for f in TableRow._fields}
+        labels = fields.pop("labels")
+        if type(labels) is not list or any(type(x) is not str for x in labels) or any(
+            type(v) is not (int if f in counts else str) for f, v in fields.items()
+        ):
+            raise TypeError("a fixture row has a field of the wrong type")
+        rows.append(TableRow(labels=tuple(labels), **fields))
+    return rows
 
 
 def _type_columns(p) -> tuple[str, ...]:

@@ -7,9 +7,10 @@ complement, a point orbit by plain BFS, the action of a permutation on a
 point, the normalizer of a reflection subgroup as the stabilizer of its
 root set (`orbit_stabilizer` on sorted root tuples), the involution
 census by orbits of negated-line sets, the Gram matrix of the simple
-roots over Q or Q(sqrt5), and the projections of a centralizer as
+roots over Q or Q(sqrt5), the projections of a centralizer as
 reflection groups on normal vectors closed by reflecting them over the
-field; and a copy of a plain-class record with some fields set."""
+field, and every cube of an involution by a backtracking search; and a
+copy of a plain-class record with some fields set."""
 
 from __future__ import annotations
 
@@ -198,6 +199,69 @@ def normalizer_of_reflection_subgroup(
         group_order=group.order(),
     )
     return stab
+
+
+# -- cubes by backtracking ---------------------------------------------------------
+
+
+def _negated_line_adjacency(group: CoxeterGroup, u: Perm):
+    lines = group.negated_lines(u)
+    ortho = {
+        la: frozenset(
+            lb for lb in lines if lb != la and group.orthogonal(la, lb)
+        )
+        for la in lines
+    }
+    return lines, ortho
+
+
+def cube_decompositions(
+    group: CoxeterGroup,
+    u: Perm,
+    *,
+    limit: int | None = None,
+    through: int | None = None,
+) -> list[tuple[int, ...]]:
+    """All sets of pairwise orthogonal lines whose reflections multiply to u.
+
+    Lines are positive-root indices; each cube is a sorted tuple of size
+    deg(u).  `through` restricts to cubes containing that line, `limit`
+    stops the search early.
+    """
+    d = group.degree(u)
+    if d == 0:
+        return [()] if through is None else []
+    lines, ortho = _negated_line_adjacency(group, u)
+    found: list[tuple[int, ...]] = []
+
+    def leaf(chosen: list[int]):
+        w = u
+        for l in chosen:
+            w = compose(w, group.reflection_perm(l))
+        if is_identity(w):
+            found.append(tuple(sorted(chosen)))
+
+    def search(chosen: list[int], allowed, min_next: int):
+        if limit is not None and len(found) >= limit:
+            return
+        if len(chosen) == d:
+            leaf(chosen)
+            return
+        candidates = sorted(x for x in allowed if x >= min_next)
+        if len(chosen) + len(candidates) < d:
+            return
+        for l in candidates:
+            search(chosen + [l], allowed & ortho[l], l + 1)
+            if limit is not None and len(found) >= limit:
+                return
+
+    if through is not None:
+        if through not in ortho:
+            return []
+        search([through], ortho[through], 0)
+    else:
+        search([], frozenset(lines), 0)
+    return found
 
 
 # -- the census by orbits of negated-line sets --------------------------------------

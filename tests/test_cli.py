@@ -257,6 +257,41 @@ def test_malformed_fixture_file_is_usage_error(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_fixture_file_not_in_utf8_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    for type_args in FIXTURE_TYPES:
+        assert run(["verify", *type_args, "--fixtures", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("fixture error:")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("degree", [1]),
+        ("classes", "1"),
+        ("class_size", True),
+        ("labels", "a=2"),
+        ("labels", [1]),
+        ("gamma", 1),
+    ],
+)
+def test_fixture_row_of_the_wrong_type_is_usage_error(tmp_path, capsys, field, value):
+    # a wrongly typed cell is a bad fixture (exit 3), not a mismatch (exit 1)
+    from coxcent.tables import load_fixture
+
+    fixture = load_fixture()
+    fixture["tables"]["H3"]["rows"][0][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(fixture))
+    assert run(["verify", "--type", "H3", "--fixtures", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("fixture error:") and "H3" in captured.err
+
+
 def test_fixture_without_the_table_is_usage_error(tmp_path, capsys):
     from coxcent.tables import load_fixture
 

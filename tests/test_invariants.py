@@ -190,7 +190,7 @@ def test_bsgs_invariants(cache):
 
 
 def test_unique_cube_iff_minus_part_is_a1_power(cache):
-    from coxcent.involutions import cube_decompositions
+    from oracles import cube_decompositions
 
     for family, n in [("E", 6), ("E", 7), ("F", 4), ("H", 4)]:
         group = cache.group(family, n)

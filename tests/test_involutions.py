@@ -2,20 +2,19 @@
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 
 from coxcent.classicmodels import predicted_rows
 from coxcent.coxtype import CoxeterType
 from coxcent.group import CoxeterGroup
-from coxcent.involutions import (
-    cube_decompositions,
-    first_cube,
-    label_class,
-    signed_invariants,
-)
-from coxcent.perms import compose
+from coxcent.cli import ALL_SMALL
+from coxcent.involutions import first_cube, greedy_cube, label_class, signed_invariants
+from coxcent.perms import compose, is_identity
 from coxcent.rootsys import signed_permutation
-from oracles import elements, is_involution, whole_group
+from oracles import cube_decompositions, elements, is_involution, whole_group
 
 
 def census(cache, family, n):
@@ -187,6 +186,27 @@ def test_cube_through_specific_line(cache):
         for l in cubes[0]:
             w = compose(w, group.reflection_perm(l))
         assert all(i == x for i, x in enumerate(w))
+
+
+@pytest.mark.parametrize("family,n", [*ALL_SMALL, ("B", 8), ("D", 8), ("I", 1024)])
+def test_greedy_cube_is_the_backtracking_search_first_cube(cache, family, n):
+    group = cache.group(family, n)
+    rng = random.Random(29)
+    for cls in cache.classes(family, n):
+        u, lines = cls.rep, group.negated_lines(cls.rep)
+        assert [first_cube(group, u)] == cube_decompositions(group, u, limit=1)
+        # through every negated line; I2(1024)'s -1 has 1024 of them
+        for line in lines if len(lines) < 100 else lines[:2] + lines[-1:]:
+            cube = first_cube(group, u, through=line)
+            assert [cube] == cube_decompositions(group, u, limit=1, through=line)
+        # a maximal orthogonal set of negated lines in any order is a cube
+        rng.shuffle(lines)
+        cube, w = greedy_cube(group, u, lines)
+        assert len(cube) == cls.degree and is_identity(w)
+        if cls.degree == 2:
+            # each orthogonal pair of negated lines is a cube, as F4's labels use
+            pairs = sum(group.orthogonal(a, b) for a, b in combinations(lines, 2))
+            assert pairs == len(cube_decompositions(group, u))
 
 
 # -- labels by explicit witnesses ------------------------------------------------------
