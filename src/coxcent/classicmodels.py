@@ -32,17 +32,6 @@ class PredictedProfile(NamedTuple):
         return base if self.gamma_kind == "sym" else 2 * base
 
 
-def canonical_gamma(kind: str, r: int) -> tuple[str, int]:
-    """Collapse degenerate structure labels: Sym_0 = Sym_1 = 1 and
-    Sym_r x C2 = Sym_2 for r <= 1, as `permengine.fingerprint` labels a
-    group of order 2."""
-    if kind == "sym":
-        return ("sym", max(r, 1))
-    if r <= 1:
-        return ("sym", 2)
-    return ("sym_x_c2", r)
-
-
 def _t(*components) -> CoxeterType:
     return CoxeterType(components)
 

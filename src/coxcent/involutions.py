@@ -142,21 +142,27 @@ def label_class(group: CoxeterGroup, u: Perm, deg: int) -> str:
         return ""
     if family == "E" and group.ctype.rank() == 7 and deg in (3, 4):
         v = u if deg == 3 else compose(group.neg, u)
-        return "droite" if _cube_sum_vanishes(group, v, "R_mod_2P") else "triangle"
+        return "droite" if _sum_in_2p(group, first_cube(group, v)) else "triangle"
     if family == "E" and group.ctype.rank() == 8 and deg == 4:
-        return "rectangle" if _cube_sum_vanishes(group, u, "R_mod_2R") else "tetraedre"
+        return "rectangle" if _sum_in_2p(group, first_cube(group, u)) else "tetraedre"
     return ""
 
 
-def _cube_sum_vanishes(group: CoxeterGroup, u: Perm, mode: str) -> bool:
-    """Whether the roots of u's first cube sum to 0 in the mod-2 quotient
-    `mode` of `RootSystem.mod2_vector`."""
-    rs = group.root_system
-    total = [0] * rs.rank
-    for line in first_cube(group, u):
-        for k, x in enumerate(rs.mod2_vector(line, mode)):
-            total[k] = (total[k] + x) % 2
-    return not any(total)
+def _sum_in_2p(group: CoxeterGroup, lines) -> bool:
+    """Whether the roots of distinct `lines` sum into 2P, with P the weight
+    lattice of a simply-laced type.
+
+    Scale the form so that (a, a) = 2; then the coroots are the roots, and
+    x lies in 2P iff (x, s) is even for every simple root s.  A line c and
+    s are both positive, so (c, s) is 2 if c = s, 0 if they are orthogonal
+    and +-1 otherwise.  So the sum lies in 2P iff, for every simple s, an
+    even number of lines c have c != s and c not orthogonal to s.  E8 is
+    unimodular (P = R), so there this is the test mod 2R.
+    """
+    return all(
+        sum(c != s and not group.orthogonal(c, s) for c in lines) % 2 == 0
+        for s in group.geometry.simple
+    )
 
 
 # -- enumeration -------------------------------------------------------------------

@@ -77,11 +77,6 @@ class RootSystem:
         cartan = [[(2, 0) if i == j else (0, 0) for j in range(n)] for i in range(n)]
         for (i, j), (a_ij, a_ji) in _dynkin_data(family, n).items():
             cartan[i][j], cartan[j][i] = a_ij, a_ji
-        self.cartan = (
-            tuple(tuple(a for a, _ in row) for row in cartan)
-            if self.crystallographic
-            else None
-        )
         # s_i(v) = v - c alpha_i with c = sum_j v_j <alpha_j, alpha_i^vee>.
         # Reflection i keeps, for each flat coordinate t of alpha_i, the
         # nonzero coefficients of part t of c on the flat coordinates, as
@@ -239,28 +234,6 @@ class RootSystem:
             total = tuple((r == j) + (r == k) for r in range(n))
             pairs.append((index[diff], index[total]))
         return tuple(coords), tuple(pairs)
-
-    # -- lattice / mod-2 machinery -----------------------------------------
-
-    def weight_coords(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        """Coordinates in the fundamental-weight basis (pairings with coroots)."""
-        if not self.crystallographic:
-            raise CapabilityError("weight lattice needs a crystallographic type")
-        c = self.cartan
-        n = self.rank
-        return tuple(sum(v[i] * c[i][j] for i in range(n)) for j in range(n))
-
-    def mod2_vector(self, root_index: int, mode: str) -> tuple[int, ...]:
-        v = self.roots[root_index]
-        if mode == "R_mod_2R":
-            if not self.crystallographic:
-                raise CapabilityError("mod-2R image needs a crystallographic type")
-            return tuple(x % 2 for x in v)
-        if mode == "R_mod_2P":
-            if self.ctype != CoxeterType.irreducible("E", 7):
-                raise CapabilityError("the R/2P model is specific to E7")
-            return tuple(x % 2 for x in self.weight_coords(v))
-        raise ValueError(f"unknown mod-2 mode {mode!r}")
 
 
 class DihedralModel:

@@ -270,12 +270,13 @@ def verify_type(
     fixture: dict | None = None,
 ) -> tuple[list[TableRow], list[RowDiff]]:
     """The reference rows of a type and their differences from the
-    computed rows.  The reference is read first, so a bad fixture fails
-    before any computation."""
+    computed rows.  The group is built first, so a rank above `max_rank`
+    fails before the closed-form rows are computed; the reference is read
+    next, so a bad fixture fails before any class is computed."""
+    group = CoxeterGroup(ctype, max_rank=max_rank)
     expect = expected_rows(ctype, fixture_path, fixture)
-    analysis = analyze(ctype, max_rank=max_rank)
-    got = computed_rows(analysis.group, analysis.profiles)
-    return expect, compare_rows(expect, got)
+    profiles = profiles_for_group(group, enumerate_involution_classes(group))
+    return expect, compare_rows(expect, computed_rows(group, profiles))
 
 
 def diff_report(ctype: CoxeterType, diffs: list[RowDiff]) -> dict:

@@ -9,8 +9,10 @@ root set (`orbit_stabilizer` on sorted root tuples), the involution
 census by orbits of negated-line sets, the Gram matrix of the simple
 roots over Q or Q(sqrt5), the projections of a centralizer as
 reflection groups on normal vectors closed by reflecting them over the
-field, and every cube of an involution by a backtracking search; and a
-copy of a plain-class record with some fields set."""
+field, every cube of an involution by a backtracking search, the image
+of a root of E7 in R/2P and of E8 in R/2R, and a Gamma label with its
+degenerate forms collapsed; and a copy of a plain-class record with some
+fields set."""
 
 from __future__ import annotations
 
@@ -496,6 +498,23 @@ def invariant_form(rs) -> tuple:
     return tuple(tuple(int((2 * x).a) for x in row) for row in gram)
 
 
+def mod2_image(rs, line: int) -> tuple[int, ...]:
+    """The class of a root of E7 in R/2P, P the weight lattice: its
+    pairings with the simple coroots, 2 (x, a) / (a, a) under
+    `invariant_form`, mod 2.  Of a root of E8 in R/2R: its simple-root
+    coordinates mod 2."""
+    family, n = rs.ctype.components[0]
+    v = rs.roots[line]
+    if (family, n) == ("E", 8):
+        return tuple(x % 2 for x in v)
+    if (family, n) != ("E", 7):
+        raise ValueError(f"no mod-2 image for {rs.ctype}")
+    form = invariant_form(rs)
+    return tuple(
+        2 * sum(map(mul, v, col)) // col[j] % 2 for j, col in enumerate(zip(*form))
+    )
+
+
 class _VectorReflectionGroup:
     """A reflection group on an explicitly closed set of exact vectors.
 
@@ -632,3 +651,17 @@ def closed_projection(gram, normals):
         simples, lambda a, b: perm_order(compose(perms[a], perms[b]))
     )
     return vgroup, ctype, handle.order()
+
+
+# -- structure labels ----------------------------------------------------------------
+
+
+def canonical_gamma(kind: str, r: int) -> tuple[str, int]:
+    """Collapse degenerate structure labels: Sym_0 = Sym_1 = 1 and
+    Sym_r x C2 = Sym_2 for r <= 1, as `permengine.fingerprint` labels a
+    group of order 2."""
+    if kind == "sym":
+        return ("sym", max(r, 1))
+    if r <= 1:
+        return ("sym", 2)
+    return ("sym_x_c2", r)

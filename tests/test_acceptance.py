@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 import coxcent
-from coxcent.classicmodels import canonical_gamma, predicted_rows
+from coxcent.classicmodels import predicted_rows
 from coxcent.coxtype import CoxeterType
 from coxcent.group import CoxeterGroup
 from coxcent.perms import compose
@@ -28,6 +28,7 @@ from coxcent.structure import (
     run_property_suite,
 )
 from coxcent.tables import verify_type
+from oracles import canonical_gamma
 
 
 def _verify_clean(family, n):

@@ -9,7 +9,6 @@ import pytest
 
 from bruteforce import SignedPerm, brute_force_classes, sym_reference_orders
 from coxcent.classicmodels import (
-    canonical_gamma,
     predict_profile_A,
     predict_profile_B,
     predict_profile_D,
@@ -17,6 +16,7 @@ from coxcent.classicmodels import (
 )
 from coxcent.coxtype import CoxeterType
 from coxcent.tables import analyze
+from oracles import canonical_gamma
 
 
 def test_conventions_collapse_degenerate_factors():

@@ -87,6 +87,26 @@ def test_rank_over_max_rank_is_capability_error(capsys, rank, max_rank):
     )
 
 
+@pytest.mark.parametrize("family", ["A", "B", "D"])
+def test_verify_checks_the_rank_before_the_closed_form_rows(monkeypatch, capsys, family):
+    # the closed-form rows of a large rank take long to compute: `verify`
+    # refuses the rank as `analyze` does, before it reads them
+    from coxcent import tables
+
+    def unreachable(*args):
+        raise AssertionError("closed-form rows computed before the rank check")
+
+    monkeypatch.setattr(tables, "predicted_rows", unreachable)
+    argv = ["--type", family, "--rank", str(DEFAULT_MAX_RANK + 1)]
+    assert run(["analyze", *argv]) == 3
+    refused = capsys.readouterr()
+    assert run(["verify", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == refused.err
+    assert captured.err.startswith("capability error:") and captured.err.count("\n") == 1
+
+
 def test_verify_all_wiring(monkeypatch, capsys):
     monkeypatch.setattr(cli, "ALL_SMALL", [("A", 2), ("I", 5)])
     assert run(["verify", "--all", "--skip-large"]) == 0

@@ -11,10 +11,22 @@ from coxcent.classicmodels import predicted_rows
 from coxcent.coxtype import CoxeterType
 from coxcent.group import CoxeterGroup
 from coxcent.cli import ALL_SMALL
-from coxcent.involutions import first_cube, greedy_cube, label_class, signed_invariants
+from coxcent.involutions import (
+    _sum_in_2p,
+    first_cube,
+    greedy_cube,
+    label_class,
+    signed_invariants,
+)
 from coxcent.perms import compose, is_identity
 from coxcent.rootsys import signed_permutation
-from oracles import cube_decompositions, elements, is_involution, whole_group
+from oracles import (
+    cube_decompositions,
+    elements,
+    is_involution,
+    mod2_image,
+    whole_group,
+)
 
 
 def census(cache, family, n):
@@ -250,6 +262,49 @@ def test_e8_degree4_labels_constant_across_cubes(cache=None):
             for k, x in enumerate(rs.roots[l]):
                 total[k] = (total[k] + x) % 2
         assert not any(total)
+
+
+@pytest.mark.parametrize(
+    "n,set_counts,labels",
+    [
+        (7, {3: 4095, 4: 4725}, ("droite", "triangle")),
+        (8, {4: 122850}, ("rectangle", "tetraedre")),
+    ],
+)
+def test_cube_parity_is_the_mod2_lattice_test(cache, n, set_counts, labels):
+    # `_sum_in_2p` counts the lines not orthogonal to each simple root; the
+    # oracle sums the roots' classes in R/2P (E7) or R/2R (E8) by coordinates
+    group = cache.group("E", n)
+    rs = group.root_system
+    image = {l: mod2_image(rs, l) for l in group.lines}
+
+    def in_2p(lines) -> bool:
+        return not any(sum(col) % 2 for col in zip(*(image[l] for l in lines)))
+
+    later = {
+        a: frozenset(b for b in group.lines if b > a and group.orthogonal(a, b))
+        for a in group.lines
+    }
+
+    def orthogonal_sets(k, candidates, chosen=()):
+        if len(chosen) == k:
+            yield chosen
+            return
+        for a in sorted(candidates):
+            yield from orthogonal_sets(k, candidates & later[a], chosen + (a,))
+
+    for k, count in set_counts.items():
+        sets = list(orthogonal_sets(k, frozenset(group.lines)))
+        assert len(sets) == count
+        assert [_sum_in_2p(group, c) for c in sets] == [in_2p(c) for c in sets]
+    # every class of the labelled degrees, through its first cube as labelled
+    seen = set()
+    for cls in cache.classes("E", n):
+        if cls.degree in set_counts:
+            u = compose(group.neg, cls.rep) if cls.degree == 4 and n == 7 else cls.rep
+            assert cls.label == labels[not in_2p(first_cube(group, u))]
+            seen.add(cls.label)
+    assert seen == set(labels)
 
 
 def test_first_cube_multiplies_back(cache):

@@ -46,7 +46,7 @@ def test_traced_smoke_run():
 def test_theorem_suite_builds_each_seed_once():
     # The centralizer reads a prefix of a class's stable reflections and
     # swapped pairs, and checks 1.1 and 2.4 a prefix of its swapped pairs,
-    # built one at a time into bounded chains (3,945 orthogonality tests;
+    # built one at a time into bounded chains (3,987 orthogonality tests;
     # 16,410, with a backtracking cube search, when all three read every
     # degree-<=2 involution of C(u), products of two stable reflections
     # included).  Building the centralizer's prefix a second time, to list

