@@ -14,14 +14,16 @@ K, for a subset K of the simple roots, reached by conjugating with simple
 reflections (`normal_form`).  w_J and w_K are conjugate iff J and K are,
 and the subsets conjugate to K form its component in Howlett's groupoid
 of elementary moves (`permengine.conjugacy_class_set`), so a candidate
-whose K lies in a component already found is skipped, and a level stops
-once every admissible K of its degree has been found.  The class size is
-|W| / |C(w_K)| with |C(w_K)| = |G_u^+| |G_u^-| |Gamma|: the two parts are
-typed by the one recognizer on their roots, and Gamma, the quotient of
-C(w_K) = W_K N_K by its reflection part, is the image of N_K, which the
-loops of the groupoid at K generate (B. Brink and R. B. Howlett, Invent.
-Math. 136, 1999).  The work per class depends on the rank, not on the
-size of the class: no orbit is listed.
+whose K lies in a component already found is skipped (a normal form is
+always admissible, so no list of the admissible K is needed), and, as
+g u s_a g^-1 = u s_(g(a)) for g in G_u^+, only the lowest line of each
+orbit of G_u^+ on u's fixed lines is tried (`lowest_fixed_lines`).  The
+class size is |W| / |C(w_K)| with |C(w_K)| = |G_u^+| |G_u^-| |Gamma|: the
+two parts are typed by the one recognizer on their roots, and Gamma, the
+quotient of C(w_K) = W_K N_K by its reflection part, is the image of N_K,
+which the loops of the groupoid at K generate (B. Brink and R. B. Howlett,
+Invent. Math. 136, 1999).  The work per class depends on the rank, not on
+the size of the class: no orbit is listed.
 
 When -1 lies in the group, classes of degree above n/2 mirror the classes
 of the complementary degree through u -> -u.
@@ -36,6 +38,7 @@ from .permengine import (
     QuotientGroup,
     ViolationError,
     conjugacy_class_set,
+    simple_roots,
 )
 from .perms import Perm, compose, is_identity
 from .rootsys import signed_permutation
@@ -168,6 +171,30 @@ def _sum_in_2p(group: CoxeterGroup, lines) -> bool:
 # -- enumeration -------------------------------------------------------------------
 
 
+def lowest_fixed_lines(group: CoxeterGroup, u: Perm) -> list[int]:
+    """The lowest line of each orbit of G_u^+ on the lines u fixes, in
+    ascending order, by a BFS under the reflections in the simple roots of
+    the fixed lines (`simple_roots`): they generate G_u^+, so the orbits are
+    the same as under every reflection in a fixed line."""
+    fixed = group.fixed_lines(u)
+    steps = [s for _, s in simple_roots(fixed, group.reflection_perm)]
+    seen: set[int] = set()
+    lowest = []
+    for line in fixed:
+        if line in seen:
+            continue
+        lowest.append(line)
+        seen.add(line)
+        queue = [line]
+        for a in queue:
+            for s in steps:
+                b = group.line_of(s[a])
+                if b not in seen:
+                    seen.add(b)
+                    queue.append(b)
+    return lowest
+
+
 def normal_form(group: CoxeterGroup, u: Perm) -> int:
     """Richardson's normal form of an involution u: the subset K of the
     simple roots, as a mask over their positions, with u conjugate to w_K.
@@ -219,7 +246,9 @@ def _class_size(group: CoxeterGroup, k: int, loops: list[Perm]) -> int:
 
 def enumerate_involution_classes(group: CoxeterGroup) -> list[InvolutionClass]:
     """All conjugacy classes of involutions, identity included, sorted by
-    (degree, label)."""
+    (degree, label).  Trying only the lowest line of each orbit keeps every
+    representative: a line that gives a new class is the lowest of its
+    orbit, since a lower line of it was tried first and gives that class."""
     n = group.ctype.rank()
     minus_one = group.minus_one
     top_level = n // 2 if minus_one is not None else n
@@ -229,22 +258,17 @@ def enumerate_involution_classes(group: CoxeterGroup) -> list[InvolutionClass]:
     ]
     current = [classes[0]]
     for d in range(top_level):
-        # the normal forms of degree d + 1 whose class is not found yet
-        unfound = group.parabolics.admissible(d + 1)
+        found: set[int] = set()  # the normal forms of degree d + 1 found
         fresh: list[InvolutionClass] = []
         for cls in current:
             u = cls.rep
-            for line in group.lines:
-                if not unfound:
-                    break
-                if u[line] != line:
-                    continue
+            for line in lowest_fixed_lines(group, u):
                 w = compose(u, group.reflection_perm(line))
                 k = normal_form(group, w)
-                if k not in unfound:
+                if k in found:
                     continue
                 component, loops = conjugacy_class_set(group.parabolics, k)
-                unfound -= component
+                found |= component
                 new_cls = InvolutionClass(
                     rep=w, degree=d + 1, size=_class_size(group, k, loops)
                 )

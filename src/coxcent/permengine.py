@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from functools import reduce
-from itertools import combinations
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -323,7 +322,6 @@ class ParabolicGroupoid:
         self.position = {a: i for i, a in enumerate(self.simple)}
         self._reflections = tuple(reflections)
         self._positive = positive
-        self._neg = neg
         # the simple roots bonded to simple[i]: those its reflection moves
         self._bonds = [
             sum(1 << j for j, b in enumerate(self.simple) if s[b] != b and j != i)
@@ -383,17 +381,6 @@ class ParabolicGroupoid:
         parts = self._parts(subset & c) + [c]
         return reduce(compose, map(self._connected_longest, parts))
 
-    def admissible(self, size: int) -> set[int]:
-        """The subsets K of `size` simple roots with w_0^K = -1 on their
-        span: each connected component's w_0 negates its simple roots."""
-
-        def negates(part: int) -> bool:
-            w = self._connected_longest(part)
-            return all(w[a] == self._neg[a] for a in (self.simple[i] for i in _bits(part)))
-
-        subsets = (sum(1 << i for i in c) for c in combinations(range(len(self.simple)), size))
-        return {k for k in subsets if all(map(negates, self._parts(k)))}
-
 
 def conjugacy_class_set(
     groupoid: ParabolicGroupoid, k: int
@@ -406,15 +393,17 @@ def conjugacy_class_set(
     J to a subset J' already reached, closes the loop t_J nu t_J'^-1 (t_J
     first); the loops of a spanning tree generate the vertex group at k,
     which is N_k.  The move from J' with the same J + i = J' + i' is nu^-1,
-    so each edge is taken from one end only.  A move that leaves the simple
-    roots, or a loop that does not map k onto itself, raises ViolationError.
+    so each edge is taken from one end only.  Many edges close the same
+    loop, so each nontrivial loop is kept once, in the order first seen.
+    A move that leaves the simple roots, or a loop that does not map k onto
+    itself, raises ViolationError.
     """
     simple, position = groupoid.simple, groupoid.position
     base = {simple[p] for p in _bits(k)}
     tree = {k: identity(groupoid.n_points)}
     inverses: dict[int, Perm] = {}
     crossed: set[tuple[int, int]] = set()  # (J', J + i) of the edges taken
-    loops: list[Perm] = []
+    loops: dict[Perm, None] = {}
     queue = [k]
     for j in queue:
         t = tree[j]
@@ -436,11 +425,13 @@ def conjugacy_class_set(
             if image not in inverses:
                 inverses[image] = inverse(tree[image])
             loop = compose(step, inverses[image])
+            if loop in loops:
+                continue
             if {loop[a] for a in base} != base:
                 raise ViolationError("a loop of the groupoid moves its base")
             if not is_identity(loop):
-                loops.append(loop)
-    return frozenset(tree), loops
+                loops[loop] = None
+    return frozenset(tree), list(loops)
 
 
 # -- the reflection quotient ------------------------------------------------------

@@ -6,7 +6,9 @@ by a scan of G_u^- for each element of the reflection quotient's
 complement, a point orbit by plain BFS, the action of a permutation on a
 point, the normalizer of a reflection subgroup as the stabilizer of its
 root set (`orbit_stabilizer` on sorted root tuples), the involution
-census by orbits of negated-line sets, the Gram matrix of the simple
+census by orbits of negated-line sets, the admissible subsets of the
+simple roots listed, the lowest line of each orbit of G_u^+ on u's fixed
+lines under every fixed reflection, the Gram matrix of the simple
 roots over Q or Q(sqrt5), the projections of a centralizer as
 reflection groups on normal vectors closed by reflecting them over the
 field, every cube of an involution by a backtracking search, the image
@@ -19,12 +21,13 @@ from __future__ import annotations
 import copy
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import mul
 
 from coxcent.coxtype import RecognitionError, classify_coxeter_graph
 from coxcent.involutions import InvolutionClass, label_class
-from coxcent.permengine import MembershipError, SubgroupHandle, orbit_stabilizer
+from coxcent.permengine import MembershipError, SubgroupHandle, _bits, orbit_stabilizer
 from coxcent.perms import Perm, compose, conjugate, identity, inverse, is_identity
 from coxcent.structure import CheckResult, _primitive, _subject
 from scalars import GOLDEN, Scalar, lift
@@ -385,6 +388,36 @@ def enumerate_by_orbits(group, gens=None) -> list[InvolutionClass]:
 
     classes.sort(key=lambda c: (c.degree, c.label))
     return classes
+
+
+# -- what the census skips ---------------------------------------------------------
+
+
+def admissible(group, size: int) -> set[int]:
+    """The subsets K of `size` simple roots with w_0^K = -1 on their
+    span, listed: each connected component's w_0 negates its simple roots.
+    These are the normal forms of the involutions of degree `size`."""
+    groupoid, neg = group.parabolics, group.neg
+
+    def negates(part: int) -> bool:
+        w = groupoid._connected_longest(part)
+        return all(w[a] == neg[a] for a in (groupoid.simple[i] for i in _bits(part)))
+
+    subsets = (sum(1 << i for i in c) for c in combinations(range(len(groupoid.simple)), size))
+    return {k for k in subsets if all(map(negates, groupoid._parts(k)))}
+
+
+def lowest_lines_by_every_reflection(group, u: Perm) -> list[int]:
+    """The lowest line of each orbit on the lines u fixes, the orbits taken
+    by a BFS on the roots under the reflection in every fixed line."""
+    fixed = group.fixed_lines(u)
+    reflections = [group.reflection_perm(a) for a in fixed]
+    lowest, seen = [], set()
+    for line in fixed:
+        if line not in seen:
+            lowest.append(line)
+            seen |= {group.line_of(r) for r in point_orbit(reflections, line)}
+    return lowest
 
 
 # -- the root system over the field ------------------------------------------------
