@@ -49,7 +49,7 @@ class CoxeterGroup:
         first use."""
         simple = self.geometry.simple
         return ParabolicGroupoid(
-            simple, [self.reflection_perm(a) for a in simple], self._line_set, self.neg
+            simple, [self.reflection_perm(a) for a in simple], self._line_set, self.n_points
         )
 
     @cached_property

@@ -315,10 +315,10 @@ class ParabolicGroupoid:
     R. B. Howlett, Invent. Math. 136, 1999).
     """
 
-    def __init__(self, simple, reflections, positive: frozenset[int], neg):
+    def __init__(self, simple, reflections, positive: frozenset[int], n_points: int):
         self.simple = tuple(simple)
         self.full = (1 << len(self.simple)) - 1
-        self.n_points = len(neg)
+        self.n_points = n_points
         self.position = {a: i for i, a in enumerate(self.simple)}
         self._reflections = tuple(reflections)
         self._positive = positive
@@ -374,12 +374,12 @@ class ParabolicGroupoid:
         parts = [self._connected_longest(p) for p in self._parts(subset)]
         return reduce(compose, parts) if parts else identity(self.n_points)
 
-    def move(self, subset: int, i: int) -> Perm:
-        """nu = w_0^(J+i) w_0^J, as w_0^C w_0^(J&C) with C the component of
-        J + i that holds i: the other components of J cancel."""
+    def factors(self, subset: int, i: int) -> list[Perm]:
+        """nu = w_0^(J+i) w_0^J as the involutions it applies in turn: w_0 of
+        each component of J&C, then w_0^C, with C the component of J + i
+        that holds i (the other components of J cancel)."""
         c = self._part(subset | 1 << i, 1 << i)
-        parts = self._parts(subset & c) + [c]
-        return reduce(compose, map(self._connected_longest, parts))
+        return [*map(self._connected_longest, self._parts(subset & c)), self._connected_longest(c)]
 
 
 def conjugacy_class_set(
@@ -388,50 +388,55 @@ def conjugacy_class_set(
     """The component of k in Howlett's groupoid, the subsets W-conjugate to
     k, with loops at k that generate N_k.
 
-    A BFS from k keeps, for each subset J it reaches, the product t_J of the
-    moves along its tree path, which maps k onto J.  Each other move nu, from
-    J to a subset J' already reached, closes the loop t_J nu t_J'^-1 (t_J
-    first); the loops of a spanning tree generate the vertex group at k,
-    which is N_k.  The move from J' with the same J + i = J' + i' is nu^-1,
-    so each edge is taken from one end only.  Many edges close the same
-    loop, so each nontrivial loop is kept once, in the order first seen.
-    A move that leaves the simple roots, or a loop that does not map k onto
-    itself, raises ViolationError.
+    A BFS from k reaches each subset J by the product t_J of the moves along
+    its tree path, which maps k onto J.  Each other move nu, from J to a
+    subset J' already reached, closes the loop t_J nu t_J'^-1 (t_J first);
+    the loops of a spanning tree generate the vertex group at k, which is
+    N_k.  The move from J' with the same J + i = J' + i' is nu^-1, so each
+    edge is taken from one end only.
+
+    The walk keeps t_J^-1 as a permutation and t_J on the simple roots
+    only.  A tree edge gives t_J'^-1 = nu^-1 t_J^-1 from nu's factors,
+    involutions, in reverse order, and J' as the image of k under t_J nu.
+    A non-tree edge's key, t_J nu t_J'^-1 on the simple roots, is its
+    loop's image of each simple root.  These are a basis of V, and W acts
+    faithfully on the roots, so the key determines the loop: a key seen
+    before is a loop seen before, and the identity's key is the simple
+    roots.  Only a new nontrivial key forms its loop, so each nontrivial
+    loop is kept once, in the order first seen.  A move that leaves the
+    simple roots, or a loop that does not map k onto itself, raises
+    ViolationError.
     """
     simple, position = groupoid.simple, groupoid.position
-    base = {simple[p] for p in _bits(k)}
-    tree = {k: identity(groupoid.n_points)}
-    inverses: dict[int, Perm] = {}
-    crossed: set[tuple[int, int]] = set()  # (J', J + i) of the edges taken
-    loops: dict[Perm, None] = {}
+    base_bits = list(_bits(k))
+    base = {simple[p] for p in base_bits}
+    tree = {k: identity(groupoid.n_points)}  # t_J^-1
+    images = {k: simple}  # t_J on the simple roots, until J is left
+    crossed: dict[int, int] = {}  # J' -> the i' whose edge J' + i' was taken
+    loops: dict[tuple[int, ...], Perm] = {}  # key -> loop
     queue = [k]
     for j in queue:
-        t = tree[j]
-        for i in _bits(groupoid.full & ~j):
-            union = j | 1 << i
-            if (j, union) in crossed:
-                continue
-            nu = groupoid.move(j, i)
+        t_inv, t = tree[j], images.pop(j)
+        for i in _bits(groupoid.full & ~j & ~crossed.pop(j, 0)):
+            factors = groupoid.factors(j, i)
+            step = reduce(compose, factors, t)
             try:
-                image = sum(1 << position[nu[simple[p]]] for p in _bits(j))
+                image = sum(1 << position[step[p]] for p in base_bits)
             except KeyError:
                 raise ViolationError("a move leaves the simple roots") from None
-            crossed.add((image, union))
-            step = compose(t, nu)
+            crossed[image] = crossed.get(image, 0) | (j | 1 << i) & ~image
             if image not in tree:
-                tree[image] = step
+                tree[image] = reduce(compose, [*reversed(factors), t_inv])
+                images[image] = step
                 queue.append(image)
                 continue
-            if image not in inverses:
-                inverses[image] = inverse(tree[image])
-            loop = compose(step, inverses[image])
-            if loop in loops:
+            key = compose(step, tree[image])
+            if key == simple or key in loops:
                 continue
-            if {loop[a] for a in base} != base:
+            if {key[p] for p in base_bits} != base:
                 raise ViolationError("a loop of the groupoid moves its base")
-            if not is_identity(loop):
-                loops[loop] = None
-    return frozenset(tree), list(loops)
+            loops[key] = reduce(compose, [inverse(t_inv), *factors, tree[image]])
+    return frozenset(tree), list(loops.values())
 
 
 # -- the reflection quotient ------------------------------------------------------

@@ -264,7 +264,8 @@ class ClassData:
 
     The build raises only where `centralizer` or `tilde_side` cannot go
     on.  A Gamma label or a projection order that breaks a check is kept
-    as found: checks 1.2 and 2.9 report it, like any other failure."""
+    as found: checks 1.2, 2.9, 2.1b and 2.5 report it, like any other
+    failure."""
 
     def __init__(
         self,
@@ -681,9 +682,11 @@ def _class_pipeline(
     comes earlier, with the two sides swapped; their `mirror` row
     cross-checks the orders against the class sizes.  A built class gets
     the full suite when `results` is a list, and otherwise only the checks
-    a printed row rests on: Gamma's label (1.2) and the projection orders
-    (2.9).  With `results`, every row is appended to it; without, the
-    first failed row raises ViolationError naming its check.
+    a printed row rests on: Gamma's label (1.2), the projection orders
+    (2.9), and the order identities that tie Gamma's order to the sides
+    and projections (2.1b and 2.5).  With `results`, every row is appended
+    to it; without, the first failed row raises ViolationError naming its
+    check.
     """
     by_rep: dict[InvolutionClass, CentralizerProfile] = {}
     out = []
@@ -705,6 +708,7 @@ def _class_pipeline(
                 found = class_property_suite(data)
             else:
                 found = [check_gamma_structure(data), *check_tilde_reflection_generated(data)]
+                found += check_order_identities(data)
             del data  # free it before the next class's data is built
         if results is not None:
             results.extend(found)

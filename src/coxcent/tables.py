@@ -9,7 +9,6 @@ columns share a row (the two reflection classes of F4, for instance).
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from importlib import resources
@@ -214,6 +213,8 @@ def analyze(ctype: CoxeterType, max_rank: int = DEFAULT_MAX_RANK) -> Analysis:
 
 
 def class_csv(analysis: Analysis) -> str:
+    import csv  # only the CSV of `analyze` reads it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)

@@ -7,7 +7,8 @@ complement, a point orbit by plain BFS, the action of a permutation on a
 point, the normalizer of a reflection subgroup as the stabilizer of its
 root set (`orbit_stabilizer` on sorted root tuples), the involution
 census by orbits of negated-line sets, the admissible subsets of the
-simple roots listed, the lowest line of each orbit of G_u^+ on u's fixed
+simple roots listed, Howlett's groupoid walked with full moves and full
+loops, the lowest line of each orbit of G_u^+ on u's fixed
 lines under every fixed reflection, the Gram matrix of the simple
 roots over Q or Q(sqrt5), the projections of a centralizer as
 reflection groups on normal vectors closed by reflecting them over the
@@ -21,6 +22,7 @@ from __future__ import annotations
 import copy
 from collections.abc import Iterator
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import lcm
 from operator import mul
@@ -405,6 +407,36 @@ def admissible(group, size: int) -> set[int]:
 
     subsets = (sum(1 << i for i in c) for c in combinations(range(len(groupoid.simple)), size))
     return {k for k in subsets if all(map(negates, groupoid._parts(k)))}
+
+
+def groupoid_walk_by_full_moves(groupoid, k: int) -> tuple[frozenset[int], list[Perm]]:
+    """The component of k in Howlett's groupoid and its loops at k, by a BFS
+    that keeps each tree element t_J as a permutation, forms every move
+    nu in full, and closes every non-tree edge's loop t_J nu t_J'^-1 by
+    inverting t_J'; each nontrivial loop is kept once, in the order first
+    seen, and each edge is taken from one end only."""
+    simple, position = groupoid.simple, groupoid.position
+    tree = {k: identity(groupoid.n_points)}
+    crossed: set[tuple[int, int]] = set()
+    loops: dict[Perm, None] = {}
+    queue = [k]
+    for j in queue:
+        for i in _bits(groupoid.full & ~j):
+            union = j | 1 << i
+            if (j, union) in crossed:
+                continue
+            nu = reduce(compose, groupoid.factors(j, i))
+            image = sum(1 << position[nu[simple[p]]] for p in _bits(j))
+            crossed.add((image, union))
+            step = compose(tree[j], nu)
+            if image not in tree:
+                tree[image] = step
+                queue.append(image)
+                continue
+            loop = compose(step, inverse(tree[image]))
+            if not is_identity(loop):
+                loops.setdefault(loop)
+    return frozenset(tree), list(loops)
 
 
 def lowest_lines_by_every_reflection(group, u: Perm) -> list[int]:

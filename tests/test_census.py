@@ -23,6 +23,7 @@ from oracles import elements as list_elements
 from oracles import (
     admissible,
     enumerate_by_orbits,
+    groupoid_walk_by_full_moves,
     line_action,
     line_key_orbit,
     lowest_lines_by_every_reflection,
@@ -79,7 +80,10 @@ def test_ranks_13_to_16_match_the_closed_form(family, n):
 
 
 def _census_peak(family, n):
-    group = CoxeterGroup(CoxeterType.irreducible(family, n), max_rank=n)
+    return _census_peak_of(CoxeterGroup(CoxeterType.irreducible(family, n), max_rank=n))
+
+
+def _census_peak_of(group):
     tracemalloc.start()
     try:
         enumerate_involution_classes(group)
@@ -97,6 +101,24 @@ def test_census_holds_each_groupoid_loop_once():
     # B14's walks close many copies of each loop; holding every copy
     # peaked at about 9.2 MB here, the distinct loops at about 3.9 MB
     assert _census_peak("B", 14) < 5_000_000
+
+
+def test_census_walks_hold_one_permutation_per_subset():
+    # keeping t_J and its inverse for each subset, and forming every loop
+    # before dropping repeats, peaked at about 3.95 MB; t_J^-1 alone, with
+    # t_J on the simple roots, at about 2.2 MB
+    assert _census_peak("B", 14) < 3_000_000
+
+
+@pytest.mark.large
+def test_b16_census_walks_hold_one_permutation_per_subset():
+    # the reflection of every root (2 MB at B16) belongs to the group, and
+    # every later phase reads it, so it is built before the census is
+    # traced; the census then peaked at about 8.8 MB before the walks kept
+    # one permutation per subset, and at about 2.6 MB after
+    group = CoxeterGroup(CoxeterType.irreducible("B", 16), max_rank=16)
+    group.reflection_perm(group.lines[0])
+    assert _census_peak_of(group) < 4_000_000
 
 
 # -- what the census skips ---------------------------------------------------------
@@ -215,12 +237,29 @@ def test_components_and_loops_match_brute_force(cache, family, n):
         assert stabilizer.order() == images.count(k)
 
 
+@pytest.mark.parametrize(
+    "family,n", [("A", 5), ("B", 5), ("D", 5), ("E", 6), ("F", 4), ("H", 3), ("H", 4), ("I", 8)]
+)
+def test_walk_matches_the_walk_by_full_moves(cache, family, n):
+    # the same component and the same loops, in the same order, as a walk
+    # that forms every move, every tree element and every loop in full
+    groupoid = cache.group(family, n).parabolics
+    for k in range(groupoid.full + 1):
+        assert conjugacy_class_set(groupoid, k) == groupoid_walk_by_full_moves(groupoid, k)
+
+
 def test_loop_that_moves_its_base_raises(cache, monkeypatch):
     group = cache.group("A", 5)
     k = 1  # the first simple root: every reflection is conjugate to it
     component, loops = conjugacy_class_set(group.parabolics, k)
     assert len(component) == 5 and loops
-    # a loop closed without inverting the tree path moves k
-    monkeypatch.setattr(permengine, "inverse", lambda p: p)
+    # a tree inverse that drops the move's factors is t_J^-1 = 1, so the
+    # key of a loop closed at J != k maps k onto J; the first call above
+    # built every w_0 the walk reads, so only compositions in the walk
+    # see the fault, and of those only the full ones drop their first factor
+    real = permengine.compose
+    monkeypatch.setattr(
+        permengine, "compose", lambda p, q: q if len(p) == len(q) else real(p, q)
+    )
     with pytest.raises(ViolationError, match="moves its base"):
         conjugacy_class_set(group.parabolics, k)

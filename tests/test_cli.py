@@ -236,6 +236,28 @@ def test_check_broken_while_a_class_is_built(monkeypatch, tmp_path, capsys, faul
     assert not (tmp_path / "B4.csv").exists()
 
 
+def test_gamma_order_reaches_analyze_and_verify(monkeypatch, tmp_path, capsys):
+    # Sym3 in place of Sym2 passes check 1.2, which reads Gamma's kind, and
+    # leaves every verify row equal, since the printed gamma column comes
+    # from the class label; the order identities 2.1b and 2.5 catch it
+    real = structure.fingerprint
+
+    def fingerprint(handle):
+        label = real(handle)
+        return label._replace(r=3, order=6) if (label.kind, label.r) == ("sym", 2) else label
+
+    monkeypatch.setattr(structure, "fingerprint", fingerprint)
+    argv = ["--type", "B", "--rank", "5"]
+    assert run(["analyze", *argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "internal check violation: check 2.1b failed on B5 deg 2/0,1,2: "
+        "|G1|=10 |G+|=8 |G-|=4\n"
+    )
+    assert not (tmp_path / "B5.csv").exists()
+    assert run(["verify", *argv]) in (1, 2)
+
+
 # A3 compares against its closed form, yet a --fixtures file is read
 FIXTURE_TYPES = [["--type", "H3"], ["--type", "A", "--rank", "3"]]
 

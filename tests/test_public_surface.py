@@ -139,6 +139,11 @@ def test_cli_import_loads_no_dataclasses():
     assert _loaded_by_cli_import("dataclasses", "inspect") == []
 
 
+def test_cli_import_loads_no_csv():
+    # only the CSV that `analyze` writes needs the module
+    assert _loaded_by_cli_import("csv") == []
+
+
 def test_sources_parse_at_the_declared_python_floor():
     # newer syntax fails at the floor's grammar; newer library calls do not
     floor = re.search(
