@@ -107,13 +107,15 @@ class CoxeterGroup:
 # -- reflection subgroups of the ambient group ------------------------------------
 
 
-def recognize(positive, reflection) -> CoxeterType:
+def recognize(positive, reflection, n_roots: int) -> CoxeterType:
     """Coxeter type of a reflection group, from the positive roots of its
-    root set and each one's reflection as a permutation of that set.
+    root set of `n_roots` roots and each one's reflection as a permutation
+    of that set.
 
     Two simple roots (`simple_roots`) a, b bond with the order m of the
     product of their reflections, a rotation of order m in their plane,
-    whose cycle through a has length m.
+    whose cycle through a has length m.  The recognized type must have
+    `n_roots` roots, else RecognitionError.
     """
     simple = dict(simple_roots(positive, reflection))
 
@@ -124,7 +126,13 @@ def recognize(positive, reflection) -> CoxeterType:
             m, x = m + 1, rb[ra[x]]
         return m
 
-    return classify_coxeter_graph(list(simple), bond)
+    ctype = classify_coxeter_graph(list(simple), bond)
+    if ctype.root_count() != n_roots:
+        raise RecognitionError(
+            f"recognized {ctype} but root counts disagree "
+            f"({ctype.root_count()} vs {n_roots})"
+        )
+    return ctype
 
 
 def reflection_subgroup_type(group: CoxeterGroup, rootset) -> CoxeterType:
@@ -141,13 +149,7 @@ def reflection_subgroup_type(group: CoxeterGroup, rootset) -> CoxeterType:
         pa = group.reflection_perm(a)
         if any(pa[b] not in rootset for b in pos):
             raise ValueError("root set is not closed under its reflections")
-    ctype = recognize(pos, group.reflection_perm)
-    if ctype.root_count() != len(rootset):
-        raise RecognitionError(
-            f"recognized {ctype} but root counts disagree "
-            f"({ctype.root_count()} vs {len(rootset)})"
-        )
-    return ctype
+    return recognize(pos, group.reflection_perm, len(rootset))
 
 
 def lines_with_negatives(group: CoxeterGroup, lines) -> frozenset[int]:

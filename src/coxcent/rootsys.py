@@ -182,19 +182,20 @@ class RootSystem:
         """The permutation of root indices of every root's reflection.
 
         The simple reflections are read off the root closure.  Every other
-        root is beta = s_j(gamma) for a root gamma reached before it in a
-        BFS from the simple roots, and s_beta = s_j s_gamma s_j.
+        line holds a root beta = s_j(gamma) for a root gamma reached before
+        it in a BFS from the simple roots, and s_beta = s_j s_gamma s_j.
+        beta and -beta share one tuple, since s_beta = s_-beta.
         """
         perms: list[Perm | None] = [None] * self.n_roots
-        simple_perms = self._simple_perms
+        simple_perms, neg = self._simple_perms, self.neg
         for s, perm in zip(self.simple, simple_perms):
-            perms[s] = perm
+            perms[s] = perms[neg[s]] = perm
         queue = list(self.simple)
         for gamma in queue:
             for s_j in simple_perms:
                 beta = s_j[gamma]
                 if perms[beta] is None:
-                    perms[beta] = conjugate(perms[gamma], s_j)
+                    perms[beta] = perms[neg[beta]] = conjugate(perms[gamma], s_j)
                     queue.append(beta)
         return tuple(perms)
 

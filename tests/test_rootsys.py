@@ -96,6 +96,14 @@ def test_reflection_perms_match_the_field_formula(family, n):
         assert rs.reflection_perm(i) == _field_reflection_perm(gram, roots, index, i), i
 
 
+@pytest.mark.parametrize("family,n", [("A", 11), ("B", 9), ("E", 8), ("H", 4)])
+def test_a_root_and_its_negative_share_one_reflection(family, n):
+    # s_beta = s_-beta, so the table holds one tuple per line
+    rs = _rs(family, n)
+    for r in range(rs.n_roots):
+        assert rs.reflection_perm(r) is rs.reflection_perm(rs.neg[r]), r
+
+
 @pytest.mark.parametrize(
     "family,n", [("A", 4), ("B", 4), ("D", 5), ("F", 4), ("H", 3), ("H", 4)]
 )

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coxcent.group
 from coxcent import structure
 from coxcent.cli import ALL_SMALL
 from coxcent.coxtype import CoxeterType
@@ -159,36 +160,14 @@ def test_early_stopped_centralizer_chain_is_complete(cache, family, n):
     assert sifted["stopped"] < sifted["full"]
 
 
-@pytest.mark.parametrize("family,n", [("B", 4), ("E", 6), ("H", 3)])
-def test_tilde_bound_below_the_order_is_a_recognition_error(cache, family, n):
-    # a bound below the projection's order either stops the chain short of
-    # the recognized type's order or is passed; both are RecognitionError,
-    # never a wrong order
-    group = cache.group(family, n)
-    sides = 0
-    for cls, p in zip(cache.classes(family, n), cache.profiles(family, n)):
-        for side, dim, true in (
-            ("-", cls.degree, p.tilde_minus_type.order()),
-            ("+", n - cls.degree, p.tilde_plus_type.order()),
-        ):
-            if not 1 < dim < n:
-                continue
-            sides += 1
-            assert tilde_side(group, cls.rep, side, true).order() == true
-            for bound in sorted({1, true // 2, true - 1}):
-                with pytest.raises(RecognitionError, match="orders disagree"):
-                    tilde_side(group, cls.rep, side, bound)
-    assert sides
-
-
 def test_no_bounded_chain_falls_back_to_schreier_verification(monkeypatch, cache):
     # Every chain with a proven bound on its order reaches it by sifting, on
     # every `verify --all` type: the profiles and the checks that read them
     # (`run_property_suite` builds each profile as `profiles_for_group`
     # does).  A change that sent bounded chains back through Schreier
-    # verification would keep every output and only show here.
-    from coxcent.cli import ALL_SMALL
-
+    # verification would keep every output and only show here.  The
+    # projections build no chain, so B8 and D8 add the centralizer and
+    # quotient chains of two larger groups.
     bounded, fallbacks = [], []
     real_init, real_verify = BSGS.__init__, BSGS._verify_from
 
@@ -204,7 +183,7 @@ def test_no_bounded_chain_falls_back_to_schreier_verification(monkeypatch, cache
 
     monkeypatch.setattr(BSGS, "__init__", init)
     monkeypatch.setattr(BSGS, "_verify_from", verify)
-    for family, n in ALL_SMALL:
+    for family, n in [*ALL_SMALL, ("B", 8), ("D", 8)]:
         profiles = []
         results = run_property_suite(
             cache.group(family, n), cache.classes(family, n), profiles
@@ -239,7 +218,7 @@ def test_projection_reflections_match_the_arithmetic(cache, family, n):
                 assert [vectors[x] for x in p] == [
                     closure.reflect(w, vectors[k]) for w in vectors
                 ]
-            t = tilde_side(group, cls.rep, side, order)
+            t = tilde_side(group, cls.rep, side)
             assert (t, t.order()) == (ctype, order)
     # from the simple roots alone the oracle's closure is the root system
     roots = vector_roots(rs)
@@ -262,7 +241,7 @@ def test_projection_rejects_a_missing_entry(monkeypatch, cache, side):
 
     monkeypatch.setattr(structure, "_projection_entries", dropped)
     with pytest.raises(RecognitionError, match="leaves its normals"):
-        tilde_side(group, cls.rep, side, 1)
+        tilde_side(group, cls.rep, side)
 
 
 def test_reflection_subgroup_type_trivial_and_whole(cache):
@@ -313,22 +292,40 @@ def test_h4_profile_row_degree_2(cache):
 
 
 def test_tilde_orders_are_reflection_subgroup_orders(cache):
-    for family, n in [("E", 6), ("H", 4)]:
-        for p in cache.profiles(family, n):
+    # the chain on the normals is the oracle: the recognized type's order is
+    # the order of the group its reflections generate, counted by a chain
+    # with no bound, on every projection with 1 < dim < rank
+    sides = 0
+    for family, n in [*ALL_SMALL, ("B", 8), ("D", 8)]:
+        group = cache.group(family, n)
+        rank = group.geometry.rank
+        for cls, p in zip(cache.classes(family, n), cache.profiles(family, n)):
             assert p.tilde_minus_type.order() == p.order // p.plus_type.order()
             assert p.tilde_plus_type.order() == p.order // p.minus_type.order()
-        # the recognized type's order is the order of the group its
-        # reflections generate, counted by a chain with no bound
-        group = cache.group(family, n)
-        for cls, p in zip(cache.classes(family, n), cache.profiles(family, n)):
             for side, dim, ctype in (
                 ("-", cls.degree, p.tilde_minus_type),
-                ("+", n - cls.degree, p.tilde_plus_type),
+                ("+", rank - cls.degree, p.tilde_plus_type),
             ):
-                if 1 < dim < n:
+                if 1 < dim < rank:
+                    sides += 1
                     vectors, perms = _projection_reflections(group, cls.rep, side)
                     handle = SubgroupHandle.from_gens(len(vectors), list(perms.values()))
-                    assert handle.order() == ctype.order()
+                    assert handle.order() == ctype.order(), (family, n, cls.label, side)
+    assert sides
+
+
+def test_recognize_rejects_a_type_with_the_wrong_root_count(monkeypatch, cache):
+    # G_u^+-, the projections and the whole group are typed by one
+    # `recognize`, whose root count catches a wrong type
+    group = cache.group("E", 6)
+    cls = next(c for c in cache.classes("E", 6) if c.degree == 2)
+    # A9 has 90 roots; E6 has 72, and a projection to a plane at most 12
+    wrong = CoxeterType.irreducible("A", 9)
+    monkeypatch.setattr(coxcent.group, "classify_coxeter_graph", lambda *_: wrong)
+    with pytest.raises(RecognitionError, match="root counts disagree"):
+        reflection_subgroup_type(group, range(group.n_points))
+    with pytest.raises(RecognitionError, match="root counts disagree"):
+        tilde_side(group, cls.rep, "-")
 
 
 def test_tilde_side_on_a_line_matches_the_vector_path(cache):
@@ -347,7 +344,7 @@ def test_tilde_side_on_a_line_matches_the_vector_path(cache):
                 sides += 1
                 normals = projection_normals(group, cls.rep, side)
                 _, ctype, order = closed_projection(form, normals)
-                t = tilde_side(group, cls.rep, side, order)
+                t = tilde_side(group, cls.rep, side)
                 assert (t, t.order()) == (ctype, order), (family, n, cls.label)
     assert sides == 28
 
@@ -366,12 +363,8 @@ def test_tilde_integer_path_matches_scalar_path(cache, family, n):
         return tuple(Scalar.of(x) for x in v)
 
     scalar_form = tuple(map(to_scalars, form))
-    # tilde_side's bound is the class's |G_u| / |G_u^opp|, a true upper bound
-    for cls, p in zip(cache.classes(family, n), cache.profiles(family, n)):
-        for side, bound in (
-            ("+", p.order // p.minus_type.order()),
-            ("-", p.order // p.plus_type.order()),
-        ):
+    for cls in cache.classes(family, n):
+        for side in "+-":
             normals = projection_normals(group, cls.rep, side)
             vectors, _ = _projection_reflections(group, cls.rep, side)
             scalar_run = closed_projection(
@@ -386,7 +379,7 @@ def test_tilde_integer_path_matches_scalar_path(cache, family, n):
             assert {_canonical_direction(lift(v, rs.width)) for v in vectors} == set(
                 lifted.order_list
             )
-            t = tilde_side(group, cls.rep, side, bound)
+            t = tilde_side(group, cls.rep, side)
             assert (t, t.order()) == (int_type, int_order)
             assert (t, t.order()) == (scalar_type, scalar_order)
 
