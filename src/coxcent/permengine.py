@@ -497,8 +497,10 @@ class QuotientGroup:
                 return y
 
 
-def quotient_action(group: SubgroupHandle, reflections: dict[int, Perm]):
-    return QuotientGroup(group.n_points, group.gens, reflections)
+def quotient_action(n_points: int, gens, reflections: dict[int, Perm]) -> QuotientGroup:
+    """The quotient of <gens> by the normal reflection subgroup W1 whose
+    positive roots `reflections` maps to their reflections."""
+    return QuotientGroup(n_points, gens, reflections)
 
 
 # -- structure labels from orbits ------------------------------------------------

@@ -10,17 +10,22 @@ For an involution u the centralizer G_u splits along V = V+ (+) V-:
   roots, which also verifies that the projections are reflection groups;
 * the quotient Gamma of G_u by its reflection part G1 = G_u^+ x G_u^- is
   realized as its complement N, the elements of G_u that keep the
-  positive roots of G1, acting on the roots; its label (Sym_r, or
-  Sym_r x C2) is proved by restricting N to its orbits.
+  positive roots of G1, acting on the roots, generated by the images of
+  the swapped pairs s_a s_u(a); its label (Sym_r, or Sym_r x C2) is
+  proved by restricting N to its orbits.
 
-The orders in the cross-checks come from three separate sources, so no
-identity asserted here rides on the statement it is checking: |G_u| from
-the centralizer's stabilizer chain; the projection orders from the
-Coxeter types recognized on the normals (on a line, whether there is a
-normal, and on all of V, |W|), with a stabilizer chain on the normals
-kept as the tests' oracle, and |G_u^+| and |G_u^-| from the Coxeter
-types recognized on their root sets; |Gamma| as |N|, from N's own
-stabilizer chain on the roots, with |G1| = |G_u| / |Gamma|.
+No chain is built on G_u.  The orders in the cross-checks come from
+separate sources, so no identity asserted here rides on the statement it
+is checking: |G_u| = |G| / |class| from the census, which counts the
+class from Howlett's loops at u's normal form; the projection orders
+from the Coxeter types recognized on the normals (on a line, whether
+there is a normal, and on all of V, |W|), with a stabilizer chain on the
+normals kept as the tests' oracle; |G_u^+| and |G_u^-| from the Coxeter
+types recognized on their root sets; and |Gamma| as |N|, from N's own
+stabilizer chain on the images of the paper's generators.  Theorem 1.1
+is then the identity |G_u^+| |G_u^-| |N| = |G_u| (check 1.1, and check
+2.1b's product), which sets the census's count against the group those
+generators generate.
 
 Every chain whose order has a proven upper bound is built to that bound
 (see `BSGS`): a partial chain's order, the product of its basic-orbit
@@ -32,8 +37,6 @@ says why its bound is one.  N's chain is left unbounded.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable
 from math import gcd
 from typing import NamedTuple
 
@@ -49,7 +52,6 @@ from .permengine import (
     BSGS,
     QuotientGroup,
     StructureLabel,
-    SubgroupHandle,
     ViolationError,
     fingerprint,
     quotient_action,
@@ -62,40 +64,20 @@ from .rootsys import extended_diagram_Y
 # -- centralizers -------------------------------------------------------------------
 
 
-def centralizer(
-    group: CoxeterGroup, u: Perm, class_size: int, seeds: Iterable[Perm] | None = None
-) -> SubgroupHandle:
-    """The centralizer of an involution, as a subgroup handle.
+def centralizer(group: CoxeterGroup, class_size: int) -> int:
+    """|G_u|, the order of the centralizer of an involution u whose class
+    has `class_size` elements, as |G| / |class|.
 
-    It is the subgroup generated by the reflections in the lines u fixes or
-    negates, which generate G1 = G_u^+ x G_u^-, then the swapped pairs
-    s_a s_u(a) (`CoxeterGroup.swapped_pairs`), built one at a time (tests
-    replace them by `seeds`), whose order must be the target
-    |G| / |class|.  Falling short raises ViolationError: by Theorem 1.1
-    the degree-<=2 involutions of C(u) generate it, and those left out,
-    products of two orthogonal stable reflections, lie in G1.  The
-    handle's generators are the seeds the chain kept.
-
-    The target bounds the chain: the census reads the class size as
-    |W| / (|G_u^+| |G_u^-| |Gamma|), with Gamma the image of the loops of
-    Howlett's groupoid at u's normal form K.  The loops map K onto itself,
-    so they lie in N_K, inside C(w_K), and by Brink and Howlett they
-    generate N_K, so the target is |C(u)|; kept seeds must commute with u,
-    so they lie in C(u).
+    The census reads the class size as |W| / (|G_u^+| |G_u^-| |Gamma|),
+    with Gamma the image of the loops of Howlett's groupoid at u's normal
+    form K.  The loops map K onto itself, so they lie in N_K, inside
+    C(w_K), and by Brink and Howlett they generate N_K, so the quotient is
+    |C(u)|.  Check 1.1 sets it against the group that Theorem 1.1's
+    generators generate.
     """
     if group.order % class_size:
         raise ViolationError("class size does not divide the group order")
-    target = group.order // class_size
-    if seeds is None:
-        stable = group.fixed_lines(u) + group.negated_lines(u)
-        reflections = map(group.reflection_perm, stable)
-        seeds = itertools.chain(reflections, group.swapped_pairs(u))
-    chain = BSGS(group.n_points, seeds, bound=target)
-    if any(compose(g, u) != compose(u, g) for g in chain.kept):
-        raise ViolationError("a centralizer seed does not commute with u")
-    if chain.order() != target:
-        raise ViolationError("centralizer order disagrees with the class size")
-    return SubgroupHandle(chain)
+    return group.order // class_size
 
 
 # -- projections to the two eigenspaces ----------------------------------------------
@@ -209,20 +191,32 @@ def tilde_side(group: CoxeterGroup, u: Perm, side: str) -> CoxeterType:
 
 
 def gamma(
-    group_handle: SubgroupHandle, reflections: dict[int, Perm]
+    group: CoxeterGroup, u: Perm, stable: list[int]
 ) -> tuple[QuotientGroup, StructureLabel]:
-    """The quotient of a centralizer by its reflection part, with its
-    structure label, whose order is the quotient's size.
+    """The quotient Gamma of G_u by its reflection part G1, the group of
+    the reflections in the `stable` lines, with its structure label, whose
+    order is the quotient's size.
 
-    The reflection part is given as for `quotient_action`: the reflection
-    of every root of its positive system Phi1+.  The quotient is realized as
-    the complement N = Stab(Phi1+) acting on the roots, a trivial quotient
-    included, so its order |N| comes from N's stabilizer chain, independent
-    of the reflection part's type; normality is checked by the quotient.
-    The label is proved from N's orbits (`fingerprint`); a trivial
-    quotient is Sym_1.
+    Gamma is realized as the complement N = Stab(Phi1+) acting on the
+    roots, Phi1+ the stable lines (see `QuotientGroup`), generated by the
+    images of the swapped pairs: by Theorem 1.1 they generate G_u with
+    G1, and a stable reflection, or a product of two, maps to 1.  So does
+    a swapped pair j that negates a root c of G1, which lies in G1: j is -1
+    on a plane whose roots hold c and a root c' orthogonal to c, which u
+    keeps as it keeps c and the plane, and then j = s_c s_c'.  Only the
+    other pairs are read.  |N| comes from N's own chain, independent of
+    the Coxeter types and of the class size, and every generator it kept
+    must commute with u, else ViolationError.  The label is proved from
+    N's orbits (`fingerprint`); a trivial quotient is Sym_1.
     """
-    q = quotient_action(group_handle, reflections)
+    neg = group.neg
+    pairs = group.swapped_pairs(u)
+    outside = [j for j in pairs if all(j[l] != neg[l] for l in stable)]
+    q = quotient_action(
+        group.n_points, outside, {l: group.reflection_perm(l) for l in stable}
+    )
+    if any(compose(g, u) != compose(u, g) for g in q.handle.gens):
+        raise ViolationError("a generator of N does not commute with u")
     if q.size == 1:
         return q, StructureLabel("sym", 1, 1)
     return q, fingerprint(q.handle)
@@ -250,12 +244,12 @@ class CentralizerProfile(NamedTuple):
 class ClassData:
     """Per-class computations behind a profile, built once per class and
     read by the checks; the class itself and its quotient structure are on
-    the profile.  `centralizer_gens` are the seeds `centralizer` kept.
+    the profile.
 
-    The build raises only where `centralizer` or `tilde_side` cannot go
-    on.  A Gamma label or a projection order that breaks a check is kept
-    as found: checks 1.2, 2.9, 2.1b and 2.5 report it, like any other
-    failure."""
+    The build raises only where `centralizer`, `gamma` or `tilde_side`
+    cannot go on.  A Gamma label or a projection order that breaks a
+    check is kept as found: checks 1.2, 2.9, 2.1b and 2.5 report it, like
+    any other failure."""
 
     def __init__(
         self,
@@ -264,24 +258,19 @@ class ClassData:
         minus_lines: list[int],
         quotient: QuotientGroup,
         profile: CentralizerProfile,
-        centralizer_gens: list[Perm],
     ):
         self.group = group
         self.plus_lines = plus_lines
         self.minus_lines = minus_lines
         self.quotient = quotient
         self.profile = profile
-        self.centralizer_gens = centralizer_gens
 
 
 def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
     u = cls.rep
-    g_u = centralizer(group, u, cls.size)
+    gu_order = centralizer(group, cls.size)
     plus_lines, minus_lines = group.fixed_lines(u), group.negated_lines(u)
-    gu_order = g_u.order()
-    quotient, gamma_label = gamma(
-        g_u, {l: group.reflection_perm(l) for l in plus_lines + minus_lines}
-    )
+    quotient, gamma_label = gamma(group, u, plus_lines + minus_lines)
     plus_type = reflection_subgroup_type(
         group, lines_with_negatives(group, plus_lines)
     )
@@ -305,7 +294,6 @@ def _compute_class_data(group: CoxeterGroup, cls: InvolutionClass) -> ClassData:
         minus_lines=minus_lines,
         quotient=quotient,
         profile=profile,
-        centralizer_gens=g_u.gens,
     )
 
 
@@ -342,34 +330,20 @@ class CheckResult(NamedTuple):
 
 
 def check_theorem_1_1(data: ClassData) -> CheckResult:
-    """The quotient of G_u by its reflection part is generated by the images
-    of the degree-<=2 involutions of G_u.  The reflections in the stable
-    lines, and the products of two of them, lie in G1 and map to 1, so
-    only the swapped pairs are read, built one at a time: the chain on
-    their images stops reading them once it reaches |Gamma|."""
+    """Check 1.1, Theorem 1.1: G_u is generated by its degree-<=2
+    involutions, that is, by G1 and the swapped pairs.  Their images
+    generate N (`gamma`), which meets G1 trivially, so the theorem holds
+    iff |G_u^+| |G_u^-| |N| = |G_u|, with |G_u| = |G| / |class| from the
+    census.  This is check 2.1b's product read as Theorem 1.1."""
     name = "1.1"
     subject = _subject(data)
-    q = data.quotient
-    if q.size == 1:
-        return CheckResult(name, subject, "pass", "reflection quotient trivial")
-    u, neg = data.profile.cls.rep, data.group.neg
-    stable = data.plus_lines + data.minus_lines
-    # A swapped pair j that negates a root c of G1 lies in G1, so it
-    # descends to the identity: j is -1 on a plane whose roots hold c and a
-    # root c' orthogonal to c, which u keeps as it keeps c and the plane,
-    # and then j = s_c s_c'.
-    pairs = data.group.swapped_pairs(u)
-    outside = (j for j in pairs if all(j[l] != neg[l] for l in stable))
-    # the images lie in N, so |N| = |Gamma| bounds the group they generate
-    span = BSGS(q.handle.n_points, map(q.image, outside), bound=q.size)
-    if span.order() == q.size:
-        return CheckResult(name, subject, "pass")
-    return CheckResult(
-        name,
-        subject,
-        "fail",
-        f"images generate order {span.order()} of {q.size}",
-    )
+    p, size = data.profile, data.quotient.size
+    generated = p.plus_type.order() * p.minus_type.order() * size
+    if generated != p.order:
+        detail = f"|G+| |G-| |N| = {generated}, |G| / |class| = {p.order}"
+        return CheckResult(name, subject, "fail", detail)
+    detail = "reflection quotient trivial" if size == 1 else ""
+    return CheckResult(name, subject, "pass", detail)
 
 
 def _subject(data: ClassData) -> str:
@@ -442,9 +416,10 @@ def check_normalizer(data: ClassData) -> CheckResult:
     by two containments.
 
     The normalizer is the stabilizer of the minus part's set of roots.
-    C(u) lies in it when each of `centralizer_gens` maps that set onto
-    itself: `centralizer` proved that they commute with u and that its
-    chain on them reached |G| / |class| = |C(u)|, so they generate C(u).
+    C(u) lies in it when each generator of N maps that set onto itself:
+    by check 1.1's identity C(u) is G1 N, and G1 = G_u^+ x G_u^- keeps the
+    set, G_u^- as a reflection group on it and G_u^+ fixing V_u^-
+    pointwise.
     The normalizer lies in C(u) when u negates every one of the lines and
     is the product of the reflections in pairwise orthogonal lines of the
     set: then the set spans V_u^-, and whatever keeps V_u^- keeps its
@@ -458,13 +433,13 @@ def check_normalizer(data: ClassData) -> CheckResult:
     u = data.profile.cls.rep
     minus = lines_with_negatives(group, data.minus_lines)
     movers = sum(
-        1 for j in data.centralizer_gens if any(j[r] not in minus for r in minus)
+        1 for j in data.quotient.handle.gens if any(j[r] not in minus for r in minus)
     )
     _, w = greedy_cube(group, u, data.minus_lines)
     inside = is_identity(w) and all(u[l] == group.neg[l] for l in data.minus_lines)
     if not movers and inside:
         return CheckResult(name, subject, "pass")
-    detail = f"{movers} generators of the centralizer move the minus roots"
+    detail = f"{movers} generators of N move the minus roots"
     if not inside:
         detail += "; the minus part does not determine u"
     return CheckResult(name, subject, "fail", detail)

@@ -1,4 +1,5 @@
-"""Oracles for the tests: the whole group as a subgroup handle, every
+"""Oracles for the tests: the whole group as a subgroup handle, the
+centralizer of an involution as a stabilizer chain on its seeds, every
 degree-<=2 involution of a centralizer, the order of a permutation,
 whether it is an involution, membership in a stabilizer chain by
 sifting, every element of a group listed from its chain, checks 2.7/2.8
@@ -20,7 +21,8 @@ fields set."""
 from __future__ import annotations
 
 import copy
-from collections.abc import Iterator
+import itertools
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -29,7 +31,14 @@ from operator import mul
 
 from coxcent.coxtype import RecognitionError, classify_coxeter_graph
 from coxcent.involutions import InvolutionClass, label_class
-from coxcent.permengine import MembershipError, SubgroupHandle, _bits, orbit_stabilizer
+from coxcent.permengine import (
+    BSGS,
+    MembershipError,
+    SubgroupHandle,
+    ViolationError,
+    _bits,
+    orbit_stabilizer,
+)
 from coxcent.perms import Perm, compose, conjugate, identity, inverse, is_identity
 from coxcent.structure import CheckResult, _primitive, _subject
 from scalars import GOLDEN, Scalar, lift
@@ -52,6 +61,42 @@ def whole_group(group) -> SubgroupHandle:
     return SubgroupHandle.from_gens(
         group.n_points, [geometry.reflection_perm(a) for a in geometry.simple]
     )
+
+
+def centralizer_by_chain(
+    group, u: Perm, class_size: int, seeds: Iterable[Perm] | None = None
+) -> SubgroupHandle:
+    """The centralizer of an involution, as a subgroup handle.
+
+    It is the subgroup generated by the reflections in the lines u fixes or
+    negates, which generate G1 = G_u^+ x G_u^-, then the swapped pairs
+    s_a s_u(a) (`CoxeterGroup.swapped_pairs`), built one at a time (tests
+    replace them by `seeds`), whose order must be the target
+    |G| / |class|.  Falling short raises ViolationError: by Theorem 1.1
+    the degree-<=2 involutions of C(u) generate it, and those left out,
+    products of two orthogonal stable reflections, lie in G1.  The
+    handle's generators are the seeds the chain kept.
+
+    The target bounds the chain: the census reads the class size as
+    |W| / (|G_u^+| |G_u^-| |Gamma|), with Gamma the image of the loops of
+    Howlett's groupoid at u's normal form K.  The loops map K onto itself,
+    so they lie in N_K, inside C(w_K), and by Brink and Howlett they
+    generate N_K, so the target is |C(u)|; kept seeds must commute with u,
+    so they lie in C(u).
+    """
+    if group.order % class_size:
+        raise ViolationError("class size does not divide the group order")
+    target = group.order // class_size
+    if seeds is None:
+        stable = group.fixed_lines(u) + group.negated_lines(u)
+        reflections = map(group.reflection_perm, stable)
+        seeds = itertools.chain(reflections, group.swapped_pairs(u))
+    chain = BSGS(group.n_points, seeds, bound=target)
+    if any(compose(g, u) != compose(u, g) for g in chain.kept):
+        raise ViolationError("a centralizer seed does not commute with u")
+    if chain.order() != target:
+        raise ViolationError("centralizer order disagrees with the class size")
+    return SubgroupHandle(chain)
 
 
 def involutions_deg_le_2(group, u: Perm) -> Iterator[Perm]:

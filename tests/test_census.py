@@ -19,6 +19,7 @@ from coxcent.involutions import (
 )
 from coxcent.permengine import SubgroupHandle, ViolationError, conjugacy_class_set
 from coxcent.perms import compose
+from coxcent.tables import verify_type
 from oracles import elements as list_elements
 from oracles import (
     admissible,
@@ -75,8 +76,11 @@ def test_ranks_10_to_12_match_the_closed_form(family, n):
     "family,n", [(f, n) for f in ("A", "B", "D") for n in (13, 14, 15, 16)]
 )
 def test_ranks_13_to_16_match_the_closed_form(family, n):
-    # above the default max_rank: run with -m large
+    # above the default max_rank: run with -m large.  The census, then
+    # whole rows, the profiles and their checks included
     _census_rows_match_the_closed_form(family, n)
+    expect, diffs = verify_type(CoxeterType.irreducible(family, n), max_rank=16)
+    assert expect and diffs == []
 
 
 def _census_peak(family, n):

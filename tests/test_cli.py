@@ -194,6 +194,39 @@ def test_mirror_check_failure(monkeypatch, tmp_path, capsys):
     assert "centralizers of u and -u differ" in capsys.readouterr().err
 
 
+def test_doubled_class_size_fails_check_1_1(monkeypatch, tmp_path, capsys):
+    # a class size twice the true one halves |G| / |class|, which the
+    # paper's generators overshoot: `theorems` reports a failed 1.1 row,
+    # and `analyze`, whose rows rest on the same orders, stops naming the
+    # first check that reads them
+    from coxcent import involutions, tables
+    from oracles import with_fields
+
+    def tampered(group):
+        classes = involutions.enumerate_involution_classes(group)
+        k = next(k for k, c in enumerate(classes) if c.degree == 1)
+        classes[k] = with_fields(classes[k], size=2 * classes[k].size)
+        return classes
+
+    monkeypatch.setattr(cli, "enumerate_involution_classes", tampered)
+    monkeypatch.setattr(tables, "enumerate_involution_classes", tampered)
+    argv = ["--type", "A", "--rank", "3", "--out", str(tmp_path)]
+    assert run(["theorems", *argv]) == 2
+    doc = json.loads((tmp_path / "theorems_A3.json").read_text())
+    failed = [c for c in doc["checks"] if c["status"] == "fail"]
+    assert ("1.1", "A3 deg 1/a=2", "|G+| |G-| |N| = 4, |G| / |class| = 2") in [
+        (c["name"], c["subject"], c["detail"]) for c in failed
+    ]
+    assert "2.1b" in {c["name"] for c in failed}
+    capsys.readouterr()
+    assert run(["analyze", *argv]) == 2
+    assert capsys.readouterr().err == (
+        "internal check violation: check 2.9 failed on A3 deg 1/a=2 side -: "
+        "reflection subgroup order 2, projection order 1\n"
+    )
+    assert not (tmp_path / "A3.csv").exists()
+
+
 def _label_check_1_2_rejects(monkeypatch):
     from coxcent.permengine import StructureLabel
 

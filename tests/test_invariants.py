@@ -6,7 +6,6 @@ import pytest
 
 from coxcent.coxtype import CoxeterType
 from coxcent.group import CoxeterGroup
-from coxcent.permengine import SubgroupHandle
 from coxcent.perms import compose, is_identity
 from coxcent.structure import gamma, lines_with_negatives
 from linalg import GroupElement, matrix_of_perm, reflection
@@ -74,16 +73,12 @@ def test_normalizer_rejects_unclosed_set(cache):
 def test_gamma_wrapper(cache):
     group = cache.group("H", 4)
     cls = next(c for c in cache.classes("H", 4) if c.degree == 2)
-    from coxcent.structure import centralizer
-
-    g_u = centralizer(group, cls.rep, class_size=cls.size)
     stable = group.fixed_lines(cls.rep) + group.negated_lines(cls.rep)
-    g1 = {l: group.reflection_perm(l) for l in stable}
-    q, label = gamma(g_u, g1)
+    q, label = gamma(group, cls.rep, stable)
     assert label.order == 2 and str(label) == "Sym2"
     assert q is not None and q.size == 2
-    # trivial quotient path
-    q0, label0 = gamma(SubgroupHandle.from_gens(group.n_points, g1.values()), g1)
+    # trivial quotient path: u = 1 fixes every line and swaps none
+    q0, label0 = gamma(group, group.identity, list(group.lines))
     assert q0.size == 1 and label0.order == 1 and str(label0) == "Sym1"
 
 

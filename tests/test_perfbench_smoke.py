@@ -44,14 +44,16 @@ def test_traced_smoke_run():
 
 
 def test_theorem_suite_builds_each_seed_once():
-    # The centralizer reads a prefix of a class's stable reflections and
-    # swapped pairs, and checks 1.1 and 2.4 a prefix of its swapped pairs,
-    # built one at a time into bounded chains (3,987 orthogonality tests;
-    # 16,410, with a backtracking cube search, when all three read every
-    # degree-<=2 involution of C(u), products of two stable reflections
-    # included).  Building the centralizer's prefix a second time, to list
-    # every involution for the checks, showed as 22,192, and listing it
-    # once as 21,560.
+    # `gamma` reads every swapped pair of a class, built one at a time, into
+    # N's chain, and check 2.4 a prefix of them into a bounded chain (4,107
+    # orthogonality tests).  A bounded chain on C(u) that read a prefix of
+    # the stable reflections and swapped pairs, with checks 1.1 and 2.4
+    # each reading a prefix of the pairs, made 3,987; all three reading
+    # every degree-<=2 involution of C(u), products of two stable
+    # reflections included, made 16,410 with a backtracking cube search.
+    # Building the centralizer's prefix a second time, to list every
+    # involution for the checks, showed as 22,192, and listing it once as
+    # 21,560.
     result, _ = traced_run("theorem_suite")
     assert result["failed"] == 0
     assert result["metrics"]["rootsys.orthogonal_calls"]["value"] <= 21_560

@@ -252,9 +252,9 @@ def test_set_stabilizer_of_everything_is_group():
 
 
 def test_quotient_of_group_by_itself_is_trivial():
-    group, _ = coxeter_gens("A", 3)
+    group, gens = coxeter_gens("A", 3)
     q = quotient_action(
-        whole_group(group), {l: group.reflection_perm(l) for l in group.lines}
+        group.n_points, gens, {l: group.reflection_perm(l) for l in group.lines}
     )
     assert q.size == 1
 
@@ -268,7 +268,7 @@ def test_quotient_sym3_from_b3():
     shorts = [l for l in group.lines if not group.geometry.is_long(l)]
     normal = {l: group.reflection_perm(l) for l in shorts}
     assert SubgroupHandle.from_gens(group.n_points, normal.values()).order() == 8
-    q = quotient_action(whole_group(group), normal)
+    q = quotient_action(group.n_points, gens, normal)
     assert q.size == 6
     assert str(fingerprint(q.handle)) == "Sym3"
     # quotient map is a homomorphism
@@ -277,10 +277,10 @@ def test_quotient_sym3_from_b3():
 
 
 def test_quotient_requires_normal():
-    group, _ = coxeter_gens("A", 3)
+    group, gens = coxeter_gens("A", 3)
     line = group.lines[0]
     with pytest.raises(ValueError):
-        quotient_action(whole_group(group), {line: group.reflection_perm(line)})
+        quotient_action(group.n_points, gens, {line: group.reflection_perm(line)})
 
 
 def _sym_handle(r):

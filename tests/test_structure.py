@@ -45,6 +45,7 @@ from oracles import (
     _canonical_direction,
     _is_positive_direction,
     _VectorReflectionGroup,
+    centralizer_by_chain,
     closed_projection,
     contains,
     elements as list_elements,
@@ -66,67 +67,75 @@ from scalars import Scalar, lift
 
 def test_centralizer_of_identity_is_group(cache):
     group = cache.group("B", 3)
-    assert centralizer(group, group.identity, class_size=1).order() == group.order
+    assert centralizer(group, class_size=1) == group.order
+    assert centralizer_by_chain(group, group.identity, class_size=1).order() == group.order
 
 
 def test_centralizer_orders_match_class_sizes(cache):
     for family, n in [("H", 3), ("F", 4), ("E", 6)]:
         group = cache.group(family, n)
         for cls in cache.classes(family, n):
-            c = centralizer(group, cls.rep, class_size=cls.size)
-            assert c.order() * cls.size == group.order
+            c = centralizer_by_chain(group, cls.rep, class_size=cls.size)
+            assert c.order() * cls.size == group.order == centralizer(group, cls.size) * cls.size
             assert contains(c, cls.rep)
 
 
-def test_centralizer_short_of_its_order_is_a_violation(cache):
-    # By Theorem 1.1 the degree-<=2 involutions of C(u) generate it, so
-    # seeds that fall short of |G| / |class| are a violation.
+def test_class_size_short_of_the_centralizer_fails_check_1_1(cache):
+    # A reflection of A3 has a class of 6 and a centralizer of order 4.  A
+    # class size of 3 gives |G| / |class| = 8, which the paper's generators
+    # do not reach, so check 1.1 fails; a size that does not divide |G| is
+    # refused before any class data is built.
     group = cache.group("A", 3)
-    u = group.reflection_perm(group.lines[0])
-    with pytest.raises(ViolationError):
-        centralizer(group, u, class_size=6, seeds=[])
-    # a class size too small for the centralizer is a violation too
-    with pytest.raises(ViolationError):
-        centralizer(group, u, class_size=3)
+    cls = next(c for c in cache.classes("A", 3) if c.degree == 1)
+    assert cls.size == 6 and check_theorem_1_1(_compute_class_data(group, cls)).status == "pass"
+    data = _compute_class_data(group, with_fields(cls, size=3))
+    result = check_theorem_1_1(data)
+    assert (result.status, result.detail) == ("fail", "|G+| |G-| |N| = 4, |G| / |class| = 8")
+    assert check_order_identities(data)[0].status == "fail"  # 2.1b, the same product
+    with pytest.raises(ViolationError, match="does not divide"):
+        centralizer(group, class_size=5)
 
 
-def test_centralizer_from_the_reflections_alone_is_a_violation(monkeypatch, cache):
-    # On a class with a nontrivial reflection quotient the reflections in
-    # the stable lines generate only G1: the chain falls short of its bound,
-    # so Schreier verification completes it, and the order it proves is a
-    # violation.
-    group = cache.group("B", 4)
-    # the census runs unbounded chains of its own, so it is built before the
-    # counter is installed
-    cls = next(c for c in cache.classes("B", 4) if c.label == "0,0,2")
-    fallbacks = []
-    real = BSGS._verify_from
-
-    def counting(chain, start, bound):
-        fallbacks.append(bound)
-        return real(chain, start, bound)
-
-    monkeypatch.setattr(BSGS, "_verify_from", counting)
-    u = cls.rep
+def test_gamma_rejects_a_noncommuting_generator(monkeypatch, cache):
+    # A product of two orthogonal reflections can keep the positive roots
+    # of G1, so pass the quotient's normality guard, and still not commute
+    # with u; put first among the swapped pairs, N's chain keeps it, and
+    # the class build refuses it.
+    group = cache.group("A", 3)
+    cls = next(c for c in cache.classes("A", 3) if c.degree == 1)
+    u, neg = cls.rep, group.neg
     stable = group.fixed_lines(u) + group.negated_lines(u)
-    reflections = [group.reflection_perm(l) for l in stable]
-    with pytest.raises(ViolationError, match="disagrees with the class size"):
-        centralizer(group, u, cls.size, seeds=reflections)
-    assert fallbacks == [group.order // cls.size]
-
-
-def test_centralizer_rejects_a_noncommuting_seed(cache):
-    # a seed outside C(u) could reach the order the class size implies, so
-    # every kept seed must commute with u
-    group = cache.group("A", 3)
-    u = group.reflection_perm(group.lines[0])
+    roots = lines_with_negatives(group, stable)
     stranger = next(
-        s
-        for s in map(group.reflection_perm, group.lines)
-        if compose(s, u) != compose(u, s)
+        j
+        for j in involutions_deg_le_2(group, group.identity)
+        if compose(j, u) != compose(u, j)
+        and all(j[r] in roots for r in roots)
+        and all(j[l] != neg[l] for l in stable)
     )
-    with pytest.raises(ViolationError):
-        centralizer(group, u, class_size=6, seeds=[stranger])
+    real = group.swapped_pairs
+    monkeypatch.setattr(group, "swapped_pairs", lambda u: iter([stranger, *real(u)]))
+    with pytest.raises(ViolationError, match="does not commute with u"):
+        _compute_class_data(group, cls)
+
+
+@pytest.mark.parametrize("family,n", [*ALL_SMALL, ("B", 8), ("D", 8), ("E", 8), ("I", 1024)])
+def test_class_size_and_quotient_agree_with_the_chain_oracle(cache, family, n):
+    # |G| / |class|, the census's count, is the order of the oracle's chain
+    # on the stable reflections and swapped pairs, and N, built from the
+    # swapped pairs alone, has the order of the quotient of that chain's
+    # group by G1
+    group = cache.group(family, n)
+    for cls in cache.classes(family, n):
+        if cls.mirror_of is not None:
+            continue
+        data = _compute_class_data(group, cls)
+        chain = centralizer_by_chain(group, cls.rep, cls.size)
+        assert data.profile.order == group.order // cls.size == chain.order()
+        stable = data.plus_lines + data.minus_lines
+        reflections = {l: group.reflection_perm(l) for l in stable}
+        q = structure.quotient_action(group.n_points, chain.gens, reflections)
+        assert data.quotient.size == q.size
 
 
 @pytest.mark.parametrize("family,n", [("B", 5), ("E", 6), ("F", 4), ("H", 3)])
@@ -142,7 +151,7 @@ def test_early_stopped_centralizer_chain_is_complete(cache, family, n):
         if cls.mirror_of is not None:
             continue
         u = cls.rep
-        handle = centralizer(group, u, cls.size)
+        handle = centralizer_by_chain(group, u, cls.size)
         chain = handle.chain
         fresh = BSGS(group.n_points, handle.gens)
         assert chain.order() == fresh.order() == group.order // cls.size
@@ -166,8 +175,9 @@ def test_no_bounded_chain_falls_back_to_schreier_verification(monkeypatch, cache
     # (`run_property_suite` builds each profile as `profiles_for_group`
     # does).  A change that sent bounded chains back through Schreier
     # verification would keep every output and only show here.  The
-    # projections build no chain, so B8 and D8 add the centralizer and
-    # quotient chains of two larger groups.
+    # projections and the centralizer build no chain, so A9-A10, B8-B10,
+    # D8-D10 and E8 add the label proofs and checks 2.4 and 2.7/2.8 of
+    # larger groups.
     bounded, fallbacks = [], []
     real_init, real_verify = BSGS.__init__, BSGS._verify_from
 
@@ -183,7 +193,8 @@ def test_no_bounded_chain_falls_back_to_schreier_verification(monkeypatch, cache
 
     monkeypatch.setattr(BSGS, "__init__", init)
     monkeypatch.setattr(BSGS, "_verify_from", verify)
-    for family, n in [*ALL_SMALL, ("B", 8), ("D", 8)]:
+    larger = [(f, n) for n in (8, 9, 10) for f in "ABD" if (f, n) != ("A", 8)]
+    for family, n in [*ALL_SMALL, *larger, ("E", 8)]:
         profiles = []
         results = run_property_suite(
             cache.group(family, n), cache.classes(family, n), profiles
@@ -397,7 +408,7 @@ def test_a_family_tilde_types(cache):
 
 def test_normalizer_check_needs_generators_inside_the_normalizer(cache):
     # a reflection that does not commute with u moves u's minus roots, so
-    # put among the generators of the centralizer it fails check 2.3
+    # put among the generators of N it fails check 2.3
     for family, n, degree in [("B", 4, 2), ("E", 6, 2), ("H", 3, 1)]:
         group = cache.group(family, n)
         cls = next(c for c in cache.classes(family, n) if c.degree == degree)
@@ -409,9 +420,9 @@ def test_normalizer_check_needs_generators_inside_the_normalizer(cache):
             for s in map(group.reflection_perm, group.lines)
             if compose(s, u) != compose(u, s)
         )
-        result = check_normalizer(
-            with_fields(data, centralizer_gens=data.centralizer_gens + [stranger])
-        )
+        q = data.quotient
+        handle = with_fields(q.handle, gens=[*q.handle.gens, stranger])
+        result = check_normalizer(with_fields(data, quotient=with_fields(q, handle=handle)))
         assert result.status == "fail" and "move the minus roots" in result.detail
 
 
@@ -490,7 +501,7 @@ def test_plus_normalizer_asymmetry_in_a2(cache):
     assert group.fixed_lines(u) == []
     assert line_key_orbit(line_action(group), 0) == {0}
     assert group.order == 6
-    assert centralizer(group, u, class_size=3).order() == 2
+    assert centralizer_by_chain(group, u, class_size=3).order() == 2
 
 
 def test_h4_explicit_quotient_witness(cache):
@@ -571,8 +582,8 @@ def test_property_suite_clean_on_samples(cache):
 
 
 def test_property_suite_lists_no_involutions():
-    # the checks read the centralizer's kept generators, or stream the
-    # swapped pairs into a bounded chain; listing every degree-<=2
+    # the checks read N's generators, or stream the swapped pairs into a
+    # bounded chain; listing every degree-<=2
     # involution of C(u) for checks 1.1, 2.3 and 2.4 peaked at 5.5 MB here
     group = CoxeterGroup(CoxeterType.irreducible("B", 10))
     classes = enumerate_involution_classes(group)
@@ -643,13 +654,16 @@ def _b4_class_data(cache):
 
 
 def test_theorem_1_1_fails_without_the_swapped_pairs(monkeypatch, cache):
-    # B4 0,0,2 has a quotient of order 2, and check 1.1 reads only the
-    # swapped pairs: with none, no image reaches Gamma
+    # B4 0,0,2 has a quotient of order 2, and N is generated by the images
+    # of the swapped pairs alone: with none, N is trivial and the reflection
+    # part with it falls short of |G| / |class|
     data = _b4_class_data(cache)
     assert data.quotient.size == 2 and check_theorem_1_1(data).status == "pass"
     monkeypatch.setattr(data.group, "swapped_pairs", lambda u: iter(()))
+    data = _b4_class_data(cache)
+    assert data.quotient.size == 1
     result = check_theorem_1_1(data)
-    assert (result.status, result.detail) == ("fail", "images generate order 1 of 2")
+    assert (result.status, result.detail) == ("fail", "|G+| |G-| |N| = 16, |G| / |class| = 32")
 
 
 def test_cube_check_fails_on_a_fixed_line(cache):
@@ -710,11 +724,11 @@ def test_complement_check_fails_without_an_involution_class(
 @pytest.mark.parametrize("family,n", [*ALL_SMALL, ("B", 8), ("D", 8)])
 def test_swapped_pairs_give_the_checks_what_every_involution_gave(cache, family, n):
     # A stable reflection negates its own root, a root of G1, and so does a
-    # product of two stable reflections, so checks 1.1 and 2.4 dropped them
-    # all from the stream of every degree-<=2 involution of C(u): over the
-    # swapped pairs alone each filter keeps the same involutions in the same
-    # order.  The seeds the centralizer kept generate what that whole
-    # stream generates.
+    # product of two stable reflections, so `gamma` and check 2.4 dropped
+    # them all from the stream of every degree-<=2 involution of C(u): over
+    # the swapped pairs alone each filter keeps the same involutions in the
+    # same order.  The seeds the oracle's chain kept generate what that
+    # whole stream generates.
     group = cache.group(family, n)
     neg = group.neg
     for cls in cache.classes(family, n):
@@ -725,38 +739,12 @@ def test_swapped_pairs_give_the_checks_what_every_involution_gave(cache, family,
         everything = list(involutions_deg_le_2(group, cls.rep))
         pairs = list(group.swapped_pairs(cls.rep))
         for keeps in (
-            lambda j: all(j[l] != neg[l] for l in stable),  # check 1.1
+            lambda j: all(j[l] != neg[l] for l in stable),  # gamma
             lambda j: all(j[a] in positive for a in positive),  # check 2.4
         ):
             assert list(filter(keeps, pairs)) == list(filter(keeps, everything))
-        kept = BSGS(group.n_points, data.centralizer_gens).order()
+        kept = BSGS(group.n_points, centralizer_by_chain(group, cls.rep, cls.size).gens).order()
         assert kept == BSGS(group.n_points, everything).order() == data.profile.order
-
-
-def test_centralizer_reads_the_stable_reflections_and_swapped_pairs_only(
-    monkeypatch, cache
-):
-    # Over D12's classes the centralizer's chains read 911 seeds: the
-    # reflections in the stable lines, then the swapped pairs.  The stream
-    # of every degree-<=2 involution of C(u), with the products of two
-    # stable reflections, read 3,829.
-    group = cache.group("D", 12)
-    classes = [c for c in cache.classes("D", 12) if c.mirror_of is None]
-    read = []
-    real = structure.BSGS
-
-    def counting(n_points, gens=(), bound=None):
-        def lazily():
-            for g in gens:
-                read.append(g)
-                yield g
-
-        return real(n_points, lazily(), bound)
-
-    monkeypatch.setattr(structure, "BSGS", counting)
-    for cls in classes:
-        centralizer(group, cls.rep, cls.size)
-    assert len(read) <= 1_200
 
 
 @pytest.mark.parametrize("family,n", [*ALL_SMALL, ("A", 9), ("B", 8), ("D", 8)])
@@ -820,10 +808,10 @@ def test_quotient_is_the_stabilizer_of_the_positive_system(cache, family, n):
         if cls.mirror_of is not None:
             continue
         u = cls.rep
-        g_u = centralizer(group, u, cls.size)
+        g_u = centralizer_by_chain(group, u, cls.size)
         lines = group.fixed_lines(u) + group.negated_lines(u)
         reflections = {l: group.reflection_perm(l) for l in lines}
-        q = structure.quotient_action(g_u, reflections)
+        q = structure.quotient_action(group.n_points, g_u.gens, reflections)
         _, stab = orbit_stabilizer(
             group.n_points,
             g_u.gens,
@@ -841,20 +829,25 @@ def test_quotient_is_the_stabilizer_of_the_positive_system(cache, family, n):
 
 
 def test_quotient_by_a_root_set_missing_a_line_is_caught(monkeypatch, cache):
-    # Without one line of Phi1 the coset action must either be refused by
-    # its normality guard or give a coset count that check 2.1b rejects.
+    # Without one line of Phi1 the coset action must be refused by its
+    # normality guard, give a coset count that check 2.1b rejects, or leave
+    # the profile as it was.  N is generated by the swapped pairs' images
+    # alone, not by the stable reflections, so a dropped line can leave N,
+    # and the profile, as they were.
     real = structure.quotient_action
+    types = [("B", 4), ("D", 5), ("F", 4), ("H", 3), ("I", 8)]
+    built = {p.cls: p for t in types for p in cache.profiles(*t)}
     outcomes = set()
-    for family, n in [("B", 4), ("D", 5), ("F", 4), ("H", 3), ("I", 8)]:
+    for family, n in types:
         group = cache.group(family, n)
         for cls in cache.classes(family, n):
             if cls.mirror_of is not None:
                 continue
             for drop in group.fixed_lines(cls.rep) + group.negated_lines(cls.rep):
 
-                def mutated(handle, reflections, drop=drop):
+                def mutated(n_points, gens, reflections, drop=drop):
                     kept = {l: s for l, s in reflections.items() if l != drop}
-                    return real(handle, kept)
+                    return real(n_points, gens, kept)
 
                 monkeypatch.setattr(structure, "quotient_action", mutated)
                 try:
@@ -863,10 +856,13 @@ def test_quotient_by_a_root_set_missing_a_line_is_caught(monkeypatch, cache):
                     assert str(exc) == "subgroup is not normal"
                     outcomes.add("guard")
                     continue
+                if data.profile == built[cls]:
+                    outcomes.add("same")
+                    continue
                 result = check_order_identities(data)[0]
                 assert result.name == "2.1b" and result.status == "fail"
                 outcomes.add("2.1b")
-    assert outcomes == {"guard", "2.1b"}
+    assert {"guard", "same"} <= outcomes
 
 
 PROPERTY_TYPES = [("B", 4), ("D", 5), ("D", 7), ("F", 4), ("H", 3), ("I", 8)]
@@ -960,7 +956,9 @@ def test_e6_deg2_projection_by_exhaustive_restriction(cache):
 
     group = cache.group("E", 6)
     cls = next(c for c in cache.classes("E", 6) if c.degree == 2)
-    elements = list_elements(centralizer(group, cls.rep, class_size=cls.size), limit=200)
+    elements = list_elements(
+        centralizer_by_chain(group, cls.rep, class_size=cls.size), limit=200
+    )
     assert len(elements) == 192
     rs = group.root_system
     m_u = matrix_of_perm(rs, cls.rep)

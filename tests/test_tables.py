@@ -125,9 +125,10 @@ def test_artifacts_deterministic_in_process(cache):
 
 
 def test_dihedral_analysis_keeps_one_transversal_per_chain_level():
-    # the centralizer of u = 1 in I2(512) is a 1024-point chain; with a
-    # forward transversal beside the inverse one, and a copy of the ints in
-    # each cached reflection, analyze peaked at 36.6 MB here
+    # the centralizer of u = 1 in I2(512) was once a 1024-point chain; with
+    # a forward transversal beside the inverse one on each of its levels,
+    # and a copy of the ints in each cached reflection, analyze peaked at
+    # 36.6 MB here
     tracemalloc.start()
     try:
         analysis = analyze(CoxeterType.irreducible("I", 512))
