@@ -374,12 +374,15 @@ class ParabolicGroupoid:
         parts = [self._connected_longest(p) for p in self._parts(subset)]
         return reduce(compose, parts) if parts else identity(self.n_points)
 
-    def factors(self, subset: int, i: int) -> list[Perm]:
-        """nu = w_0^(J+i) w_0^J as the involutions it applies in turn: w_0 of
-        each component of J&C, then w_0^C, with C the component of J + i
-        that holds i (the other components of J cancel)."""
-        c = self._part(subset | 1 << i, 1 << i)
-        return [*map(self._connected_longest, self._parts(subset & c)), self._connected_longest(c)]
+    def factors(self, parts: list[int], i: int) -> list[Perm]:
+        """nu = w_0^(J+i) w_0^J, J the subset whose connected components
+        are `parts`, as the involutions it applies in turn: w_0 of each
+        component of J bonded to i, then w_0^C, where C, the component of
+        J + i that holds i, is i with those components (the other
+        components of J cancel)."""
+        near = [p for p in parts if p & self._bonds[i]]
+        c = sum(near, 1 << i)
+        return [*map(self._connected_longest, near), self._connected_longest(c)]
 
 
 def conjugacy_class_set(
@@ -406,37 +409,52 @@ def conjugacy_class_set(
     loop is kept once, in the order first seen.  A move that leaves the
     simple roots, or a loop that does not map k onto itself, raises
     ViolationError.
+
+    The walk keeps t_J^-1 for three BFS levels only.  Since each move has
+    an inverse move, an edge from level d ends on level d - 1, d or
+    d + 1, so a loop closed on level d reads no inverse below level
+    d - 1: when the walk has taken level d's edges, it drops the inverses
+    of level d - 1.  The component is kept as a set of subsets.
     """
     simple, position = groupoid.simple, groupoid.position
     base_bits = list(_bits(k))
     base = {simple[p] for p in base_bits}
-    tree = {k: identity(groupoid.n_points)}  # t_J^-1
+    component = {k}
+    tree = {k: identity(groupoid.n_points)}  # t_J^-1, on three levels
     images = {k: simple}  # t_J on the simple roots, until J is left
     crossed: dict[int, int] = {}  # J' -> the i' whose edge J' + i' was taken
     loops: dict[tuple[int, ...], Perm] = {}  # key -> loop
-    queue = [k]
-    for j in queue:
-        t_inv, t = tree[j], images.pop(j)
-        for i in _bits(groupoid.full & ~j & ~crossed.pop(j, 0)):
-            factors = groupoid.factors(j, i)
-            step = reduce(compose, factors, t)
-            try:
-                image = sum(1 << position[step[p]] for p in base_bits)
-            except KeyError:
-                raise ViolationError("a move leaves the simple roots") from None
-            crossed[image] = crossed.get(image, 0) | (j | 1 << i) & ~image
-            if image not in tree:
-                tree[image] = reduce(compose, [*reversed(factors), t_inv])
-                images[image] = step
-                queue.append(image)
-                continue
-            key = compose(step, tree[image])
-            if key == simple or key in loops:
-                continue
-            if {key[p] for p in base_bits} != base:
-                raise ViolationError("a loop of the groupoid moves its base")
-            loops[key] = reduce(compose, [inverse(t_inv), *factors, tree[image]])
-    return frozenset(tree), list(loops.values())
+    previous: list[int] = []
+    level = [k]
+    while level:
+        upper = []
+        for j in level:
+            t_inv, t = tree[j], images.pop(j)
+            parts = groupoid._parts(j)
+            for i in _bits(groupoid.full & ~j & ~crossed.pop(j, 0)):
+                factors = groupoid.factors(parts, i)
+                step = reduce(compose, factors, t)
+                try:
+                    image = sum(1 << position[step[p]] for p in base_bits)
+                except KeyError:
+                    raise ViolationError("a move leaves the simple roots") from None
+                crossed[image] = crossed.get(image, 0) | (j | 1 << i) & ~image
+                if image not in component:
+                    component.add(image)
+                    tree[image] = reduce(compose, [*reversed(factors), t_inv])
+                    images[image] = step
+                    upper.append(image)
+                    continue
+                key = compose(step, tree[image])
+                if key == simple or key in loops:
+                    continue
+                if {key[p] for p in base_bits} != base:
+                    raise ViolationError("a loop of the groupoid moves its base")
+                loops[key] = reduce(compose, [inverse(t_inv), *factors, tree[image]])
+        for j in previous:
+            del tree[j]
+        previous, level = level, upper
+    return frozenset(component), list(loops.values())
 
 
 # -- the reflection quotient ------------------------------------------------------
@@ -466,13 +484,13 @@ class QuotientGroup:
     first, then y), which sends one root fewer of Phi1+ out of Phi1+; it
     ends at the one such y of the coset, in whatever order the simple
     roots are tried.  `image`, the descent, is the quotient map onto N;
-    `handle` is N, generated by the descents of the group's generators,
-    each distinct generator descended once, and `size` = |N| is the order
+    `gens` lists the group's distinct generators, `handle` is N, generated
+    by their descents, each descended once, and `size` = |N| is the order
     of its stabilizer chain on the roots.
     """
 
     def __init__(self, n_points: int, gens, reflections: dict[int, Perm]):
-        gens = list(dict.fromkeys(gens))
+        self.gens = gens = list(dict.fromkeys(gens))
         positive = frozenset(reflections)
         roots = positive | {s[a] for a, s in reflections.items()}
         # g normalizes W1 when it maps Phi1 onto itself: g^-1 s_a g = s_(g(a))

@@ -11,6 +11,14 @@ reflections, then frozen in a deterministic order (height, then
 lexicographic coordinates, both as real numbers), so every downstream
 artifact is reproducible byte for byte.
 
+The closure holds each root as one tuple, and the tuples built on per-root
+paths are built at their exact length, from a list or by `itemgetter`.
+CPython keeps up to 2,000 freed tuples of each length below 20 for reuse.
+`tuple()` of a generator or a `map` allocates at a guessed length and
+resizes, so it never takes one of them, yet each such tuple goes onto its
+length's list when freed; built that way, the dead coordinate tuples of
+every root system stay parked there for the life of the process.
+
 I2(m) is deliberately not realized by vectors: general m would need
 Q(cos pi/m) arithmetic, while everything the dihedral tables require is
 visible on the abstract 2m-point root circle (see :class:`DihedralModel`).
@@ -63,6 +71,10 @@ def _dynkin_data(family: str, n: int) -> dict[tuple[int, int], tuple]:
     return bonds
 
 
+def _negated(v: tuple) -> tuple:
+    return tuple([-c for c in v])
+
+
 class RootSystem:
     """An irreducible root system with its reflection representation."""
 
@@ -95,7 +107,7 @@ class RootSystem:
         self._rows = tuple(rows)
 
         simple_coords = [
-            tuple(int(k == i * w) for k in range(n * w)) for i in range(n)
+            tuple([int(k == i * w) for k in range(n * w)]) for i in range(n)
         ]
         images = self._close(simple_coords)
         self.roots = tuple(
@@ -104,15 +116,13 @@ class RootSystem:
         self.index = index = {v: i for i, v in enumerate(self.roots)}
         self.n_roots = len(self.roots)
         self._simple_perms = tuple(
-            tuple(index[images[v][i]] for v in self.roots) for i in range(n)
+            [tuple([index[images[v][i]] for v in self.roots]) for i in range(n)]
         )
-        self.neg = tuple(
-            self.index[tuple(-c for c in v)] for v in self.roots
-        )
-        self.simple = tuple(self.index[v] for v in simple_coords)
+        self.neg = tuple([index[_negated(v)] for v in self.roots])
+        self.simple = tuple([index[v] for v in simple_coords])
         # a root's coordinates are all >= 0 or all <= 0, and over Z[phi] so
         # are all the ints of its flat tuple
-        self.positive = tuple(i for i, v in enumerate(self.roots) if sum(v) > 0)
+        self.positive = tuple([i for i, v in enumerate(self.roots) if sum(v) > 0])
         self.highest = self.positive[-1]
 
     def real_key(self, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -122,7 +132,7 @@ class RootSystem:
         if self.width == 1:
             return v
         f40, f41 = _F40_F41
-        return tuple(a * f40 + b * f41 for a, b in zip(v[::2], v[1::2]))
+        return tuple([a * f40 + b * f41 for a, b in zip(v[::2], v[1::2])])
 
     def _apply_simple(self, i: int, v: tuple) -> tuple:
         out = list(v)
@@ -130,26 +140,35 @@ class RootSystem:
             out[t] -= sum([v[k] * x for k, x in row])
         return tuple(out)
 
-    def _close(self, simple_coords) -> dict[tuple, tuple]:
+    def _close(self, simple_coords) -> dict[tuple, list[tuple]]:
         """Every root, mapped to its images under s_0, ..., s_(rank-1).
 
-        The queue holds one root of each pair +-v: s_i(-v) = -s_i(v), so
-        the images of -v are the negated images of v."""
-        def negated(v: tuple) -> tuple:
-            return tuple(-c for c in v)
+        Each root is held as one tuple: an image is looked up in the map
+        from each root found so far to itself, and a row holds those
+        tuples.  The queue holds one root of each pair +-v: s_i(-v) =
+        -s_i(v), so the images of -v are the negated images of v."""
+        canon: dict[tuple, tuple] = {}
+        images: dict[tuple, list[tuple]] = {}
 
-        images: dict[tuple, tuple] = {}
+        def hold(v: tuple) -> None:
+            canon[v] = v
+            minus = _negated(v)
+            canon[minus] = minus
+
         queue = list(simple_coords)
-        seen = {*queue, *map(negated, queue)}
+        for v in queue:
+            hold(v)
         while queue:
             v = queue.pop()
-            row = tuple(self._apply_simple(i, v) for i in range(self.rank))
-            images[v] = row
-            images[negated(v)] = tuple(map(negated, row))
-            for w in row:
-                if w not in seen:
-                    seen.update((w, negated(w)))
+            row = []
+            for i in range(self.rank):
+                w = self._apply_simple(i, v)
+                if w not in canon:
+                    hold(w)
                     queue.append(w)
+                row.append(canon[w])
+            images[v] = row
+            images[canon[_negated(v)]] = [canon[_negated(w)] for w in row]
         return images
 
     # -- orthogonality and lengths ----------------------------------------
@@ -231,8 +250,8 @@ class RootSystem:
         pairs = []
         for j in range(n):
             k = j + 1 if j + 1 < n else j - 1
-            diff = tuple((r == j) - (r == k) for r in range(n))
-            total = tuple((r == j) + (r == k) for r in range(n))
+            diff = tuple([(r == j) - (r == k) for r in range(n)])
+            total = tuple([(r == j) + (r == k) for r in range(n)])
             pairs.append((index[diff], index[total]))
         return tuple(coords), tuple(pairs)
 

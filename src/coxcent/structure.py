@@ -88,7 +88,7 @@ def _primitive(vec: tuple[int, ...]) -> tuple[int, ...]:
     g = gcd(*vec)
     if not g:
         raise ValueError("zero vector has no direction")
-    return tuple(x // g for x in vec) if g != 1 else vec
+    return tuple([x // g for x in vec]) if g != 1 else vec
 
 
 def _projection_entries(group: CoxeterGroup, u: Perm, side: str):
@@ -133,7 +133,7 @@ def _projection_reflections(
     for r, ur in _projection_entries(group, u, side):
         raw = roots[r]
         if ur != r and ur != neg[r]:
-            raw = tuple(a + sign * b for a, b in zip(raw, roots[ur]))
+            raw = tuple([a + sign * b for a, b in zip(raw, roots[ur])])
         v = _primitive(raw)
         k = index.get(v)
         if k is None:
@@ -149,7 +149,7 @@ def _projection_reflections(
         if u[r] != r and u[r] != neg[r]:
             j = compose(j, group.reflection_perm(u[r]))
         try:
-            perms[k] = tuple(root_vec[j[x]] for x in reps)
+            perms[k] = tuple([root_vec[j[x]] for x in reps])
         except KeyError:
             raise RecognitionError(
                 f"a reflection of the {side} projection leaves its normals"
@@ -539,8 +539,9 @@ def check_complement(data: ClassData) -> CheckResult:
     136, 1999).  The check passes iff the degree-<=2 involutions of G_u
     that fix Phi1+ generate a group of order |Gamma|, that is, all of N.
     A reflection in a stable line negates its root, a root of G1, and so
-    does a product of two, so only the swapped pairs can fix Phi1+; they
-    are built one at a time, and their chain stops reading at |Gamma|.
+    does a product of two, so only the swapped pairs can fix Phi1+.  One
+    that does negates no root of G1, so it is among the pairs `gamma`
+    read, the quotient's `gens`, and their chain stops reading at |Gamma|.
     """
     name = "2.4"
     subject = _subject(data)
@@ -548,8 +549,7 @@ def check_complement(data: ClassData) -> CheckResult:
     if q.size == 1:
         return CheckResult(name, subject, "pass", "trivial quotient")
     positive = q.positive
-    pairs = data.group.swapped_pairs(data.profile.cls.rep)
-    fixers = (j for j in pairs if all(j[a] in positive for a in positive))
+    fixers = (j for j in q.gens if all(j[a] in positive for a in positive))
     # the fixers lie in N, so |N| = |Gamma| bounds the group they generate
     order = BSGS(data.group.n_points, fixers, q.size).order()
     if order == q.size:

@@ -10,7 +10,8 @@ root set (`orbit_stabilizer` on sorted root tuples), the involution
 census by orbits of negated-line sets, the admissible subsets of the
 simple roots listed, Howlett's groupoid walked with full moves and full
 loops, the lowest line of each orbit of G_u^+ on u's fixed
-lines under every fixed reflection, the Gram matrix of the simple
+lines under every fixed reflection, the root data of a closure that
+builds every image as a fresh tuple, the Gram matrix of the simple
 roots over Q or Q(sqrt5), the projections of a centralizer as
 reflection groups on normal vectors closed by reflecting them over the
 field, every cube of an involution by a backtracking search, the image
@@ -28,6 +29,7 @@ from functools import reduce
 from itertools import combinations
 from math import lcm
 from operator import mul
+from types import SimpleNamespace
 
 from coxcent.coxtype import RecognitionError, classify_coxeter_graph
 from coxcent.involutions import InvolutionClass, label_class
@@ -457,9 +459,10 @@ def admissible(group, size: int) -> set[int]:
 def groupoid_walk_by_full_moves(groupoid, k: int) -> tuple[frozenset[int], list[Perm]]:
     """The component of k in Howlett's groupoid and its loops at k, by a BFS
     that keeps each tree element t_J as a permutation, forms every move
-    nu in full, and closes every non-tree edge's loop t_J nu t_J'^-1 by
-    inverting t_J'; each nontrivial loop is kept once, in the order first
-    seen, and each edge is taken from one end only."""
+    nu = w_0^(J+i) w_0^J in full from the two longest elements, keeps
+    every subset's t_J to the end, and closes every non-tree edge's loop
+    t_J nu t_J'^-1 by inverting t_J'; each nontrivial loop is kept once,
+    in the order first seen, and each edge is taken from one end only."""
     simple, position = groupoid.simple, groupoid.position
     tree = {k: identity(groupoid.n_points)}
     crossed: set[tuple[int, int]] = set()
@@ -470,7 +473,7 @@ def groupoid_walk_by_full_moves(groupoid, k: int) -> tuple[frozenset[int], list[
             union = j | 1 << i
             if (j, union) in crossed:
                 continue
-            nu = reduce(compose, groupoid.factors(j, i))
+            nu = compose(groupoid.longest(j), groupoid.longest(union))
             image = sum(1 << position[nu[simple[p]]] for p in _bits(j))
             crossed.add((image, union))
             step = compose(tree[j], nu)
@@ -561,6 +564,52 @@ def closed_roots(rs) -> tuple[tuple[Scalar, ...], ...]:
                 seen.add(w)
                 queue.append(w)
     return tuple(sorted(seen, key=lambda v: (sum(v, Scalar(0)), v)))
+
+
+def close_by_fresh_images(rs, simple_coords) -> dict[tuple, tuple]:
+    """Every root, mapped to its images under s_0, ..., s_(rank-1), each
+    image a fresh tuple: the closure `RootSystem` ran before it held each
+    root once.
+
+    The queue holds one root of each pair +-v: s_i(-v) = -s_i(v), so
+    the images of -v are the negated images of v."""
+    def negated(v: tuple) -> tuple:
+        return tuple(-c for c in v)
+
+    images: dict[tuple, tuple] = {}
+    queue = list(simple_coords)
+    seen = {*queue, *map(negated, queue)}
+    while queue:
+        v = queue.pop()
+        row = tuple(rs._apply_simple(i, v) for i in range(rs.rank))
+        images[v] = row
+        images[negated(v)] = tuple(map(negated, row))
+        for w in row:
+            if w not in seen:
+                seen.update((w, negated(w)))
+                queue.append(w)
+    return images
+
+
+def root_data_by_fresh_images(rs) -> SimpleNamespace:
+    """The root data of `rs` read off `close_by_fresh_images` as
+    `RootSystem` read it then: `roots`, `index`, `_simple_perms`, `neg`,
+    `simple`, `positive`, and `_reflection_perms` built from those."""
+    n, w = rs.rank, rs.width
+    simple_coords = [tuple(int(k == i * w) for k in range(n * w)) for i in range(n)]
+    images = close_by_fresh_images(rs, simple_coords)
+    out = SimpleNamespace()
+    out.roots = tuple(sorted(images, key=lambda v: (sum(key := rs.real_key(v)), key)))
+    out.index = index = {v: i for i, v in enumerate(out.roots)}
+    out.n_roots = len(out.roots)
+    out._simple_perms = tuple(
+        tuple(index[images[v][i]] for v in out.roots) for i in range(n)
+    )
+    out.neg = tuple(index[tuple(-c for c in v)] for v in out.roots)
+    out.simple = tuple(index[v] for v in simple_coords)
+    out.positive = tuple(i for i, v in enumerate(out.roots) if sum(v) > 0)
+    out._reflection_perms = type(rs)._reflection_perms.func(out)
+    return out
 
 
 # -- projections by closing normal vectors over the field --------------------------

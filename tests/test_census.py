@@ -115,6 +115,17 @@ def test_census_walks_hold_one_permutation_per_subset():
 
 
 @pytest.mark.large
+def test_a18_census_walks_keep_three_levels():
+    # the walks keeping t_J^-1 for every subset of a component peaked at
+    # about 6.4 MB here, and for three BFS levels at about 1.6 MB; the
+    # reflection table and the groupoid are built before tracing
+    group = CoxeterGroup(CoxeterType.irreducible("A", 18), max_rank=18)
+    group.reflection_perm(group.lines[0])
+    group.parabolics
+    assert _census_peak_of(group) < 3_000_000
+
+
+@pytest.mark.large
 def test_b16_census_walks_hold_one_permutation_per_subset():
     # the reflection of every root (2 MB at B16) belongs to the group, and
     # every later phase reads it, so it is built before the census is
@@ -250,6 +261,17 @@ def test_walk_matches_the_walk_by_full_moves(cache, family, n):
     groupoid = cache.group(family, n).parabolics
     for k in range(groupoid.full + 1):
         assert conjugacy_class_set(groupoid, k) == groupoid_walk_by_full_moves(groupoid, k)
+
+
+@pytest.mark.parametrize("family,n", [("A", 11), ("B", 9), ("D", 8)])
+def test_walk_on_three_levels_matches_the_walk_by_full_moves(cache, family, n):
+    # the walks of the census, whose components span many BFS levels
+    group = cache.group(family, n)
+    for cls in cache.classes(family, n):
+        k = normal_form(group, cls.rep)
+        assert conjugacy_class_set(group.parabolics, k) == groupoid_walk_by_full_moves(
+            group.parabolics, k
+        )
 
 
 def test_loop_that_moves_its_base_raises(cache, monkeypatch):

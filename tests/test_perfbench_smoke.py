@@ -45,12 +45,14 @@ def test_traced_smoke_run():
 
 def test_theorem_suite_builds_each_seed_once():
     # `gamma` reads every swapped pair of a class, built one at a time, into
-    # N's chain, and check 2.4 a prefix of them into a bounded chain (4,107
-    # orthogonality tests).  A bounded chain on C(u) that read a prefix of
-    # the stable reflections and swapped pairs, with checks 1.1 and 2.4
-    # each reading a prefix of the pairs, made 3,987; all three reading
-    # every degree-<=2 involution of C(u), products of two stable
-    # reflections included, made 16,410 with a backtracking cube search.
+    # N's chain, and check 2.4 takes its fixers from the pairs `gamma` kept
+    # (3,875 orthogonality tests; 4,107 when check 2.4 built a prefix of the
+    # pairs again into its bounded chain).  A bounded chain on C(u) that
+    # read a prefix of the stable reflections and swapped pairs, with
+    # checks 1.1 and 2.4 each reading a prefix of the pairs, made 3,987;
+    # all three reading every degree-<=2 involution of C(u), products of
+    # two stable reflections included, made 16,410 with a backtracking
+    # cube search.
     # Building the centralizer's prefix a second time, to list every
     # involution for the checks, showed as 22,192, and listing it once as
     # 21,560.
